@@ -7,11 +7,14 @@ build:
 
 # -shuffle=on randomizes test order every run, so accidental
 # inter-test coupling fails loudly instead of riding on file order.
+# cmd/cocoperf is a module of its own, outside the root ./..., so its
+# tests run as a second step.
 test:
 	$(GO) test -shuffle=on ./...
+	cd cmd/cocoperf && $(GO) test -shuffle=on ./...
 
-# Race-check the concurrent packages (SPSC ring + pipeline, sharded
-# ingest engine, network-wide merge workers, cluster dispatcher, query
+# Race-check the concurrent packages (SPSC ring, sharded ingest
+# workers and pooled replay, network-wide merge workers, cluster dispatcher, query
 # front-end against a live sealing loop, telemetry instruments), then
 # the seeded chaos suite (deterministic fault injection exercises the
 # agent/collector concurrency paths hardest).

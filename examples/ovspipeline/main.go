@@ -1,53 +1,57 @@
 // OVS-style pipeline: the paper's software-switch deployment (§6/§B).
-// A datapath thread parses raw Ethernet frames, hash-partitions them
-// across lock-free rings, and per-thread measurement goroutines update
-// CocoSketch shards — the architecture that saturated a 40G NIC with
-// two threads in the paper.
+// Receive-side scaling spreads raw Ethernet frames over Rx queues; per
+// queue, a poller fills pooled frame slots and hands them over a
+// lock-free ring to a measurement thread that parses each frame and
+// updates its own CocoSketch, and the per-queue sketches are merged at
+// the end — the architecture that saturated a 40G NIC with two threads
+// in the paper.
 //
 // Run: go run ./examples/ovspipeline
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"log"
+	"time"
 
+	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
-	"cocosketch/internal/ovs"
-	"cocosketch/internal/packet"
+	"cocosketch/internal/pcap"
 	"cocosketch/internal/query"
+	"cocosketch/internal/shard"
 	"cocosketch/internal/trace"
 )
 
 func main() {
-	// Build the workload as raw frames, as a NIC would deliver them.
+	// Build the workload as a capture of raw frames, as a NIC would
+	// deliver them.
 	tr := trace.CAIDALike(300_000, 5)
-	frames := make([][]byte, len(tr.Packets))
-	for i := range tr.Packets {
-		frames[i] = packet.Build(tr.Packets[i].Key, packet.BuildOptions{})
+	var capture bytes.Buffer
+	if err := tr.WritePCAP(&capture, 128); err != nil {
+		log.Fatal(err)
 	}
+	sketchCfg := core.ConfigForMemory[flowkey.FiveTuple](core.DefaultArrays, 500*1024, 9)
 
-	// The datapath's parser: frames back to keys (zero-alloc decoder).
-	var dec packet.Decoder
-	parsed := &trace.Trace{Name: "frames", Packets: make([]trace.Packet, 0, len(frames))}
-	for _, f := range frames {
-		key, err := dec.FiveTuple(f)
-		if err != nil {
-			continue // non-IP traffic is not measured
-		}
-		parsed.Packets = append(parsed.Packets, trace.Packet{Key: key, Size: uint32(len(f))})
-	}
-	fmt.Printf("parsed %d frames\n\n", len(parsed.Packets))
-
-	// Sweep thread counts like Figure 15(a).
-	fmt.Printf("%-8s  %-16s  %-16s\n", "threads", "Mpps(w/o Ours)", "Mpps(w/ Ours)")
+	// Sweep thread (Rx queue) counts like Figure 15(a).
+	fmt.Printf("%-8s  %-10s  %-8s\n", "threads", "packets", "Mpps")
 	for _, threads := range []int{1, 2, 4} {
-		base, _ := ovs.Run(parsed, ovs.Config{Threads: threads})
-		with, decoded := ovs.Run(parsed, ovs.Config{
-			Threads: threads, WithSketch: true, MemoryBytes: 500 * 1024, Seed: 9,
-		})
-		fmt.Printf("%-8d  %-16.2f  %-16.2f\n", threads, base.Mpps(), with.Mpps())
+		// The NIC's RSS split: queue i holds the flows hashed to it.
+		queues, err := pcap.PartitionRSS(bytes.NewReader(capture.Bytes()), threads, 9)
+		if err != nil {
+			log.Fatal(err)
+		}
+		start := time.Now()
+		merged, st, err := shard.ReplayQueues(shard.ReplayConfig{Seed: 9},
+			shard.NewBasicFactory(sketchCfg, nil), queues)
+		if err != nil {
+			log.Fatal(err)
+		}
+		mpps := float64(st.Packets) / time.Since(start).Seconds() / 1e6
+		fmt.Printf("%-8d  %-10d  %-8.2f\n", threads, st.Packets, mpps)
 
 		if threads == 4 {
-			engine := query.NewEngine(decoded)
+			engine := query.NewEngine(merged.Decode())
 			m := flowkey.MaskFields(flowkey.FieldSrcIP)
 			fmt.Println("\ntop sources measured by the 4-thread pipeline:")
 			fmt.Print(query.FormatRows(m, engine.Top(m, 5), 5))

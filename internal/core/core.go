@@ -14,7 +14,7 @@
 //     per-array estimates.
 //
 // Neither variant is safe for concurrent use; shard per goroutine (see
-// package ovs) for multi-threaded pipelines.
+// package shard) for multi-threaded pipelines.
 package core
 
 import (
@@ -273,7 +273,7 @@ func (s *Basic[K]) InsertBatch(keys []K, ws []uint64) {
 }
 
 // InsertBatchUnit inserts every key with weight 1 (the packet-count
-// hot path of the OVS pipeline and the throughput experiments).
+// hot path of the shard workers and the throughput experiments).
 func (s *Basic[K]) InsertBatchUnit(keys []K) {
 	for off := 0; off < len(keys); off += insertBatchChunk {
 		end := off + insertBatchChunk

@@ -69,14 +69,3 @@ func (s *Hardware[K]) SetTelemetry(m *telemetry.SketchMetrics) *Hardware[K] {
 	s.setTelemetry(m)
 	return s
 }
-
-// SetTelemetry installs the counter group on every live shard and on
-// shards created by future rotations, and counts rotations into
-// m.Rotations. Returns the window for chaining.
-func (w *Window) SetTelemetry(m *telemetry.SketchMetrics) *Window {
-	w.tel = m
-	for _, s := range w.shards {
-		s.SetTelemetry(m)
-	}
-	return w
-}

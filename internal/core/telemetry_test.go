@@ -110,24 +110,3 @@ func TestTelemetryMergeAndLateInstall(t *testing.T) {
 		t.Fatalf("re-install flushed to %d, want %d (one extra copy of the history)", got, 2*total)
 	}
 }
-
-// TestWindowTelemetryRotations checks rotation counting and that
-// rotated-in shards inherit the counter group.
-func TestWindowTelemetryRotations(t *testing.T) {
-	reg := telemetry.New()
-	w := NewWindow(3, telCfg()).SetTelemetry(telemetry.NewSketchMetrics(reg, "win"))
-	key := trace.CAIDALike(10, 1).Packets[0].Key
-	for e := 0; e < 5; e++ {
-		w.Insert(key, 1)
-		w.Rotate()
-	}
-	if got := reg.Counter("win.rotations").Value(); got != 5 {
-		t.Fatalf("rotations = %d, want 5", got)
-	}
-	// Inserts into rotated-in shards must still be counted.
-	snap := reg.Snapshot()
-	total := snap.Counters["win.matched"] + snap.Counters["win.replaced"] + snap.Counters["win.kept"]
-	if total != 5 {
-		t.Fatalf("outcomes sum to %d, want 5", total)
-	}
-}

@@ -249,6 +249,25 @@ func TestExtZeroAllocShape(t *testing.T) {
 	// needs physical cores and GOGC pressure to show on this host).
 }
 
+func TestFig15aShape(t *testing.T) {
+	res := runID(t, "fig15a")
+	if len(res.Rows) != 2 {
+		t.Fatalf("want one row per quick thread count (1, 2), got %d", len(res.Rows))
+	}
+	for i, row := range res.Rows {
+		if row[0] != strconv.Itoa(i+1) {
+			t.Errorf("row %d threads = %s, want %d", i, row[0], i+1)
+		}
+		for col := 1; col <= 2; col++ {
+			if mpps, err := strconv.ParseFloat(row[col], 64); err != nil || mpps <= 0 {
+				t.Errorf("threads=%s %s: bad Mpps %q", row[0], res.Columns[col], row[col])
+			}
+		}
+	}
+	// The runner itself errors unless every replay accounts for every
+	// packet and the merged sketch mass equals the packet count.
+}
+
 func TestFig15bShape(t *testing.T) {
 	res := runID(t, "fig15b")
 	last := res.Rows[len(res.Rows)-1]

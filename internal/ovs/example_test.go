@@ -7,34 +7,6 @@ import (
 	"cocosketch/internal/trace"
 )
 
-// ExampleRun replays a trace through the OVS-like pipeline: per-thread
-// ring buffers between datapath pollers and measurement threads, one
-// CocoSketch shard per thread, merged at the end. The merged table
-// accounts for every packet (the pipeline is lossless unless
-// DropOnFull is set).
-func ExampleRun() {
-	tr := trace.CAIDALike(50_000, 1)
-
-	stats, merged := ovs.Run(tr, ovs.Config{
-		Threads:     2,
-		MemoryBytes: 500 << 10,
-		WithSketch:  true,
-		Seed:        1,
-	})
-
-	var mass uint64
-	for _, v := range merged {
-		mass += v
-	}
-	fmt.Println("packets:", stats.Packets)
-	fmt.Println("drops:", stats.Drops)
-	fmt.Println("merged mass equals packets:", mass == stats.Packets)
-	// Output:
-	// packets: 50000
-	// drops: 0
-	// merged mass equals packets: true
-}
-
 // ExampleRing shows the single-producer single-consumer ring on its
 // own: batched push and pop with the cached-index fast path.
 func ExampleRing() {

@@ -100,114 +100,3 @@ func TestRingConcurrentSPSC(t *testing.T) {
 		t.Fatalf("consumed %d packets, want %d", got, n)
 	}
 }
-
-func TestPipelineMovesAllPackets(t *testing.T) {
-	tr := trace.CAIDALike(50000, 1)
-	for _, threads := range []int{1, 2, 4} {
-		stats, _ := Run(tr, Config{Threads: threads, WithSketch: false})
-		if stats.Packets != uint64(len(tr.Packets)) {
-			t.Fatalf("threads=%d moved %d packets, want %d", threads, stats.Packets, len(tr.Packets))
-		}
-		if stats.Mpps() <= 0 {
-			t.Fatalf("threads=%d Mpps = %f", threads, stats.Mpps())
-		}
-	}
-}
-
-func TestPipelineSketchAccuracy(t *testing.T) {
-	tr := trace.CAIDALike(200000, 2)
-	stats, decoded := Run(tr, Config{
-		Threads: 4, MemoryBytes: 512 * 1024, WithSketch: true, Seed: 3,
-	})
-	if stats.Packets != uint64(len(tr.Packets)) {
-		t.Fatal("packet count mismatch")
-	}
-	if decoded == nil {
-		t.Fatal("no decode returned")
-	}
-	// Sharded decode conserves the total stream weight.
-	var sum uint64
-	for _, v := range decoded {
-		sum += v
-	}
-	if sum != uint64(len(tr.Packets)) {
-		t.Fatalf("decoded total %d, want %d", sum, len(tr.Packets))
-	}
-	// The top flow must be found with a sane estimate.
-	truth := tr.FullCounts()
-	var topKey flowkey.FiveTuple
-	var topVal uint64
-	for k, v := range truth {
-		if v > topVal {
-			topKey, topVal = k, v
-		}
-	}
-	got := decoded[topKey]
-	if got < topVal/2 || got > topVal*2 {
-		t.Fatalf("top flow estimate %d, true %d", got, topVal)
-	}
-}
-
-func TestPipelineShardingDisjoint(t *testing.T) {
-	// Each flow must land in exactly one shard: re-running with the
-	// same seed gives identical decode (no cross-shard randomness).
-	tr := trace.CAIDALike(30000, 4)
-	_, d1 := Run(tr, Config{Threads: 3, MemoryBytes: 256 * 1024, WithSketch: true, Seed: 9})
-	_, d2 := Run(tr, Config{Threads: 3, MemoryBytes: 256 * 1024, WithSketch: true, Seed: 9})
-	if len(d1) != len(d2) {
-		t.Fatalf("non-deterministic decode: %d vs %d entries", len(d1), len(d2))
-	}
-	for k, v := range d1 {
-		if d2[k] != v {
-			t.Fatalf("non-deterministic estimate for %v", k)
-		}
-	}
-}
-
-func TestPipelineDropOnFull(t *testing.T) {
-	// A tiny ring with a sketching consumer WILL overflow when allowed
-	// to drop; the moved packet count plus drops must equal the trace.
-	tr := trace.CAIDALike(50000, 6)
-	stats, dec := Run(tr, Config{
-		Threads: 2, RingCapacity: 4, WithSketch: true,
-		MemoryBytes: 64 * 1024, DropOnFull: true, Seed: 2,
-	})
-	if stats.Packets+stats.Drops != uint64(len(tr.Packets)) {
-		t.Fatalf("packets %d + drops %d != %d", stats.Packets, stats.Drops, len(tr.Packets))
-	}
-	var sum uint64
-	for _, v := range dec {
-		sum += v
-	}
-	if sum != stats.Packets {
-		t.Fatalf("sketch total %d != delivered %d", sum, stats.Packets)
-	}
-}
-
-func TestPipelineLosslessByDefault(t *testing.T) {
-	tr := trace.CAIDALike(20000, 7)
-	stats, _ := Run(tr, Config{Threads: 2, RingCapacity: 4, WithSketch: true, MemoryBytes: 64 * 1024})
-	if stats.Drops != 0 || stats.Packets != uint64(len(tr.Packets)) {
-		t.Fatalf("lossless mode dropped: %+v", stats)
-	}
-}
-
-func TestPipelineDefaults(t *testing.T) {
-	tr := trace.CAIDALike(1000, 5)
-	stats, dec := Run(tr, Config{Threads: 0, MemoryBytes: 0, WithSketch: true})
-	if stats.Packets != 1000 || dec == nil {
-		t.Fatal("defaulted run failed")
-	}
-}
-
-func BenchmarkPipeline(b *testing.B) {
-	tr := trace.CAIDALike(200000, 1)
-	for _, threads := range []int{1, 2, 4} {
-		name := map[int]string{1: "threads=1", 2: "threads=2", 4: "threads=4"}[threads]
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Run(tr, Config{Threads: threads, MemoryBytes: 512 * 1024, WithSketch: true, Seed: 1})
-			}
-		})
-	}
-}

@@ -1,8 +1,8 @@
-// Package ovs models the paper's Open vSwitch integration (§B): the
-// datapath writes packet headers into shared ring buffers, and
-// measurement threads poll the rings and update per-thread CocoSketch
-// shards — the architecture of the paper's OVS+DPDK testbed, with the
-// NIC and DPDK replaced by in-memory trace replay.
+// Package ovs provides the single-producer single-consumer ring of the
+// paper's Open vSwitch integration (§B), where the datapath writes
+// packet headers into shared ring buffers and measurement threads poll
+// them. Package shard builds both of its ingest sources — the Engine's
+// dispatcher and the per-queue pcap readers — on this ring.
 package ovs
 
 import (

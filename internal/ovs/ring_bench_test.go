@@ -33,11 +33,15 @@ func uncachedPop(r *Ring, out *trace.Packet) bool {
 	return true
 }
 
+// benchBurst is the transfer burst of the batched benchmark loops, the
+// DPDK rx_burst size used by the ring's users (shard.DefaultBurst).
+const benchBurst = 64
+
 // runSPSC pumps b.N packets through a fresh ring with the given
 // producer and consumer loop bodies and reports ns per packet.
 func runSPSC(b *testing.B, produce func(*Ring, []trace.Packet), consume func(*Ring, []trace.Packet) int) {
 	r := NewRing(4096)
-	burst := make([]trace.Packet, transferBatch)
+	burst := make([]trace.Packet, benchBurst)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -53,7 +57,7 @@ func runSPSC(b *testing.B, produce func(*Ring, []trace.Packet), consume func(*Ri
 		}
 		r.Close()
 	}()
-	out := make([]trace.Packet, transferBatch)
+	out := make([]trace.Packet, benchBurst)
 	got := 0
 	for got < b.N {
 		n := consume(r, out)

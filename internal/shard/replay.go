@@ -14,19 +14,14 @@ import (
 	"cocosketch/internal/telemetry"
 )
 
-// This file is the zero-allocation replay pipeline: the Engine's
-// dispatcher/worker split rebuilt for raw pcap streams, with pooled
-// frame buffers instead of decoded trace.Packet values. Each simulated
-// receive queue runs one reader goroutine (pcap records → pool slots,
-// filled in place by ReadInto) and one worker goroutine (slot → 5-tuple
-// via packet.ExtractFiveTuple → InsertBatch → recycle) connected by an
-// SPSC ring of 12-byte packet.FrameRef handles. In steady state the
-// path allocates nothing: the pool is one up-front allocation, the ring
-// carries value-type refs, and extraction writes into fixed-size
-// comparable keys. When every slot is in flight the reader backs off
-// (pool starvation → Gosched) instead of allocating or dropping — the
-// backpressure contract of DESIGN.md §13, which also specifies the full
-// slot ownership protocol.
+// This file is the zero-allocation replay source. Each simulated
+// receive queue runs a reader goroutine (pcap record → pool slot,
+// filled in place by ReadInto) and a worker (slot → 5-tuple via
+// packet.ExtractFiveTuple → InsertBatch → recycle) joined by a ring of
+// 12-byte packet.FrameRef handles. In steady state nothing is
+// allocated; when every slot is in flight the reader yields instead of
+// allocating or dropping — the backpressure and slot ownership
+// contract of DESIGN.md §13.
 
 // ReplayConfig parameterizes a pooled replay run.
 type ReplayConfig struct {
@@ -35,19 +30,15 @@ type ReplayConfig struct {
 	Queues int
 	// PoolSlots is the per-queue frame pool size in slots (default
 	// DefaultPoolSlots). Bounds the number of frames in flight per
-	// queue; when exhausted the reader waits, it never allocates.
+	// queue; when exhausted the reader waits, it never allocates. The
+	// queue's handoff ring has the same size, so it can never fill
+	// (in-flight refs ≤ in-flight slots), leaving pool starvation as
+	// the single backpressure signal.
 	PoolSlots int
 	// SlotCap is the byte capacity of each pool slot (default
 	// DefaultSlotCap). Records longer than SlotCap are truncated on
 	// read, NIC snapshot-length style, and counted in ReplayStats.
 	SlotCap int
-	// RingCapacity is the per-queue handoff ring size. It defaults to
-	// PoolSlots: a ring at least as large as the pool can never fill
-	// (in-flight refs ≤ in-flight slots), leaving pool starvation as
-	// the single backpressure signal.
-	RingCapacity int
-	// Burst is the read and drain burst size (default DefaultBurst).
-	Burst int
 	// Seed drives the RSS split when a stream is partitioned into
 	// queues; it must match the shard Engine seed being compared
 	// against for bit-identical replays.
@@ -89,41 +80,16 @@ type ReplayStats struct {
 	Recycled uint64
 }
 
-// replayTel groups the pipeline's telemetry instruments; every field is
-// nil (and every record call a nil-check) when the registry is nil.
-type replayTel struct {
-	starved   *telemetry.Counter
-	recycled  *telemetry.Counter
-	truncated *telemetry.Counter
-	skipped   *telemetry.Counter
-	batchSize *telemetry.Histogram
-}
-
-// newReplayTel registers the shared pipeline metrics.
-func newReplayTel(r *telemetry.Registry) replayTel {
-	return replayTel{
-		starved:   r.Counter("ingest.pool_starved"),
-		recycled:  r.Counter("ingest.recycled"),
-		truncated: r.Counter("ingest.truncated"),
-		skipped:   r.Counter("ingest.skipped"),
-		batchSize: r.Histogram("ingest.batch_size"),
-	}
-}
-
-// queuePipe is one receive queue's pipeline state. The reader side
-// (readBurst and its fields) belongs to the reader goroutine, the drain
-// side to the worker goroutine; the plain counters are each written by
-// exactly one side and read only after both goroutines have joined.
-// Both steps are plain methods so a single goroutine can alternate them
-// — that is how the zero-allocation property is pinned by
-// testing.AllocsPerRun.
-type queuePipe[S Sketch[S]] struct {
+// frames is one receive queue's source. The reader side (readBurst,
+// readAll) belongs to the reader goroutine; fill and release run on the
+// queue's worker goroutine. Each counter is written by one side and
+// read only after both goroutines have joined. Reading and draining
+// are plain steps so a single goroutine can alternate them — that is
+// how the zero-allocation property is pinned by testing.AllocsPerRun.
+type frames struct {
 	pool   *packet.Pool
 	ring   *ovs.RingOf[packet.FrameRef]
 	reader *pcap.Reader
-	sketch S
-	burst  int
-	bytes  bool
 
 	// Reader-side state.
 	refs      []packet.FrameRef
@@ -132,53 +98,45 @@ type queuePipe[S Sketch[S]] struct {
 	truncated uint64
 
 	// Worker-side state.
-	drain    []packet.FrameRef
-	keys     []flowkey.FiveTuple
-	ws       []uint64
-	inserted uint64
 	skipped  uint64
 	recycled uint64
 
-	tel    replayTel
-	telOcc *telemetry.Gauge
+	// Telemetry instruments, all nil (each record a nil-check) when
+	// the registry is nil.
+	telStarved, telTruncated, telSkipped, telRecycled *telemetry.Counter
+	telOcc                                            *telemetry.Gauge
 }
 
-// newQueuePipe builds one queue pipeline over a positioned pcap reader.
-func newQueuePipe[S Sketch[S]](cfg ReplayConfig, i int, r *pcap.Reader, sketch S) *queuePipe[S] {
-	q := &queuePipe[S]{
-		pool:   packet.NewPool(cfg.PoolSlots, cfg.SlotCap),
-		ring:   ovs.NewRingOf[packet.FrameRef](cfg.RingCapacity),
-		reader: r,
-		sketch: sketch,
-		burst:  cfg.Burst,
-		bytes:  cfg.Bytes,
-		refs:   make([]packet.FrameRef, 0, cfg.Burst),
-		drain:  make([]packet.FrameRef, cfg.Burst),
-		keys:   make([]flowkey.FiveTuple, cfg.Burst),
-		tel:    newReplayTel(cfg.Telemetry),
-		telOcc: cfg.Telemetry.Gauge(fmt.Sprintf("ingest.pool_occupancy.q%d", i)),
+// newQueue builds receive queue i over a positioned pcap reader: its
+// frame source and the worker that drains it into sketch.
+func newQueue[S Sketch[S]](cfg ReplayConfig, i int, r *pcap.Reader, sketch S) (*frames, *worker[S, packet.FrameRef]) {
+	reg := cfg.Telemetry
+	q := &frames{
+		pool:         packet.NewPool(cfg.PoolSlots, cfg.SlotCap),
+		ring:         ovs.NewRingOf[packet.FrameRef](cfg.PoolSlots),
+		reader:       r,
+		refs:         make([]packet.FrameRef, 0, DefaultBurst),
+		telStarved:   reg.Counter("ingest.pool_starved"),
+		telTruncated: reg.Counter("ingest.truncated"),
+		telSkipped:   reg.Counter("ingest.skipped"),
+		telRecycled:  reg.Counter("ingest.recycled"),
+		telOcc:       reg.Gauge(fmt.Sprintf("ingest.pool_occupancy.q%d", i)),
 	}
-	if cfg.Bytes {
-		q.ws = make([]uint64, cfg.Burst)
-	}
-	return q
+	return q, newWorker(q.ring, sketch, q, cfg.Bytes, reg.Histogram("ingest.batch_size"), nil)
 }
 
 // readBurst reserves up to one burst of pool slots, fills them in place
 // with ReadInto, and pushes their FrameRefs into the ring (spinning on
-// a full ring, which a default-sized ring makes unreachable). It
-// returns the number of refs pushed; zero with q.done still false
-// means the pool is starved and the caller should yield and retry.
-func (q *queuePipe[S]) readBurst() (int, error) {
-	if q.done {
-		return 0, nil
-	}
+// a full ring, which a pool-sized ring makes unreachable). It returns
+// the number of refs pushed; zero with q.done still false means the
+// pool is starved and the caller should yield and retry.
+func (q *frames) readBurst() (int, error) {
 	refs := q.refs[:0]
-	for len(refs) < q.burst {
+	for len(refs) < DefaultBurst {
 		s, ok := q.pool.Reserve()
 		if !ok {
 			q.starved++
-			q.tel.starved.Inc()
+			q.telStarved.Inc()
 			break
 		}
 		hdr, n, err := q.reader.ReadInto(q.pool.Bytes(s))
@@ -194,7 +152,7 @@ func (q *queuePipe[S]) readBurst() (int, error) {
 		}
 		if hdr.CaptureLength > n {
 			q.truncated++
-			q.tel.truncated.Inc()
+			q.telTruncated.Inc()
 		}
 		refs = append(refs, packet.FrameRef{
 			Slot: s,
@@ -203,138 +161,112 @@ func (q *queuePipe[S]) readBurst() (int, error) {
 		})
 	}
 	q.refs = refs
-	for off := 0; off < len(refs); {
-		m := q.ring.TryPushN(refs[off:])
-		off += m
-		if off < len(refs) {
-			runtime.Gosched()
-		}
-	}
+	push(q.ring, refs, false, nil)
 	q.telOcc.Set(int64(q.pool.InFlight()))
 	return len(refs), nil
 }
 
-// drainBurst pops one burst of FrameRefs, extracts each key straight
-// out of its pool slot, batch-inserts into the queue's sketch, and
-// recycles the slots. Slots are recycled only after the insert returns
-// — the worker owns them until the frame is fully consumed (DESIGN.md
-// §13). Returns the number of refs consumed.
-func (q *queuePipe[S]) drainBurst() int {
-	n := q.ring.TryPopN(q.drain)
-	if n == 0 {
-		return 0
-	}
-	m, skip := 0, uint64(0)
-	for j := 0; j < n; j++ {
-		ref := &q.drain[j]
-		key, ok := packet.ExtractFiveTuple(q.pool.Bytes(ref.Slot)[:ref.Len])
-		if !ok {
-			skip++
-			continue
-		}
-		q.keys[m] = key
-		if q.bytes {
-			q.ws[m] = uint64(ref.Orig)
-		}
-		m++
-	}
-	if m > 0 {
-		if q.bytes {
-			q.sketch.InsertBatch(q.keys[:m], q.ws[:m])
-		} else {
-			q.sketch.InsertBatchUnit(q.keys[:m])
-		}
-	}
-	for j := 0; j < n; j++ {
-		q.pool.Recycle(q.drain[j].Slot)
-	}
-	q.inserted += uint64(m)
-	q.skipped += skip
-	q.recycled += uint64(n)
-	q.tel.skipped.Add(skip)
-	q.tel.recycled.Add(uint64(n))
-	q.tel.batchSize.Observe(uint64(n))
-	return n
-}
-
-// runPipes drives every queue's reader/worker goroutine pair to
-// completion. The shutdown protocol matches runWorker: the reader
-// closes the ring after its final push, and the worker re-polls once
-// after seeing closed-and-empty to drain a push that raced the check.
-func runPipes[S Sketch[S]](pipes []*queuePipe[S]) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(pipes))
-	for i, q := range pipes {
-		wg.Add(2)
-		go func(i int, q *queuePipe[S]) {
-			defer wg.Done()
-			defer q.ring.Close()
-			for !q.done {
-				n, err := q.readBurst()
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if n == 0 && !q.done {
-					runtime.Gosched()
-				}
-			}
-		}(i, q)
-		go func(q *queuePipe[S]) {
-			defer wg.Done()
-			for {
-				if q.drainBurst() == 0 {
-					if q.ring.Closed() {
-						if q.drainBurst() == 0 {
-							return
-						}
-					} else {
-						runtime.Gosched()
-					}
-				}
-			}
-		}(q)
-	}
-	wg.Wait()
-	for i, err := range errs {
+// readAll feeds the ring until the capture is exhausted, yielding while
+// the pool is starved. It closes the ring on every path, so the
+// worker drains what was pushed and exits.
+func (q *frames) readAll() error {
+	defer q.ring.Close()
+	for !q.done {
+		n, err := q.readBurst()
 		if err != nil {
-			return fmt.Errorf("shard: replay queue %d: %w", i, err)
+			return err
+		}
+		if n == 0 && !q.done {
+			runtime.Gosched()
 		}
 	}
 	return nil
 }
 
+// fill extracts each frame's key straight out of its pool slot and
+// weights it by the frame's original wire length. Frames the extractor
+// rejects (non-IP, truncated headers) are counted and left out.
+func (q *frames) fill(refs []packet.FrameRef, keys []flowkey.FiveTuple, ws []uint64) int {
+	m := 0
+	for j := range refs {
+		ref := &refs[j]
+		key, ok := packet.ExtractFiveTuple(q.pool.Bytes(ref.Slot)[:ref.Len])
+		if !ok {
+			continue
+		}
+		keys[m] = key
+		if ws != nil {
+			ws[m] = uint64(ref.Orig)
+		}
+		m++
+	}
+	skip := uint64(len(refs) - m)
+	q.skipped += skip
+	q.telSkipped.Add(skip)
+	return m
+}
+
+// release recycles the burst's slots. The worker owns them until the
+// insert has returned (DESIGN.md §13).
+func (q *frames) release(refs []packet.FrameRef) {
+	for j := range refs {
+		q.pool.Recycle(refs[j].Slot)
+	}
+	q.recycled += uint64(len(refs))
+	q.telRecycled.Add(uint64(len(refs)))
+}
+
 // normalizeReplay applies ReplayConfig defaults.
 func normalizeReplay(cfg ReplayConfig) ReplayConfig {
-	if cfg.Queues <= 0 {
-		cfg.Queues = 1
-	}
 	if cfg.PoolSlots <= 0 {
 		cfg.PoolSlots = DefaultPoolSlots
 	}
 	if cfg.SlotCap <= 0 {
 		cfg.SlotCap = DefaultSlotCap
 	}
-	if cfg.RingCapacity <= 0 {
-		cfg.RingCapacity = cfg.PoolSlots
-	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = DefaultBurst
-	}
 	return cfg
 }
 
-// collectStats folds the per-pipe counters into one ReplayStats.
-func collectStats[S Sketch[S]](pipes []*queuePipe[S]) ReplayStats {
-	st := ReplayStats{Queues: len(pipes)}
-	for _, q := range pipes {
-		st.Packets += q.inserted
+// replay runs one reader goroutine and one worker goroutine per
+// reader to completion, then merges the per-queue sketches (newSketch
+// follows the New contract). cfg must be normalized.
+func replay[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, readers []*pcap.Reader) (S, ReplayStats, error) {
+	qs := make([]*frames, len(readers))
+	workers := make([]*worker[S, packet.FrameRef], len(readers))
+	for i, r := range readers {
+		qs[i], workers[i] = newQueue(cfg, i, r, newSketch(i))
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(qs))
+	wg.Add(2 * len(qs))
+	for i := range qs {
+		go func() {
+			defer wg.Done()
+			errs[i] = qs[i].readAll()
+		}()
+		go func() {
+			defer wg.Done()
+			workers[i].run()
+		}()
+	}
+	wg.Wait()
+
+	st := ReplayStats{Queues: len(qs)}
+	for i, q := range qs {
+		st.Packets += workers[i].consumed.Load()
 		st.Skipped += q.skipped
 		st.Truncated += q.truncated
 		st.Starved += q.starved
 		st.Recycled += q.recycled
 	}
-	return st
+	var zero S
+	for i, err := range errs {
+		if err != nil {
+			return zero, st, fmt.Errorf("shard: replay queue %d: %w", i, err)
+		}
+	}
+	merged, err := combine(newSketch, workers)
+	return merged, st, err
 }
 
 // ReplayQueues replays pre-partitioned receive queues through the
@@ -345,30 +277,19 @@ func collectStats[S Sketch[S]](pipes []*queuePipe[S]) ReplayStats {
 // and queue count as a comparison Engine to get bit-identical sketch
 // state — queue i's packets are exactly worker i's packets.
 func ReplayQueues[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, queues []*pcap.Queue) (S, ReplayStats, error) {
-	cfg.Queues = len(queues)
-	cfg = normalizeReplay(cfg)
 	var zero S
 	if len(queues) == 0 {
 		return zero, ReplayStats{}, fmt.Errorf("shard: ReplayQueues needs at least one queue")
 	}
-	pipes := make([]*queuePipe[S], len(queues))
+	readers := make([]*pcap.Reader, len(queues))
 	for i, qu := range queues {
 		r, err := qu.Open()
 		if err != nil {
 			return zero, ReplayStats{}, err
 		}
-		pipes[i] = newQueuePipe(cfg, i, r, newSketch(i))
+		readers[i] = r
 	}
-	if err := runPipes(pipes); err != nil {
-		return zero, collectStats(pipes), err
-	}
-	merged := newSketch(len(queues))
-	for i, q := range pipes {
-		if err := merged.Merge(q.sketch); err != nil {
-			return zero, collectStats(pipes), fmt.Errorf("shard: merging replay queue %d: %w", i, err)
-		}
-	}
-	return merged, collectStats(pipes), nil
+	return replay(normalizeReplay(cfg), newSketch, readers)
 }
 
 // ReplayPCAP replays one raw pcap stream through the pooled pipeline.
@@ -379,7 +300,7 @@ func ReplayQueues[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, queues
 func ReplayPCAP[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, r io.Reader) (S, ReplayStats, error) {
 	cfg = normalizeReplay(cfg)
 	var zero S
-	if cfg.Queues == 1 {
+	if cfg.Queues <= 1 {
 		pr, err := pcap.NewReader(r)
 		if err != nil {
 			return zero, ReplayStats{}, err
@@ -387,15 +308,7 @@ func ReplayPCAP[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, r io.Rea
 		if lt := pr.LinkType(); lt != pcap.LinkTypeEthernet {
 			return zero, ReplayStats{}, fmt.Errorf("shard: replay supports only Ethernet captures, got link type %d", lt)
 		}
-		pipes := []*queuePipe[S]{newQueuePipe(cfg, 0, pr, newSketch(0))}
-		if err := runPipes(pipes); err != nil {
-			return zero, collectStats(pipes), err
-		}
-		merged := newSketch(1)
-		if err := merged.Merge(pipes[0].sketch); err != nil {
-			return zero, collectStats(pipes), err
-		}
-		return merged, collectStats(pipes), nil
+		return replay(cfg, newSketch, []*pcap.Reader{pr})
 	}
 	queues, err := pcap.PartitionRSS(r, cfg.Queues, cfg.Seed)
 	if err != nil {

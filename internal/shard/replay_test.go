@@ -92,33 +92,40 @@ func TestReplayOneQueueMatchesSequential(t *testing.T) {
 // TestReplayQueuesMatchesEngine pins the multi-queue half: an N-queue
 // pooled replay of an RSS-partitioned capture reproduces an N-worker
 // Engine's merged sketch bit for bit — same seed, same split, same
-// per-worker insert order.
+// per-worker insert order — in packet-count and byte-weight modes. The
+// Engine is fed the capture as trace.FromPCAP decodes it, so each
+// packet's Size is the pcap original length replay weights by.
 func TestReplayQueuesMatchesEngine(t *testing.T) {
 	const queues = 4
-	tr, data := replayCapture(t, 20000, 256)
+	_, data := replayCapture(t, 20000, 256)
+	tr, err := trace.FromPCAP(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sketchCfg := replaySketchCfg()
+	for _, bytesMode := range []bool{false, true} {
+		eng := NewBasic(Config{Workers: queues, Seed: 7, Bytes: bytesMode}, sketchCfg)
+		eng.Ingest(tr.Packets)
+		eng.Close()
+		want, err := eng.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	eng := NewBasic(Config{Workers: queues, Seed: 7}, sketchCfg)
-	eng.Ingest(tr.Packets)
-	eng.Close()
-	want, err := eng.Decode()
-	if err != nil {
-		t.Fatal(err)
+		merged, st, err := ReplayPCAPBasic(
+			ReplayConfig{Queues: queues, Seed: 7, Bytes: bytesMode},
+			sketchCfg, bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Queues != queues {
+			t.Fatalf("stats queues %d, want %d", st.Queues, queues)
+		}
+		if st.Packets != uint64(len(tr.Packets)) {
+			t.Fatalf("replayed %d packets, trace has %d", st.Packets, len(tr.Packets))
+		}
+		diffTables(t, merged.Decode(), want)
 	}
-
-	merged, st, err := ReplayPCAPBasic(
-		ReplayConfig{Queues: queues, Seed: 7},
-		sketchCfg, bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Queues != queues {
-		t.Fatalf("stats queues %d, want %d", st.Queues, queues)
-	}
-	if st.Packets != uint64(len(tr.Packets)) {
-		t.Fatalf("replayed %d packets, trace has %d", st.Packets, len(tr.Packets))
-	}
-	diffTables(t, merged.Decode(), want)
 }
 
 // TestReplaySkipsUndecodableFrames checks the FromPCAP-mirroring skip
@@ -219,8 +226,9 @@ func TestReplayBackpressureStarvation(t *testing.T) {
 // TestReplaySteadyStateNoAllocs is the tentpole's gate: driving the
 // full replay→decode→InsertBatch loop — pool reserve, ReadInto, ring
 // handoff, key extraction, batch insert, recycle — allocates nothing
-// per burst in steady state. The pipe's steppable readBurst/drainBurst
-// methods let one goroutine alternate the two sides deterministically.
+// per burst in steady state. The queue's steppable readBurst and the
+// worker's drain let one goroutine alternate the two sides
+// deterministically.
 func TestReplaySteadyStateNoAllocs(t *testing.T) {
 	_, data := replayCapture(t, 30000, 256)
 	pr, err := pcap.NewReader(bytes.NewReader(data))
@@ -229,17 +237,17 @@ func TestReplaySteadyStateNoAllocs(t *testing.T) {
 	}
 	cfg := normalizeReplay(ReplayConfig{Queues: 1, Seed: 42})
 	sketch := core.NewBasic[flowkey.FiveTuple](replaySketchCfg())
-	q := newQueuePipe(cfg, 0, pr, sketch)
+	q, w := newQueue(cfg, 0, pr, sketch)
 	// Warm the pipeline through one full burst cycle first.
 	if _, err := q.readBurst(); err != nil {
 		t.Fatal(err)
 	}
-	q.drainBurst()
+	w.drain()
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := q.readBurst(); err != nil {
 			t.Fatal(err)
 		}
-		q.drainBurst()
+		w.drain()
 	}); n != 0 {
 		t.Fatalf("steady-state burst allocates %.1f times, want 0", n)
 	}

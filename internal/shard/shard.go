@@ -1,29 +1,26 @@
 // Package shard provides the multi-core ingest engine: N workers, each
 // owning a private CocoSketch behind a single-producer single-consumer
-// ring, fed by one dispatcher that splits traffic with receive-side
-// scaling on the full key. Decode-time merging (core.Merge) folds the
-// per-worker sketches back into one, so queries see the whole stream —
-// the paper's OVS scaling architecture (§6.1: one sketch per dataplane
-// thread, merged at decode) as a reusable engine.
+// ring, whose sketches are merged (core.Merge) at decode so queries see
+// the whole stream — the paper's OVS scaling architecture (§6.1: one
+// sketch per dataplane thread, merged at decode).
 //
-// The moving parts are all pieces that exist elsewhere in the
-// repository — core.Merge, the cached-index SPSC ring of package ovs,
-// and the batched insert path core.InsertBatch — composed behind one
-// lifecycle:
+// Two sources feed one worker type, one drain loop and one merge, and
+// differ only in a per-burst fill/release step (see worker.go):
 //
-//	engine ingest (1 goroutine)            worker w (N goroutines)
+//	source (1 goroutine)                   worker w (1 per ring)
 //	┌───────────────────────────┐          ┌──────────────────────────┐
-//	│ HashSeeds(key) → worker   │  ring w  │ TryPopN (64-packet burst)│
-//	│ 64-packet burst buffers   │ ───────▶ │ InsertBatch into private │
-//	│ TryPushN on full burst    │   SPSC   │ core.Basic / Hardware    │
-//	└───────────────────────────┘          └──────────────────────────┘
+//	│ Engine.Ingest: RSS split, │  ring w  │ TryPopN (64-entry burst) │
+//	│   trace.Packet bursts     │ ───────▶ │ fill → InsertBatch into  │
+//	│ replay: pcap reader per   │   SPSC   │ private sketch → release │
+//	│   queue, FrameRef bursts  │          └──────────────────────────┘
+//	└───────────────────────────┘
 //	            Decode/Query/Snapshot: merge N sketches (core.Merge)
 //
-// Determinism: every worker consumes its ring in FIFO order, so the
-// packet subsequence a worker sees — and therefore its sketch state —
-// is a pure function of the input order and the RSS split. With one
-// worker the engine reproduces the sequential sketch bit for bit
-// (tested in shard_test.go).
+// Determinism: every worker consumes its ring in FIFO order, so its
+// sketch state is a pure function of the input order and the RSS
+// split. One worker reproduces the sequential sketch bit for bit, and
+// an N-queue replay of an RSS-partitioned capture reproduces an
+// N-worker Engine (shard_test.go, replay_test.go).
 //
 // Concurrency contract: Ingest/Flush/Close must be called from one
 // goroutine (the dispatcher side of the SPSC rings); Snapshot, Decode,
@@ -66,9 +63,6 @@ type Config struct {
 	// RingCapacity is the per-worker SPSC ring size (default 4096, the
 	// DPDK default, rounded up to a power of two by ovs.NewRing).
 	RingCapacity int
-	// Burst is the dispatch and drain burst size (default 64, the DPDK
-	// rx_burst convention used throughout the repository).
-	Burst int
 	// Seed drives the receive-side-scaling hash. Engines with equal
 	// Seed and Workers split a stream identically.
 	Seed uint64
@@ -90,8 +84,9 @@ type Config struct {
 // RingCapacity zero.
 const DefaultRingCapacity = 4096
 
-// DefaultBurst is the dispatch/drain burst when Config leaves Burst
-// zero: 64 packets, the repository-wide DPDK-style burst size.
+// DefaultBurst is the dispatch, read and drain burst of every ring: 64
+// elements, the DPDK rx_burst convention used throughout the
+// repository.
 const DefaultBurst = 64
 
 // Stats is a point-in-time view of engine progress. Counters are
@@ -112,8 +107,7 @@ type Stats struct {
 
 // pauseReq is one snapshot barrier: every worker checks in between
 // bursts (arrived), parks until the coordinator finishes merging
-// (release), then resumes. Workers compare pointers to process each
-// barrier exactly once.
+// (release), then resumes.
 type pauseReq struct {
 	arrived sync.WaitGroup
 	release chan struct{}
@@ -123,22 +117,16 @@ type pauseReq struct {
 // nil when Config.Telemetry is nil, which turns each record call into
 // a predictable nil-check (see package telemetry).
 type engineTel struct {
-	// dispatched/dropped/consumed mirror Stats as live counters.
-	dispatched *telemetry.Counter
-	dropped    *telemetry.Counter
-	consumed   *telemetry.Counter
-	// pushFail counts TryPushN attempts that could not place a full
-	// burst (the ring was full and the dispatcher had to spin or drop).
-	pushFail *telemetry.Counter
+	// dispatched/dropped/consumed mirror Stats as live counters;
+	// pushFail counts pushes that found a ring full.
+	dispatched, dropped, consumed, pushFail *telemetry.Counter
 	// batchSize is the distribution of drain-burst sizes popped by the
 	// workers — small bursts mean the workers are outrunning ingest.
 	batchSize *telemetry.Histogram
 	// snapshotWaitNs and mergeNs split Snapshot latency into the
 	// barrier wait and the sketch merge; decodeNs covers full Decode
 	// calls (snapshot + table build).
-	snapshotWaitNs *telemetry.Histogram
-	mergeNs        *telemetry.Histogram
-	decodeNs       *telemetry.Histogram
+	snapshotWaitNs, mergeNs, decodeNs *telemetry.Histogram
 }
 
 // newEngineTel registers the engine metrics (no-ops on nil registry).
@@ -155,17 +143,32 @@ func newEngineTel(r *telemetry.Registry) engineTel {
 	}
 }
 
-// worker is one consumer: a ring, a private sketch, and its progress
-// counter, plus its per-shard telemetry (ring occupancy sampled at
-// dispatch, drops charged to this shard).
-type worker[S Sketch[S]] struct {
-	ring      *ovs.Ring
-	sketch    S
-	consumed  atomic.Uint64
-	lastPause *pauseReq
-	telOcc    *telemetry.Gauge
-	telDrops  *telemetry.Counter
+// lane is the dispatcher's side of one worker: the burst being
+// assembled for it and its per-shard telemetry (ring occupancy sampled
+// at dispatch, drops charged to this shard).
+type lane struct {
+	burst    []trace.Packet
+	telOcc   *telemetry.Gauge
+	telDrops *telemetry.Counter
 }
+
+// packets is the Engine's source: a decoded record already carries its
+// key and wire size, and nothing needs returning after the insert.
+type packets struct{}
+
+func (packets) fill(ps []trace.Packet, keys []flowkey.FiveTuple, ws []uint64) int {
+	for j := range ps {
+		keys[j] = ps[j].Key
+	}
+	if ws != nil {
+		for j := range ps {
+			ws[j] = uint64(ps[j].Size)
+		}
+	}
+	return len(ps)
+}
+
+func (packets) release([]trace.Packet) {}
 
 // Engine is the sharded ingest engine. Construct with New (or the
 // NewBasic/NewHardware convenience constructors), feed packets with
@@ -174,18 +177,15 @@ type worker[S Sketch[S]] struct {
 type Engine[S Sketch[S]] struct {
 	cfg       Config
 	newSketch func(i int) S
-	workers   []*worker[S]
+	workers   []*worker[S, trace.Packet]
 	wg        sync.WaitGroup
 
 	// Dispatcher-side state (single goroutine; see package contract).
-	burst [][]trace.Packet
+	lanes []lane
 	// dispatched/dropped are written by the dispatcher only but read
 	// by Stats from any goroutine, hence atomic.
 	dispatched atomic.Uint64
 	dropped    atomic.Uint64
-
-	// pause publishes the current snapshot barrier to the workers.
-	pause atomic.Pointer[pauseReq]
 
 	// tel holds the engine's telemetry instruments (all nil-safe).
 	tel engineTel
@@ -212,28 +212,28 @@ func New[S Sketch[S]](cfg Config, newSketch func(i int) S) *Engine[S] {
 	if cfg.RingCapacity <= 0 {
 		cfg.RingCapacity = DefaultRingCapacity
 	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = DefaultBurst
-	}
 	e := &Engine[S]{
 		cfg:       cfg,
 		newSketch: newSketch,
-		burst:     make([][]trace.Packet, cfg.Workers),
+		lanes:     make([]lane, cfg.Workers),
 		tel:       newEngineTel(cfg.Telemetry),
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		w := &worker[S]{
-			ring:     ovs.NewRing(cfg.RingCapacity),
-			sketch:   newSketch(i),
+	for i := range e.lanes {
+		w := newWorker(ovs.NewRing(cfg.RingCapacity), newSketch(i), packets{},
+			cfg.Bytes, e.tel.batchSize, e.tel.consumed)
+		e.workers = append(e.workers, w)
+		e.lanes[i] = lane{
+			burst:    make([]trace.Packet, 0, DefaultBurst),
 			telOcc:   cfg.Telemetry.Gauge(fmt.Sprintf("shard.ring_occupancy.w%d", i)),
 			telDrops: cfg.Telemetry.Counter(fmt.Sprintf("shard.ring_drops.w%d", i)),
 		}
-		e.workers = append(e.workers, w)
-		e.burst[i] = make([]trace.Packet, 0, cfg.Burst)
 	}
 	e.wg.Add(cfg.Workers)
 	for _, w := range e.workers {
-		go e.runWorker(w)
+		go func() {
+			defer e.wg.Done()
+			w.run()
+		}()
 	}
 	return e
 }
@@ -261,17 +261,14 @@ func NewBasicFactory(sketchCfg core.Config, reg *telemetry.Registry) func(i int)
 }
 
 // NewBasic builds an engine of basic (software, §4.1) CocoSketch
-// workers sharing sketchCfg. Sharing one core.Config keeps the workers
-// merge-compatible; each worker i > 0 gets its replacement RNG
-// reseeded so shards do not replay identical draw sequences. With
-// Config.Telemetry set, all worker sketches flush their update
-// outcomes into one shared "core."-prefixed counter group.
+// workers sharing sketchCfg, which keeps them merge-compatible; see
+// NewBasicFactory for the seeding and telemetry scheme.
 func NewBasic(cfg Config, sketchCfg core.Config) *Engine[*core.Basic[flowkey.FiveTuple]] {
 	return New(cfg, NewBasicFactory(sketchCfg, cfg.Telemetry))
 }
 
 // NewHardware builds an engine of hardware-friendly (§4.2) CocoSketch
-// workers sharing sketchCfg; see NewBasic for the seeding and
+// workers sharing sketchCfg; see NewBasicFactory for the seeding and
 // telemetry scheme.
 func NewHardware(cfg Config, sketchCfg core.Config) *Engine[*core.Hardware[flowkey.FiveTuple]] {
 	m := telemetry.NewSketchMetrics(cfg.Telemetry, "core")
@@ -287,88 +284,42 @@ func NewHardware(cfg Config, sketchCfg core.Config) *Engine[*core.Hardware[flowk
 // Workers returns N.
 func (e *Engine[S]) Workers() int { return e.cfg.Workers }
 
-// runWorker drains one ring in bursts into the worker's private
-// sketch, honouring snapshot barriers between bursts.
-func (e *Engine[S]) runWorker(w *worker[S]) {
-	defer e.wg.Done()
-	buf := make([]trace.Packet, e.cfg.Burst)
-	keys := make([]flowkey.FiveTuple, e.cfg.Burst)
-	var ws []uint64
-	if e.cfg.Bytes {
-		ws = make([]uint64, e.cfg.Burst)
-	}
-	for {
-		if req := e.pause.Load(); req != nil && req != w.lastPause {
-			w.lastPause = req
-			req.arrived.Done()
-			<-req.release
-		}
-		n := w.ring.TryPopN(buf)
-		if n == 0 {
-			if w.ring.Closed() {
-				// Close is published after the final push; one more
-				// poll drains a push that raced the empty check.
-				if n = w.ring.TryPopN(buf); n == 0 {
-					return
-				}
-			} else {
-				runtime.Gosched()
-				continue
-			}
-		}
-		for j := 0; j < n; j++ {
-			keys[j] = buf[j].Key
-		}
-		if e.cfg.Bytes {
-			for j := 0; j < n; j++ {
-				ws[j] = uint64(buf[j].Size)
-			}
-			w.sketch.InsertBatch(keys[:n], ws[:n])
-		} else {
-			w.sketch.InsertBatchUnit(keys[:n])
-		}
-		w.consumed.Add(uint64(n))
-		e.tel.batchSize.Observe(uint64(n))
-		e.tel.consumed.Add(uint64(n))
-	}
-}
-
-// workerFor maps a key to its worker with the canonical RSS split
-// (flowkey.RSSIndex) — the same function the simulated multi-queue
-// pcap replay partitions traces with, so a pre-partitioned queue i
-// holds exactly the packets this dispatcher would route to worker i.
-func (e *Engine[S]) workerFor(key flowkey.FiveTuple) int {
-	return flowkey.RSSIndex(key, e.cfg.Seed, e.cfg.Workers)
-}
-
 // Ingest dispatches packets to the workers: each packet is RSS-hashed
 // to its worker and appended to that worker's burst buffer, which is
 // pushed into the ring as one TryPushN when full. Call Flush (or
-// Close) to push out partial bursts. Single-goroutine only.
+// Close) to push out partial bursts. Single-goroutine only; panics
+// after Close.
 func (e *Engine[S]) Ingest(ps []trace.Packet) {
+	e.mustBeOpen()
 	for i := range ps {
-		w := e.workerFor(ps[i].Key)
-		e.burst[w] = append(e.burst[w], ps[i])
-		if len(e.burst[w]) == e.cfg.Burst {
-			e.flushWorker(w)
-		}
+		e.dispatch(ps[i])
 	}
 	e.dispatched.Add(uint64(len(ps)))
 	e.tel.dispatched.Add(uint64(len(ps)))
 }
 
 // IngestKeys dispatches bare keys with unit weight — the convenient
-// form when the caller has no trace.Packet records.
+// form when the caller has no trace.Packet records. Panics after Close.
 func (e *Engine[S]) IngestKeys(keys []flowkey.FiveTuple) {
+	e.mustBeOpen()
 	for _, k := range keys {
-		w := e.workerFor(k)
-		e.burst[w] = append(e.burst[w], trace.Packet{Key: k})
-		if len(e.burst[w]) == e.cfg.Burst {
-			e.flushWorker(w)
-		}
+		e.dispatch(trace.Packet{Key: k})
 	}
 	e.dispatched.Add(uint64(len(keys)))
 	e.tel.dispatched.Add(uint64(len(keys)))
+}
+
+// dispatch appends p to its worker's burst, pushing the burst when it
+// is full. The worker comes from the canonical RSS split
+// (flowkey.RSSIndex), the function pcap.PartitionRSS steers with, so
+// pre-partitioned queue i holds exactly worker i's packets.
+func (e *Engine[S]) dispatch(p trace.Packet) {
+	w := flowkey.RSSIndex(p.Key, e.cfg.Seed, e.cfg.Workers)
+	l := &e.lanes[w]
+	l.burst = append(l.burst, p)
+	if len(l.burst) == DefaultBurst {
+		e.flushWorker(w)
+	}
 }
 
 // flushWorker pushes worker w's pending burst into its ring, spinning
@@ -376,45 +327,47 @@ func (e *Engine[S]) IngestKeys(keys []flowkey.FiveTuple) {
 // on, each flush samples the ring's occupancy and counts push attempts
 // that could not place the whole remaining burst.
 func (e *Engine[S]) flushWorker(w int) {
-	b := e.burst[w]
-	wk := e.workers[w]
-	ring := wk.ring
-	if wk.telOcc != nil {
-		wk.telOcc.Set(int64(ring.Len()))
+	l := &e.lanes[w]
+	ring := e.workers[w].ring
+	if l.telOcc != nil {
+		l.telOcc.Set(int64(ring.Len()))
 	}
-	for off := 0; off < len(b); {
-		n := ring.TryPushN(b[off:])
-		off += n
-		if off < len(b) {
-			e.tel.pushFail.Inc()
-			if e.cfg.DropOnFull {
-				dropped := uint64(len(b) - off)
-				e.dropped.Add(dropped)
-				e.tel.dropped.Add(dropped)
-				wk.telDrops.Add(dropped)
-				break
-			}
-			runtime.Gosched()
-		}
+	if d := push(ring, l.burst, e.cfg.DropOnFull, e.tel.pushFail); d > 0 {
+		e.dropped.Add(d)
+		e.tel.dropped.Add(d)
+		l.telDrops.Add(d)
 	}
-	e.burst[w] = b[:0]
+	l.burst = l.burst[:0]
 }
 
 // Flush pushes all partial bursts into the rings. Ingest keeps working
 // after a Flush; call it before a Snapshot that must observe every
-// packet ingested so far (once the workers drain their rings).
+// packet ingested so far (once the workers drain their rings). Panics
+// after Close.
 func (e *Engine[S]) Flush() {
-	for w := range e.burst {
-		if len(e.burst[w]) > 0 {
+	e.mustBeOpen()
+	for w := range e.lanes {
+		if len(e.lanes[w].burst) > 0 {
 			e.flushWorker(w)
 		}
 	}
 }
 
+// mustBeOpen rejects dispatch after Close: the workers have exited, so
+// the packets would never be measured and a full ring would block the
+// dispatcher forever. Close runs on this goroutine, so no lock is
+// needed to read closed.
+func (e *Engine[S]) mustBeOpen() {
+	if e.closed {
+		panic("shard: Ingest after Close")
+	}
+}
+
 // Close flushes pending bursts, closes the rings, and waits for the
 // workers to drain and exit. Idempotent. After Close, Decode/Query/
-// Snapshot read the final merged state. Like Ingest, Close belongs to
-// the dispatcher goroutine.
+// Snapshot read the final merged state, and Ingest, IngestKeys and
+// Flush panic, as a send on a closed channel does. Like Ingest, Close
+// belongs to the dispatcher goroutine.
 func (e *Engine[S]) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -427,19 +380,6 @@ func (e *Engine[S]) Close() {
 	}
 	e.wg.Wait()
 	e.closed = true
-}
-
-// mergeWorkers folds every worker sketch into a fresh merge target.
-// Callers must hold e.mu and guarantee the workers are quiescent
-// (parked at a barrier, or exited after Close).
-func (e *Engine[S]) mergeWorkers() (S, error) {
-	target := e.newSketch(e.cfg.Workers)
-	for i, w := range e.workers {
-		if err := target.Merge(w.sketch); err != nil {
-			return target, fmt.Errorf("shard: merging worker %d: %w", i, err)
-		}
-	}
-	return target, nil
 }
 
 // Snapshot returns a consistent point-in-time merge of the per-worker
@@ -462,17 +402,21 @@ func (e *Engine[S]) Snapshot() (S, error) {
 	start := time.Now()
 	req := &pauseReq{release: make(chan struct{})}
 	req.arrived.Add(len(e.workers))
-	e.pause.Store(req)
+	for _, w := range e.workers {
+		w.pause.Store(req)
+	}
 	req.arrived.Wait()
 	e.tel.snapshotWaitNs.Observe(uint64(time.Since(start).Nanoseconds()))
 	defer close(req.release)
 	return e.timedMerge()
 }
 
-// timedMerge wraps mergeWorkers with the merge-latency histogram.
+// timedMerge merges the worker sketches under the merge-latency
+// histogram. Callers must hold e.mu and guarantee the workers are
+// quiescent (parked at a barrier, or exited after Close).
 func (e *Engine[S]) timedMerge() (S, error) {
 	start := time.Now()
-	s, err := e.mergeWorkers()
+	s, err := combine(e.newSketch, e.workers)
 	e.tel.mergeNs.Observe(uint64(time.Since(start).Nanoseconds()))
 	return s, err
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
@@ -311,6 +312,45 @@ func TestCloseIdempotent(t *testing.T) {
 	eng.Close()
 	if _, err := eng.Query(flowkey.FiveTuple{Proto: 6}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIngestAfterClosePanics: a closed engine has no workers left to
+// drain its rings, so dispatching into it must fail loudly instead of
+// counting packets that are never measured or, once a ring fills,
+// blocking forever. Each call runs in a goroutine under a deadline so
+// a hang fails the test instead of the whole suite.
+func TestIngestAfterClosePanics(t *testing.T) {
+	tr := testTrace(20_100, 73)
+	keys := []flowkey.FiveTuple{tr.Packets[0].Key}
+	eng := NewBasic(Config{Workers: 1, Seed: 73}, sketchCfg(79))
+	eng.Ingest(tr.Packets[:100])
+	eng.Close()
+	calls := []struct {
+		name string
+		call func()
+	}{
+		{"Ingest", func() { eng.Ingest(tr.Packets[100:]) }},
+		{"IngestKeys", func() { eng.IngestKeys(keys) }},
+		{"Flush", eng.Flush},
+	}
+	for _, c := range calls {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			c.call()
+		}()
+		select {
+		case r := <-done:
+			if r != "shard: Ingest after Close" {
+				t.Fatalf("%s after Close: recovered %v, want the Ingest-after-Close panic", c.name, r)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s after Close did not return", c.name)
+		}
+	}
+	if st := eng.Stats(); st.Dispatched != 100 || st.Consumed != 100 {
+		t.Fatalf("stats after rejected ingest %+v, want 100 dispatched and consumed", st)
 	}
 }
 

@@ -81,8 +81,7 @@ func (g *Gauge) Value() int64 {
 // packet), Replaced (the minimum bucket's key was evicted) or Kept
 // (the minimum bucket was incremented but kept its key), so
 // Matched+Replaced+Kept equals the number of non-zero-weight inserts.
-// Merges counts whole-sketch Merge calls and Rotations counts
-// sliding-window epoch retirements (core.Window.Rotate).
+// Merges counts whole-sketch Merge calls.
 type SketchMetrics struct {
 	// Matched counts inserts absorbed by a bucket already holding the
 	// key (zero variance increment, paper Theorem 2).
@@ -95,8 +94,6 @@ type SketchMetrics struct {
 	Kept *Counter
 	// Merges counts Merge calls into this sketch.
 	Merges *Counter
-	// Rotations counts sliding-window epoch retirements.
-	Rotations *Counter
 }
 
 // NewSketchMetrics registers the sketch counters under
@@ -107,10 +104,9 @@ func NewSketchMetrics(r *Registry, prefix string) *SketchMetrics {
 		return nil
 	}
 	return &SketchMetrics{
-		Matched:   r.Counter(prefix + ".matched"),
-		Replaced:  r.Counter(prefix + ".replaced"),
-		Kept:      r.Counter(prefix + ".kept"),
-		Merges:    r.Counter(prefix + ".merges"),
-		Rotations: r.Counter(prefix + ".rotations"),
+		Matched:  r.Counter(prefix + ".matched"),
+		Replaced: r.Counter(prefix + ".replaced"),
+		Kept:     r.Counter(prefix + ".kept"),
+		Merges:   r.Counter(prefix + ".merges"),
 	}
 }

@@ -196,11 +196,7 @@ func TestSketchMetricsRegistration(t *testing.T) {
 		t.Fatal("nil group from live registry")
 	}
 	m.Replaced.Add(4)
-	m.Rotations.Inc()
 	if got := r.Counter("core.replaced").Value(); got != 4 {
 		t.Fatalf("core.replaced = %d, want 4", got)
-	}
-	if got := r.Counter("core.rotations").Value(); got != 1 {
-		t.Fatalf("core.rotations = %d, want 1", got)
 	}
 }
