@@ -126,7 +126,7 @@ func (n *Network) Dial(address string) (net.Conn, error) {
 	server := &Conn{net: n, id: id, local: l.addr, remote: addr("client"), in: c2s, out: s2c}
 	l.pending = append(l.pending, server)
 	n.log("conn%d dial %s", id, address)
-	n.cond.Broadcast()
+	n.schedule()
 	return client, nil
 }
 
@@ -155,7 +155,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 		l.reset, c.in.reset = true, true
 		l.chunks, c.in.chunks = nil, nil
 		n.log("conn%d %s write#%d reset", l.connID, l.dir, l.writes)
-		n.cond.Broadcast()
+		n.schedule()
 		return 0, ErrReset
 	}
 	if len(b) > 1 && draw(l.rng, f.PartialProb) {
@@ -221,7 +221,7 @@ func (c *Conn) enqueue(l *link, b []byte) {
 		}
 		return l.chunks[i].seq < l.chunks[j].seq
 	})
-	n.cond.Broadcast()
+	n.schedule()
 }
 
 // draw consumes one Bernoulli decision with probability p (no RNG
@@ -295,7 +295,7 @@ func (c *Conn) Close() error {
 	c.closed = true
 	c.out.closed = true
 	n.log("conn%d close %s", c.id, c.out.dir)
-	n.cond.Broadcast()
+	n.schedule()
 	return nil
 }
 
@@ -328,7 +328,7 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 		return ErrReset
 	}
 	c.rdl = toDeadline(t)
-	n.cond.Broadcast()
+	n.schedule()
 	return nil
 }
 
@@ -344,7 +344,7 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 		return ErrReset
 	}
 	c.wdl = toDeadline(t)
-	n.cond.Broadcast()
+	n.schedule()
 	return nil
 }
 
@@ -393,7 +393,7 @@ func (l *Listener) Close() error {
 	}
 	l.closed = true
 	delete(n.listeners, string(l.addr))
-	n.cond.Broadcast()
+	n.schedule()
 	return nil
 }
 

@@ -12,26 +12,31 @@
 //
 // The network owns a virtual clock. Blocking operations (Read with no
 // deliverable data, Accept with no pending dial, Clock.Sleep) park the
-// calling goroutine; when every registered actor is parked, the clock
-// jumps to the earliest instant at which any parked actor can make
-// progress (a chunk's delivery time, a deadline, a sleep expiry) and
-// everyone re-checks. For this quiescence detection to work, every
-// goroutine that touches the network MUST be spawned through
-// (*Network).Go — including the collector's per-connection handlers
-// (see netwide.Collector.SetSpawn). Goroutines outside Go may still
-// call into the network (e.g. a test's main goroutine closing a
-// listener), but they must not block on it while registered actors are
-// running.
+// calling goroutine; when every registered actor is parked and none of
+// them can make progress, the clock jumps to the earliest instant at
+// which one can (a chunk's delivery time, a deadline, a sleep expiry).
+// For this quiescence detection to work, every goroutine that touches
+// the network MUST be spawned through (*Network).Go — including the
+// collector's per-connection handlers (see netwide.Collector.SetSpawn).
+// Goroutines outside Go may still call into the network (e.g. a test's
+// main goroutine closing a listener), but they must not block on it
+// while registered actors are running.
 //
 // # Determinism
 //
 // Fault decisions are drawn from per-link RNG streams keyed by
 // (network seed, connection id, direction) and indexed by the link's
 // own write-operation counter, so they do not depend on goroutine
-// scheduling. The global clock only advances at quiescence points,
-// so every Now observed between two quiescence points is identical.
-// With a single sequential driver (the chaos suite's default) the
-// whole event transcript is reproducible bit-for-bit.
+// scheduling. Actors take turns: an actor runs until it blocks in the
+// network (or returns), and only then is the turn handed on — to the
+// longest-parked actor that can make progress at the current instant,
+// or, when none can, to the first one a clock jump wakes. A new actor
+// waits for its first turn like any parked one. So when several actors
+// become runnable at the same virtual instant (both ends of a reset
+// connection, a reader and a writer on a zero-latency link) they still
+// act in one fixed order, and the whole event transcript is a pure
+// function of (seed, Faults, workload) — provided actors block only on
+// the network, never on each other through locks or channels.
 package faultnet
 
 import (
@@ -90,7 +95,7 @@ type Network struct {
 	actors int           // live goroutines registered via Go
 	wg     sync.WaitGroup
 
-	waiters     map[*waiter]struct{}
+	waiters     []*waiter // parked goroutines, longest-parked first
 	listeners   map[string]*Listener
 	nextConnID  int
 	partitioned bool
@@ -101,12 +106,13 @@ type Network struct {
 // progress right now; wake computes the earliest virtual instant at
 // which it could become ready (false = only an external event can
 // unblock it). Both are closures evaluated fresh under the network
-// lock — never cached values — so quiescence-driven clock advances see
-// current state regardless of which goroutine runs them, and a waiter
-// that is ready but not yet scheduled is never jumped over.
+// lock — never cached values — so scheduling sees current state
+// regardless of which goroutine runs it. released is set, under the
+// lock, when the scheduler hands this waiter the turn.
 type waiter struct {
-	ready func() bool
-	wake  func() (time.Duration, bool)
+	ready    func() bool
+	wake     func() (time.Duration, bool)
+	released bool
 }
 
 // New creates a network with the given fault configuration and seed.
@@ -114,7 +120,6 @@ func New(seed uint64, cfg Faults) *Network {
 	n := &Network{
 		cfg:       cfg,
 		seed:      seed,
-		waiters:   make(map[*waiter]struct{}),
 		listeners: make(map[string]*Listener),
 	}
 	n.cond = sync.NewCond(&n.mu)
@@ -123,20 +128,29 @@ func New(seed uint64, cfg Faults) *Network {
 
 // Go runs fn as a registered actor. The virtual clock can only advance
 // while every registered actor is parked inside a network call, so all
-// goroutines driving traffic must be started through Go.
+// goroutines driving traffic must be started through Go. fn starts
+// parked: it runs once the scheduler gives it its first turn, which is
+// never while the caller (if it is an actor itself) still runs.
 func (n *Network) Go(fn func()) {
+	n.wg.Add(1)
 	n.mu.Lock()
 	n.actors++
+	w := n.enqueue(func() bool { return true }, func() (time.Duration, bool) { return 0, false })
+	n.schedule()
 	n.mu.Unlock()
-	n.wg.Add(1)
 	go func() {
 		defer func() {
 			n.mu.Lock()
 			n.actors--
-			n.cond.Broadcast()
+			n.schedule()
 			n.mu.Unlock()
 			n.wg.Done()
 		}()
+		n.mu.Lock()
+		for !w.released {
+			n.cond.Wait()
+		}
+		n.mu.Unlock()
 		fn()
 	}()
 }
@@ -165,46 +179,59 @@ func (n *Network) Sleep(d time.Duration) {
 		func() (time.Duration, bool) { return target, true })
 }
 
-// park blocks the caller until ready() is true. wake() reports the
-// earliest virtual instant at which the caller could become ready, or
-// false if only an external event can unblock it. Must be called with
-// n.mu held; ready and wake are evaluated under the lock.
+// park blocks the caller until ready() is true and the scheduler hands
+// it the turn. A caller that can progress at once keeps running: it is
+// the only actor running, so nothing can interleave with it. wake()
+// reports the earliest virtual instant at which the caller could
+// become ready, or false if only an external event can unblock it.
+// Must be called with n.mu held; ready and wake are evaluated under
+// the lock.
 func (n *Network) park(ready func() bool, wake func() (time.Duration, bool)) {
-	w := &waiter{ready: ready, wake: wake}
-	n.waiters[w] = struct{}{}
-	defer func() {
-		delete(n.waiters, w)
-		n.cond.Broadcast()
-	}()
-	for !ready() {
-		if len(n.waiters) >= n.actors && !n.anyWaiterReady() {
-			// Quiescent: every registered actor is parked AND none of
-			// them can progress at the current instant (a parked-but-
-			// ready waiter may simply not have been scheduled yet, and
-			// advancing over it would let virtual time depend on
-			// goroutine scheduling). Jump the clock to the earliest
-			// wake-up among all waiters. If no waiter has a wake-up at
-			// all, only an external call (Close, a partition heal) can
-			// make progress — fall through to a plain wait.
-			if t, ok := n.earliestWake(); ok && t > n.now {
-				n.now = t
-				n.cond.Broadcast()
-				continue
-			}
-		}
+	if ready() {
+		return
+	}
+	w := n.enqueue(ready, wake)
+	n.schedule()
+	for !w.released {
 		n.cond.Wait()
 	}
 }
 
-// anyWaiterReady reports whether some parked waiter can already make
-// progress at the current virtual time and merely awaits scheduling.
-func (n *Network) anyWaiterReady() bool {
-	for w := range n.waiters {
-		if w.ready() {
-			return true
-		}
+// enqueue parks a new waiter behind every earlier one. Caller holds
+// n.mu.
+func (n *Network) enqueue(ready func() bool, wake func() (time.Duration, bool)) *waiter {
+	w := &waiter{ready: ready, wake: wake}
+	n.waiters = append(n.waiters, w)
+	return w
+}
+
+// schedule hands the turn on once no registered actor is running:
+// to the longest-parked waiter that can progress now, else — the
+// network is quiescent — it jumps the clock to the earliest wake-up
+// among the waiters and tries again. If no waiter has a wake-up at
+// all, only an external call (Close, a partition heal) can make
+// progress, and that call schedules again. Every call that may make a
+// waiter ready runs schedule; from a running actor it is a no-op, the
+// actor's own next park hands the turn on. Caller holds n.mu.
+func (n *Network) schedule() {
+	if len(n.waiters) < n.actors {
+		return // an actor is still running
 	}
-	return false
+	for {
+		for i, w := range n.waiters {
+			if w.ready() {
+				n.waiters = append(n.waiters[:i], n.waiters[i+1:]...)
+				w.released = true
+				n.cond.Broadcast()
+				return
+			}
+		}
+		t, ok := n.earliestWake()
+		if !ok || t <= n.now {
+			return
+		}
+		n.now = t
+	}
 }
 
 // earliestWake returns the minimum wake instant over all parked
@@ -212,7 +239,7 @@ func (n *Network) anyWaiterReady() bool {
 func (n *Network) earliestWake() (time.Duration, bool) {
 	var best time.Duration
 	found := false
-	for w := range n.waiters {
+	for _, w := range n.waiters {
 		if t, ok := w.wake(); ok && (!found || t < best) {
 			best, found = t, true
 		}
@@ -228,7 +255,7 @@ func (n *Network) SetPartitioned(on bool) {
 	defer n.mu.Unlock()
 	n.partitioned = on
 	n.log("network partition=%v", on)
-	n.cond.Broadcast()
+	n.schedule()
 }
 
 // Transcript returns a copy of the event log: one line per write

@@ -340,6 +340,46 @@ func TestConcurrentActorsQuiesce(t *testing.T) {
 	}
 }
 
+// TestSameInstantActorsTakeTurns pins the scheduling rule: when both
+// ends of a connection become runnable at the same virtual instant (a
+// reset on a zero-latency link), they still act in one fixed order, so
+// repeated runs log identical transcripts.
+func TestSameInstantActorsTakeTurns(t *testing.T) {
+	run := func() []string {
+		n := New(1, Faults{ResetProb: 1})
+		l, err := n.Listen("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Go(func() {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			l.Close()
+			conn.Read(make([]byte, 1)) // fails: the peer's write resets the link
+			conn.Close()
+		})
+		n.Go(func() {
+			conn, err := n.Dial("x")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conn.Write([]byte("x")) // resets the link
+			conn.Close()
+		})
+		n.Wait()
+		return n.Transcript()
+	}
+	want := run()
+	for i := 0; i < 1000; i++ {
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: transcript %q, want %q", i, got, want)
+		}
+	}
+}
+
 // TestProbeTracksReachabilityWithoutConnections pins Probe's contract:
 // it mirrors what Dial would do (ok / refused / partitioned) at every
 // point of a listener's lifecycle, never creates a connection, and
