@@ -16,10 +16,13 @@ test:
 # Race-check the concurrent packages (SPSC ring, sharded ingest
 # workers and pooled replay, network-wide merge workers, cluster dispatcher, query
 # front-end against a live sealing loop, telemetry instruments), then
-# the seeded chaos suite (deterministic fault injection exercises the
-# agent/collector concurrency paths hardest).
+# the replay tests ten more times (the reader/worker park handshake is
+# cross-goroutine state every replay exercises), then the seeded chaos
+# suite (deterministic fault injection exercises the agent/collector
+# concurrency paths hardest).
 race:
 	$(GO) test -race -shuffle=on ./internal/ovs/... ./internal/core/... ./internal/netwide/... ./internal/shard/... ./internal/cluster/... ./internal/query/... ./internal/window/... ./internal/telemetry/... ./internal/packet/... ./internal/pcap/...
+	$(GO) test -race -count=10 -run 'Replay' ./internal/shard/
 	$(MAKE) chaos
 
 # Seeded chaos simulation: the faultnet scenarios (latency, drops,
@@ -82,10 +85,11 @@ bench-report:
 # window ring at line rate while query readers hammer the windowed API;
 # the run must sustain ≥10k queries/s, keep ingest above its floor, and
 # hold the cache hit ratio — all enforced inside the env-gated test.
-# The microbenchmark reports the cached/uncached split behind the gate.
+# The microbenchmarks report the cached/uncached split behind the gate
+# and the uncached top-10 selection against SQL's full sort.
 bench-query:
 	COCO_QUERY_GATE=1 $(GO) test -run 'TestQueryServingGate' -count=1 -v ./internal/window/
-	$(GO) test -run '^$$' -bench 'BenchmarkWindowGroupBy|BenchmarkQueryUnderIngest' -benchmem ./internal/window/
+	$(GO) test -run '^$$' -bench 'BenchmarkWindowGroupBy|BenchmarkWindowTop|BenchmarkQueryUnderIngest' -benchmem ./internal/window/
 
 bench: bench-insert bench-ring bench-smoke bench-report bench-query
 

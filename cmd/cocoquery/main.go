@@ -44,6 +44,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *top < 0 {
+		fmt.Fprintf(stderr, "cocoquery: -top must be non-negative, got %d\n", *top)
+		return 2
+	}
 
 	var tr *trace.Trace
 	if *pcapPath != "" {

@@ -60,3 +60,14 @@ func TestMissingPcap(t *testing.T) {
 		t.Fatalf("exit %d", code)
 	}
 }
+
+func TestNegativeTopExitsUsage(t *testing.T) {
+	var out, errw bytes.Buffer
+	if code := run([]string{"-packets", "1000", "-q", "SrcIP", "-top", "-1"},
+		strings.NewReader(""), &out, &errw); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.Contains(errw.String(), "-top") {
+		t.Fatalf("no message about -top: %q", errw.String())
+	}
+}

@@ -3,8 +3,8 @@ package shard
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
@@ -19,9 +19,10 @@ import (
 // filled in place by ReadInto) and a worker (slot → 5-tuple via
 // packet.ExtractFiveTuple → InsertBatch → recycle) joined by a ring of
 // 12-byte packet.FrameRef handles. In steady state nothing is
-// allocated; when every slot is in flight the reader yields instead of
-// allocating or dropping — the backpressure and slot ownership
-// contract of DESIGN.md §13.
+// allocated; when every slot is in flight the reader parks until the
+// worker has freed a quarter of the pool, instead of allocating or
+// dropping — the backpressure and slot ownership contract of
+// DESIGN.md §13.
 
 // ReplayConfig parameterizes a pooled replay run.
 type ReplayConfig struct {
@@ -72,7 +73,9 @@ type ReplayStats struct {
 	// Truncated counts records longer than a pool slot, stored as a
 	// SlotCap-byte prefix.
 	Truncated uint64
-	// Starved counts reader stalls on an exhausted pool (backpressure
+	// Starved counts reader parks: each time the reader found the pool
+	// exhausted and blocked until the worker had freed a quarter of it.
+	// One stall counts once, however long it lasts (backpressure
 	// events, not lost packets).
 	Starved uint64
 	// Recycled counts slots returned to the pools; equal to
@@ -81,15 +84,24 @@ type ReplayStats struct {
 }
 
 // frames is one receive queue's source. The reader side (readBurst,
-// readAll) belongs to the reader goroutine; fill and release run on the
-// queue's worker goroutine. Each counter is written by one side and
-// read only after both goroutines have joined. Reading and draining
-// are plain steps so a single goroutine can alternate them — that is
-// how the zero-allocation property is pinned by testing.AllocsPerRun.
+// readAll, park) belongs to the reader goroutine; fill and release run
+// on the queue's worker goroutine. Each counter is written by one side
+// and read only after both goroutines have joined. Reading and
+// draining are plain steps so a single goroutine can alternate them —
+// that is how the zero-allocation property is pinned by
+// testing.AllocsPerRun.
 type frames struct {
 	pool   *packet.Pool
 	ring   *ovs.RingOf[packet.FrameRef]
 	reader *pcap.Reader
+
+	// The park handshake. A starved reader sets waiting, re-checks the
+	// pool and blocks on wake; the worker, after recycling a burst,
+	// claims waiting and sends once at most resumeAt slots are in
+	// flight (at least a quarter of the pool free).
+	waiting  atomic.Bool
+	wake     chan struct{}
+	resumeAt int
 
 	// Reader-side state.
 	refs      []packet.FrameRef
@@ -116,6 +128,8 @@ func newQueue[S Sketch[S]](cfg ReplayConfig, i int, r *pcap.Reader, sketch S) (*
 		ring:         ovs.NewRingOf[packet.FrameRef](cfg.PoolSlots),
 		reader:       r,
 		refs:         make([]packet.FrameRef, 0, DefaultBurst),
+		wake:         make(chan struct{}, 1),
+		resumeAt:     cfg.PoolSlots - max(1, cfg.PoolSlots/4),
 		telStarved:   reg.Counter("ingest.pool_starved"),
 		telTruncated: reg.Counter("ingest.truncated"),
 		telSkipped:   reg.Counter("ingest.skipped"),
@@ -129,14 +143,12 @@ func newQueue[S Sketch[S]](cfg ReplayConfig, i int, r *pcap.Reader, sketch S) (*
 // with ReadInto, and pushes their FrameRefs into the ring (spinning on
 // a full ring, which a pool-sized ring makes unreachable). It returns
 // the number of refs pushed; zero with q.done still false means the
-// pool is starved and the caller should yield and retry.
+// pool is starved and the caller should park and retry.
 func (q *frames) readBurst() (int, error) {
 	refs := q.refs[:0]
 	for len(refs) < DefaultBurst {
 		s, ok := q.pool.Reserve()
 		if !ok {
-			q.starved++
-			q.telStarved.Inc()
 			break
 		}
 		hdr, n, err := q.reader.ReadInto(q.pool.Bytes(s))
@@ -166,7 +178,7 @@ func (q *frames) readBurst() (int, error) {
 	return len(refs), nil
 }
 
-// readAll feeds the ring until the capture is exhausted, yielding while
+// readAll feeds the ring until the capture is exhausted, parking while
 // the pool is starved. It closes the ring on every path, so the
 // worker drains what was pushed and exits.
 func (q *frames) readAll() error {
@@ -177,10 +189,32 @@ func (q *frames) readAll() error {
 			return err
 		}
 		if n == 0 && !q.done {
-			runtime.Gosched()
+			q.park()
 		}
 	}
 	return nil
+}
+
+// park blocks the reader on an exhausted pool until the worker has
+// freed a quarter of it. Blocking, not yielding: a reader that loops on
+// runtime.Gosched keeps its P's run queue busy, so the scheduler skips
+// its network poll (DESIGN.md §13). Both sides write before they
+// check — the reader sets waiting then reads the pool, the worker
+// recycles then reads waiting — so one of them always sees the other
+// and no wake-up is lost.
+func (q *frames) park() {
+	q.waiting.Store(true)
+	if q.pool.InFlight() > q.resumeAt {
+		q.starved++
+		q.telStarved.Inc()
+		<-q.wake
+		return
+	}
+	if !q.waiting.CompareAndSwap(true, false) {
+		// The worker claimed this wait; take its token so the next
+		// park does not wake early.
+		<-q.wake
+	}
 }
 
 // fill extracts each frame's key straight out of its pool slot and
@@ -206,14 +240,18 @@ func (q *frames) fill(refs []packet.FrameRef, keys []flowkey.FiveTuple, ws []uin
 	return m
 }
 
-// release recycles the burst's slots. The worker owns them until the
-// insert has returned (DESIGN.md §13).
+// release recycles the burst's slots — the worker owns them until the
+// insert has returned (DESIGN.md §13) — and wakes a parked reader once
+// a quarter of the pool is free.
 func (q *frames) release(refs []packet.FrameRef) {
 	for j := range refs {
 		q.pool.Recycle(refs[j].Slot)
 	}
 	q.recycled += uint64(len(refs))
 	q.telRecycled.Add(uint64(len(refs)))
+	if q.waiting.Load() && q.pool.InFlight() <= q.resumeAt && q.waiting.CompareAndSwap(true, false) {
+		q.wake <- struct{}{}
+	}
 }
 
 // normalizeReplay applies ReplayConfig defaults.

@@ -223,6 +223,50 @@ func TestReplayBackpressureStarvation(t *testing.T) {
 	diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
 }
 
+// slowSketch is a basic CocoSketch whose batched insert first spins
+// for slowInsert, so the worker is always the bottleneck and the
+// reader keeps finding the pool exhausted.
+type slowSketch struct {
+	*core.Basic[flowkey.FiveTuple]
+}
+
+const slowInsert = 20 * time.Microsecond
+
+func (s slowSketch) InsertBatchUnit(keys []flowkey.FiveTuple) {
+	for start := time.Now(); time.Since(start) < slowInsert; {
+	}
+	s.Basic.InsertBatchUnit(keys)
+}
+
+func (s slowSketch) Merge(other slowSketch) error { return s.Basic.Merge(other.Basic) }
+
+// TestReplayReaderParksWhenStarved checks that a starved reader parks
+// instead of spinning: each park lasts until the worker has recycled a
+// quarter of the pool, so a 64-slot pool allows at most one park per
+// 16 packets — a reader that polled the pool would count a stall on
+// every poll. Parking must not change what the sketch sees.
+func TestReplayReaderParksWhenStarved(t *testing.T) {
+	_, data := replayCapture(t, 4000, 256)
+	newSketch := func(int) slowSketch {
+		return slowSketch{core.NewBasic[flowkey.FiveTuple](replaySketchCfg())}
+	}
+	merged, st, err := ReplayPCAP(ReplayConfig{Queues: 1, PoolSlots: 64}, newSketch, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Starved == 0 {
+		t.Fatal("a reader feeding a slow worker never parked")
+	}
+	if limit := st.Packets/16 + 1; st.Starved > limit {
+		t.Fatalf("reader stalled %d times for %d packets, want at most %d (one park per quarter pool)",
+			st.Starved, st.Packets, limit)
+	}
+	if st.Recycled != st.Packets {
+		t.Fatalf("stats %+v: packets and recycled diverge", st)
+	}
+	diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
+}
+
 // TestReplaySteadyStateNoAllocs is the tentpole's gate: driving the
 // full replay→decode→InsertBatch loop — pool reserve, ReadInto, ring
 // handoff, key extraction, batch insert, recycle — allocates nothing

@@ -4,7 +4,9 @@
 package sketch
 
 import (
-	"sort"
+	"bytes"
+	"cmp"
+	"slices"
 
 	"cocosketch/internal/flowkey"
 )
@@ -48,29 +50,100 @@ type Entry[K flowkey.Key] struct {
 	Size uint64
 }
 
-// TopK returns the k largest entries of a table, ties broken
-// deterministically by hash so results are stable across runs.
+// TopK returns the k largest entries of a table in Entries order:
+// exactly Entries(table)[:k], selected with a size-k heap instead of
+// sorting every row. A row's key is hashed only when its size can
+// enter the heap. k <= 0 returns no rows; k >= len(table) returns
+// Entries(table).
 func TopK[K flowkey.Key](table map[K]uint64, k int) []Entry[K] {
-	entries := Entries(table)
-	if k > len(entries) {
-		k = len(entries)
+	if k <= 0 {
+		return []Entry[K]{}
 	}
-	return entries[:k]
+	if k >= len(table) {
+		return Entries(table)
+	}
+	// h is a heap whose root is the kept row that ranks last, so a row
+	// enters by replacing the root.
+	h := make([]ranked[K], 0, k)
+	for key, v := range table {
+		if len(h) < k {
+			h = append(h, ranked[K]{Entry[K]{key, v}, key.Hash(0)})
+			for i := len(h) - 1; i > 0; {
+				up := (i - 1) / 2
+				if compare(h[up], h[i]) > 0 {
+					break
+				}
+				h[up], h[i] = h[i], h[up]
+				i = up
+			}
+			continue
+		}
+		if v < h[0].Size {
+			continue
+		}
+		row := ranked[K]{Entry[K]{key, v}, key.Hash(0)}
+		if compare(row, h[0]) > 0 {
+			continue
+		}
+		h[0] = row
+		for i := 0; ; {
+			last := i
+			if l := 2*i + 1; l < k && compare(h[l], h[last]) > 0 {
+				last = l
+			}
+			if r := 2*i + 2; r < k && compare(h[r], h[last]) > 0 {
+				last = r
+			}
+			if last == i {
+				break
+			}
+			h[i], h[last] = h[last], h[i]
+			i = last
+		}
+	}
+	return sortRanked(h)
 }
 
-// Entries flattens a table into entries sorted by descending size.
+// Entries flattens a table into rows in a total order: size
+// descending, then Key.Hash(0) ascending, then the canonical key bytes
+// (AppendBytes) ascending. The order depends only on the table's
+// contents, never on map iteration order. Each key is hashed once,
+// before the sort.
 func Entries[K flowkey.Key](table map[K]uint64) []Entry[K] {
-	entries := make([]Entry[K], 0, len(table))
+	rs := make([]ranked[K], 0, len(table))
 	for k, v := range table {
-		entries = append(entries, Entry[K]{Key: k, Size: v})
+		rs = append(rs, ranked[K]{Entry[K]{k, v}, k.Hash(0)})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Size != entries[j].Size {
-			return entries[i].Size > entries[j].Size
-		}
-		return entries[i].Key.Hash(0) < entries[j].Key.Hash(0)
-	})
-	return entries
+	return sortRanked(rs)
+}
+
+// ranked is a row with its key's Hash(0), computed once.
+type ranked[K flowkey.Key] struct {
+	Entry[K]
+	hash uint32
+}
+
+// compare orders rows as Entries does: negative when a comes first.
+// Distinct keys never compare equal.
+func compare[K flowkey.Key](a, b ranked[K]) int {
+	switch {
+	case a.Size != b.Size:
+		return cmp.Compare(b.Size, a.Size)
+	case a.hash != b.hash:
+		return cmp.Compare(a.hash, b.hash)
+	}
+	var ab, bb [32]byte
+	return bytes.Compare(a.Key.AppendBytes(ab[:0]), b.Key.AppendBytes(bb[:0]))
+}
+
+// sortRanked sorts rows into Entries order and strips the hashes.
+func sortRanked[K flowkey.Key](rs []ranked[K]) []Entry[K] {
+	slices.SortFunc(rs, compare[K])
+	out := make([]Entry[K], len(rs))
+	for i := range rs {
+		out[i] = rs[i].Entry
+	}
+	return out
 }
 
 // Threshold filters a table, keeping flows of size >= threshold.

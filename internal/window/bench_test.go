@@ -194,6 +194,33 @@ func BenchmarkWindowGroupByUncached(b *testing.B) {
 	}
 }
 
+// BenchmarkWindowTop compares the uncached merge-path ranking of a
+// /query?limit=10 request (bounded top-k selection) with SQL, which
+// sorts every grouped row.
+func BenchmarkWindowTop(b *testing.B) {
+	r := benchRing(b, 8).SetCacheLimit(0)
+	m, err := flowkey.ParseMask("SrcIP")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("top10", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.Top(window.All(), m, 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("sql-all", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.SQL("SELECT SrcIP, SUM(Size) FROM table GROUP BY SrcIP", window.All()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkSeal(b *testing.B) {
 	cfg := core.ConfigForMemory[flowkey.FiveTuple](2, 64<<10, 79)
 	rng := xrand.New(7)

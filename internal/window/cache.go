@@ -30,17 +30,20 @@ const (
 	opQuery op = iota
 	// opGroup caches GroupBy tables (map[flowkey.FiveTuple]uint64).
 	opGroup
-	// opRows caches the sorted row set Top and SQL slice from.
+	// opRows caches Top rows: the top k for k > 0, every sorted row
+	// for k == 0 (SQL).
 	opRows
 )
 
 // cacheKey identifies one cached result: operation, canonical window,
-// grouping mask, and (for opQuery) the masked partial key.
+// grouping mask, (for opQuery) the masked partial key and (for opRows)
+// the row limit k.
 type cacheKey struct {
 	op       op
 	from, to uint64
 	mask     flowkey.Mask
 	partial  flowkey.FiveTuple
+	k        int
 }
 
 // engineKey identifies one cached merged window engine.

@@ -102,6 +102,11 @@ func compareWindow(t *testing.T, r *window.Ring, rg window.Range, ref *query.Eng
 		if wantTop := ref.Top(m, 5); !reflect.DeepEqual(gotTop, wantTop) {
 			t.Fatalf("window %v mask %v: Top differs from reference\n got %v\nwant %v", rg, m, gotTop, wantTop)
 		}
+		// ref.Top selects with the same sketch.TopK; the fully sorted
+		// rows are the independent reference for the selection.
+		if wantTop := sketch.Entries(want)[:min(5, len(want))]; !reflect.DeepEqual(gotTop, wantTop) {
+			t.Fatalf("window %v mask %v: Top differs from the sorted rows\n got %v\nwant %v", rg, m, gotTop, wantTop)
+		}
 		// Point queries over a few keys drawn from the reference table
 		// (hits) and synthesized (mostly misses).
 		for k := range want {
@@ -195,6 +200,50 @@ func checkRandomSpans(t *testing.T, r *window.Ring, epochs []*core.Basic[flowkey
 		}
 		ref := refEngine(t, testConfig, epochs[from:to])
 		compareWindow(t, r, rg, ref, masks, rng)
+	}
+}
+
+// TestWindowedTopMatchesSortedRows checks the bounded top-k selection
+// against the fully sorted rows of the reference engine, with the
+// result cache on and off: Top(rg, m, k) must be
+// sketch.Entries(GroupBy)[:k] row for row for every k, including
+// k <= 0 (all rows) and k past the row count, and a repeated (cached)
+// call must return the same rows.
+func TestWindowedTopMatchesSortedRows(t *testing.T) {
+	masks := testMasks(t)
+	tr := trace.CAIDALike(24_000, 23)
+	const nEpochs = 5
+	epochs := epochSketches(testConfig, tr, nEpochs)
+	for _, limit := range []int{window.DefaultCacheEntries, 0} {
+		r := window.NewRing(nEpochs, testConfig).SetCacheLimit(limit)
+		for e, sk := range epochs {
+			if err := r.Seal(uint64(e), sk.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, rg := range []window.Range{{From: 0, To: 1}, {From: 1, To: 4}, {From: 0, To: window.Open}} {
+			to := min(rg.To, nEpochs)
+			ref := refEngine(t, testConfig, epochs[rg.From:to])
+			for _, m := range masks {
+				rows := sketch.Entries(ref.GroupBy(m))
+				for _, k := range []int{-1, 0, 1, 5, 10, len(rows) - 1, len(rows), len(rows) + 5} {
+					want := rows
+					if k > 0 && k < len(rows) {
+						want = rows[:k]
+					}
+					for pass := 0; pass < 2; pass++ {
+						got, err := r.Top(rg, m, k)
+						if err != nil {
+							t.Fatalf("Top(%v, %v, %d): %v", rg, m, k, err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("cache limit %d, window %v mask %v k=%d pass %d: Top differs from the sorted rows",
+								limit, rg, m, k, pass)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package window
 
 import (
+	"slices"
+
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/query"
 	"cocosketch/internal/sketch"
@@ -9,10 +11,10 @@ import (
 // Window-scoped partial-key queries: each method resolves the range to
 // its canonical [from, to) bounds, obtains the merged window engine
 // (cached per window), and serves the answer through the result cache
-// keyed by (operation, partial key, window). Mutable results (maps,
-// row slices) are returned as copies so callers can never corrupt a
-// cached value. All methods are safe for concurrent use and never
-// block Seal.
+// keyed by (operation, partial key or row limit, window). Mutable
+// results (maps, row slices) are returned as copies so callers can
+// never corrupt a cached value. All methods are safe for concurrent
+// use and never block Seal.
 
 // Query returns the estimated size of one partial-key flow over the
 // window: the subset sum of the merged full-key estimates mapping to
@@ -63,20 +65,37 @@ func (r *Ring) GroupBy(rg Range, m flowkey.Mask) (map[flowkey.FiveTuple]uint64, 
 }
 
 // Top returns the k largest partial-key flows under a mask over the
-// window (all of them when k <= 0), sorted by size descending with the
-// same deterministic tie-break sketch.TopK applies everywhere else.
-// The returned slice is the caller's to mutate.
+// window (all of them when k <= 0), in sketch.Entries order: size
+// descending, then the total tie-break every other top-k shares. For
+// k > 0 the rows come from bounded selection (sketch.TopK) and are
+// cached per (window, mask, k), so a cache hit costs O(k); for k <= 0
+// the full sorted row set is cached. The returned slice is the
+// caller's to mutate.
 func (r *Ring) Top(rg Range, m flowkey.Mask, k int) ([]sketch.Entry[flowkey.FiveTuple], error) {
-	rows, err := r.rows(rg, m)
+	k = max(k, 0)
+	r.tel.queries.Inc()
+	span, from, to, err := r.resolve(rg)
 	if err != nil {
 		return nil, err
 	}
-	if k <= 0 || k > len(rows) {
-		k = len(rows)
+	key := cacheKey{op: opRows, from: from, to: to, mask: m, k: k}
+	if v, ok := r.cache.get(key); ok {
+		r.tel.cacheHits.Inc()
+		return slices.Clone(v.([]sketch.Entry[flowkey.FiveTuple])), nil
 	}
-	out := make([]sketch.Entry[flowkey.FiveTuple], k)
-	copy(out, rows[:k])
-	return out, nil
+	r.tel.cacheMisses.Inc()
+	eng, err := r.engineFor(span, from, to)
+	if err != nil {
+		return nil, err
+	}
+	var rows []sketch.Entry[flowkey.FiveTuple]
+	if k > 0 {
+		rows = sketch.TopK(eng.GroupBy(m), k)
+	} else {
+		rows = sketch.Entries(eng.GroupBy(m))
+	}
+	r.cache.put(key, rows)
+	return slices.Clone(rows), nil
 }
 
 // SQL parses and executes the restricted SQL dialect of §4.3 over the
@@ -88,29 +107,6 @@ func (r *Ring) SQL(stmt string, rg Range) ([]sketch.Entry[flowkey.FiveTuple], er
 		return nil, err
 	}
 	return r.Top(rg, m, 0)
-}
-
-// rows returns the full sorted row set for (mask, window) through the
-// result cache; Top and SQL slice copies off it.
-func (r *Ring) rows(rg Range, m flowkey.Mask) ([]sketch.Entry[flowkey.FiveTuple], error) {
-	r.tel.queries.Inc()
-	span, from, to, err := r.resolve(rg)
-	if err != nil {
-		return nil, err
-	}
-	key := cacheKey{op: opRows, from: from, to: to, mask: m}
-	if v, ok := r.cache.get(key); ok {
-		r.tel.cacheHits.Inc()
-		return v.([]sketch.Entry[flowkey.FiveTuple]), nil
-	}
-	r.tel.cacheMisses.Inc()
-	eng, err := r.engineFor(span, from, to)
-	if err != nil {
-		return nil, err
-	}
-	rows := sketch.Entries(eng.GroupBy(m))
-	r.cache.put(key, rows)
-	return rows, nil
 }
 
 // copyTable returns a fresh map with the same contents.

@@ -7,10 +7,10 @@
 // an atomically published snapshot, merge the covered epochs with
 // core.Merge into a window engine, and run any partial-key query
 // against it — with no lock shared with the sealer. Results are cached
-// per (operation, partial key, window) and invalidated when ring
-// eviction makes a window unservable, and standing Subscriptions
-// (heavy hitters, heavy changes, entropy collapse) are evaluated at
-// every seal and pushed to registered channels.
+// per (operation, partial key or row limit, window) and invalidated
+// when ring eviction makes a window unservable, and standing
+// Subscriptions (heavy hitters, heavy changes, entropy collapse) are
+// evaluated at every seal and pushed to registered channels.
 //
 // The windowed answer is a pure function of the sealed epoch set: the
 // window sketch is a fresh core.Basic of the shared Config that merges
