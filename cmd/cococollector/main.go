@@ -15,7 +15,10 @@
 //
 // With -window N the collector additionally retains the last N sealed
 // epochs in a sliding-window query ring (internal/window), and with
-// -serve-query it serves live windowed partial-key queries as JSON:
+// -serve-query it serves live windowed partial-key queries as JSON.
+// -window requires the full report codec: compressed reports decode at
+// the agents' shrunk geometry, which the collector cannot learn at
+// startup.
 //
 //	GET /query?sql=SELECT+SrcIP,+SUM(Size)+FROM+table+GROUP+BY+SrcIP&range=last:4
 //	GET /epochs
@@ -138,6 +141,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		collector.SetCodec(codec)
 	default:
 		fmt.Fprintf(stderr, "cococollector: unknown -report-codec %q (want full or compressed)\n", *codecName)
+		return 2
+	}
+	if *windowN > 0 && *codecName == "compressed" {
+		// Compressed reports decode at the agents' stage geometry
+		// (l/shrink), which the collector cannot learn at startup, so
+		// a ring built at the fat geometry would reject every seal.
+		fmt.Fprintln(stderr, "cococollector: -window cannot be combined with -report-codec compressed (reports decode at the agents' shrunk geometry, which the ring cannot learn at startup)")
 		return 2
 	}
 	var ring *window.Ring

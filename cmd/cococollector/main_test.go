@@ -178,6 +178,32 @@ func TestRunServeQueryRequiresWindow(t *testing.T) {
 	}
 }
 
+// TestRunWindowRejectsCompressedCodec pins the startup rejection of
+// -window with -report-codec compressed: the ring would be built at
+// the fat geometry and refuse every shrunk fold, so run must exit 2
+// with a message naming both flags instead of serving an empty ring.
+func TestRunWindowRejectsCompressedCodec(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	done := make(chan int, 1)
+	go func() {
+		done <- run([]string{"-listen", "127.0.0.1:0", "-every", "20ms",
+			"-report-codec", "compressed", "-window", "4"}, &stdout, &stderr)
+	}()
+	select {
+	case code := <-done:
+		if code != 2 {
+			t.Fatalf("run = %d, want 2", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("run kept serving with -window and -report-codec compressed")
+	}
+	for _, flag := range []string{"-window", "-report-codec compressed"} {
+		if !strings.Contains(stderr.String(), flag) {
+			t.Fatalf("stderr does not name %s:\n%s", flag, stderr.String())
+		}
+	}
+}
+
 // TestRunWindowQueryEndToEnd boots the collector with the sliding
 // window and the JSON query endpoint enabled, reports two epochs from
 // an in-process agent, and queries the live endpoint: /epochs must show

@@ -226,94 +226,3 @@ func TestSerializeRejectsGarbage(t *testing.T) {
 		t.Error("wrong key size accepted")
 	}
 }
-
-func TestSampledUnbiased(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical test")
-	}
-	const trials = 150
-	heavy := tuple(5, 5)
-	var sum float64
-	for trial := 0; trial < trials; trial++ {
-		inner := NewBasic[flowkey.FiveTuple](Config{Arrays: 2, BucketsPerArray: 64, Seed: uint64(trial)})
-		s := NewSampled[flowkey.FiveTuple](inner, 1, 10, uint64(trial)*7+1)
-		rng := xrand.New(uint64(trial) * 13)
-		for i := 0; i < 30000; i++ {
-			if rng.Uint64n(3) == 0 {
-				s.Insert(heavy, 1)
-			} else {
-				s.Insert(tuple(uint32(rng.Uint64n(50))+10, 1), 1)
-			}
-		}
-		sum += float64(inner.Query(heavy))
-	}
-	mean := sum / trials
-	if math.Abs(mean-10000) > 1000 {
-		t.Fatalf("sampled mean estimate %.0f, want about 10000", mean)
-	}
-}
-
-func TestSampledFullRate(t *testing.T) {
-	inner := NewBasic[flowkey.FiveTuple](Config{Arrays: 2, BucketsPerArray: 64, Seed: 1})
-	s := NewSampled[flowkey.FiveTuple](inner, 1, 1, 2)
-	for i := 0; i < 1000; i++ {
-		s.Insert(tuple(1, 1), 1)
-	}
-	if got := inner.Query(tuple(1, 1)); got != 1000 {
-		t.Fatalf("p=1 sampling altered the stream: %d", got)
-	}
-}
-
-func TestSampledSkipsMostPackets(t *testing.T) {
-	inner := NewBasic[flowkey.FiveTuple](Config{Arrays: 2, BucketsPerArray: 1024, Seed: 1})
-	s := NewSampled[flowkey.FiveTuple](inner, 1, 100, 3)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		s.Insert(tuple(uint32(i), 1), 1)
-	}
-	// Roughly n/100 distinct flows should have been touched.
-	touched := len(inner.Decode())
-	if touched < n/100/2 || touched > n/100*2 {
-		t.Fatalf("sampled %d flows, want about %d", touched, n/100)
-	}
-}
-
-func TestSampledPanicsOnBadProbability(t *testing.T) {
-	inner := NewBasic[flowkey.FiveTuple](Config{Arrays: 1, BucketsPerArray: 4, Seed: 1})
-	for _, pq := range [][2]uint64{{0, 5}, {5, 0}, {6, 5}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("probability %d/%d accepted", pq[0], pq[1])
-				}
-			}()
-			NewSampled[flowkey.FiveTuple](inner, pq[0], pq[1], 1)
-		}()
-	}
-}
-
-func TestSampledZeroWeightNoop(t *testing.T) {
-	inner := NewBasic[flowkey.FiveTuple](Config{Arrays: 1, BucketsPerArray: 4, Seed: 1})
-	s := NewSampled[flowkey.FiveTuple](inner, 1, 1, 1)
-	s.Insert(tuple(1, 1), 0)
-	if inner.SumValues() != 0 {
-		t.Fatal("zero-weight insert changed state")
-	}
-}
-
-func BenchmarkSampledInsert(b *testing.B) {
-	pkts := stream(10000, 1<<16, 1)
-	for _, rate := range []struct {
-		name     string
-		num, den uint64
-	}{{"p=1", 1, 1}, {"p=0.1", 1, 10}, {"p=0.01", 1, 100}} {
-		b.Run(rate.name, func(b *testing.B) {
-			inner := NewBasicForMemory[flowkey.FiveTuple](2, 500*1024, 1)
-			s := NewSampled[flowkey.FiveTuple](inner, rate.num, rate.den, 2)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Insert(pkts[i&(len(pkts)-1)], 1)
-			}
-		})
-	}
-}

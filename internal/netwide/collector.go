@@ -47,12 +47,10 @@ type Collector struct {
 	// from the aggregate's RNG, so merge ORDER matters, and canonical
 	// folding is what lets a sharded cluster's decode (internal/
 	// cluster) reproduce the single-collector result bit for bit no
-	// matter which backend each report landed on or in what order.
-	shards map[uint32]map[uint16]*core.Basic[flowkey.FiveTuple]
-	// folded caches the canonical fold per epoch; invalidated whenever
-	// a new shard arrives for that epoch.
-	folded     map[uint32]*core.Basic[flowkey.FiveTuple]
-	reported   map[uint32]map[uint16]bool
+	// matter which backend each report landed on or in what order. An
+	// (epoch, agent) pair is present exactly when its report decoded,
+	// which is what deduplicates retries.
+	shards     map[uint32]map[uint16]*core.Basic[flowkey.FiveTuple]
 	agents     map[uint16]AgentStatus
 	latest     uint32
 	haveLatest bool
@@ -150,14 +148,12 @@ func (c *Collector) SetSpawn(spawn func(func())) *Collector {
 // default; see SetCodec).
 func NewCollector(cfg core.Config) *Collector {
 	return &Collector{
-		cfg:      cfg,
-		clock:    SystemClock,
-		spawn:    func(fn func()) { go fn() },
-		decoder:  report.Full[flowkey.FiveTuple](flowkey.FiveTupleFromBytes).NewDecoder(),
-		shards:   make(map[uint32]map[uint16]*core.Basic[flowkey.FiveTuple]),
-		folded:   make(map[uint32]*core.Basic[flowkey.FiveTuple]),
-		reported: make(map[uint32]map[uint16]bool),
-		agents:   make(map[uint16]AgentStatus),
+		cfg:     cfg,
+		clock:   SystemClock,
+		spawn:   func(fn func()) { go fn() },
+		decoder: report.Full[flowkey.FiveTuple](flowkey.FiveTupleFromBytes).NewDecoder(),
+		shards:  make(map[uint32]map[uint16]*core.Basic[flowkey.FiveTuple]),
+		agents:  make(map[uint16]AgentStatus),
 	}
 }
 
@@ -252,7 +248,7 @@ func (c *Collector) ingest(msg Message) error {
 	}
 	c.agents[msg.AgentID] = st
 	c.tel.agentsSeen.Set(int64(len(c.agents)))
-	if agents, ok := c.reported[msg.Epoch]; ok && agents[msg.AgentID] {
+	if c.shards[msg.Epoch][msg.AgentID] != nil {
 		// Duplicate report (agent retry after lost ack): ignore.
 		c.tel.dupReports.Inc()
 		return nil
@@ -284,15 +280,10 @@ func (c *Collector) ingest(msg Message) error {
 		}
 	}
 	epochShards[msg.AgentID] = shard
-	delete(c.folded, msg.Epoch)
 	if !c.haveLatest || msg.Epoch > c.latest {
 		c.latest, c.haveLatest = msg.Epoch, true
 		c.tel.latestEpoch.Set(int64(msg.Epoch))
 	}
-	if c.reported[msg.Epoch] == nil {
-		c.reported[msg.Epoch] = make(map[uint16]bool)
-	}
-	c.reported[msg.Epoch][msg.AgentID] = true
 	c.tel.reportsRecv.Inc()
 	c.tel.recvBytes.Add(uint64(len(msg.Payload)))
 	return nil
@@ -303,7 +294,7 @@ func (c *Collector) ingest(msg Message) error {
 func (c *Collector) AgentsReported(epoch uint32) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.reported[epoch])
+	return len(c.shards[epoch])
 }
 
 // AgentStatuses returns a copy of the per-agent liveness table.
@@ -325,19 +316,14 @@ func (c *Collector) LatestEpoch() (uint32, bool) {
 	return c.latest, c.haveLatest
 }
 
-// fold returns the epoch's canonical aggregate, computing and caching
-// it on first query after a new shard. Caller holds c.mu.
+// fold returns a fresh canonical aggregate of the epoch's shards, the
+// caller's to keep. Caller holds c.mu.
 func (c *Collector) fold(epoch uint32) (*core.Basic[flowkey.FiveTuple], bool) {
-	if agg, ok := c.folded[epoch]; ok {
-		return agg, true
-	}
 	epochShards, ok := c.shards[epoch]
 	if !ok {
 		return nil, false
 	}
-	agg := FoldShards(epochShards)
-	c.folded[epoch] = agg
-	return agg, true
+	return FoldShards(epochShards), true
 }
 
 // FoldShards merges per-agent epoch shards into one network-wide

@@ -17,18 +17,19 @@ var ErrNoEpoch = errors.New("netwide: epoch has no shards")
 // implementation; the interface lives here (consumer side) so netwide
 // does not depend on internal/window.
 //
-// Seal receives a PRIVATE clone: the sink owns the sketch outright and
-// may retain it forever without racing collector-internal state.
+// Seal receives a PRIVATE sketch: the sink owns it outright and may
+// retain it forever without racing collector-internal state.
 type EpochSink interface {
 	// Seal hands the sink one epoch's network-wide aggregate.
 	Seal(epoch uint64, sk *core.Basic[flowkey.FiveTuple]) error
 }
 
 // SealEpochInto folds the epoch's per-agent shards canonically (the
-// same fold Epoch serves queries from) and seals a private clone of the
-// aggregate into sink. Returns ErrNoEpoch when no agent has reported
-// the epoch, or the sink's own error (window.ErrOrder for a re-seal,
-// core.ErrIncompatible for a geometry mismatch) otherwise.
+// same fold Epoch serves queries from) and seals the fresh aggregate,
+// which nothing else references, into sink. Returns ErrNoEpoch when no
+// agent has reported the epoch, or the sink's own error
+// (window.ErrOrder for a re-seal, core.ErrIncompatible for a geometry
+// mismatch) otherwise.
 //
 // Because the fold is a pure function of the shard set, sealing the
 // same epoch from two collectors holding the same shards yields
@@ -37,13 +38,9 @@ type EpochSink interface {
 func (c *Collector) SealEpochInto(sink EpochSink, epoch uint32) error {
 	c.mu.Lock()
 	agg, ok := c.fold(epoch)
-	var clone *core.Basic[flowkey.FiveTuple]
-	if ok {
-		clone = agg.Clone()
-	}
 	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w (epoch %d)", ErrNoEpoch, epoch)
 	}
-	return sink.Seal(uint64(epoch), clone)
+	return sink.Seal(uint64(epoch), agg)
 }

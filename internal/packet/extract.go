@@ -9,7 +9,7 @@ import "cocosketch/internal/flowkey"
 // failure as ok == false instead of constructing an error, so the
 // reject path — non-IP traffic, truncated frames — costs no
 // allocation either. The frame is only read within len(frame): the
-// extractor works directly on a pool slot's filled prefix with no
+// extractor works directly on a replay slot's filled prefix with no
 // copying.
 //
 // Like Decoder.FiveTuple, it consumes one optional 802.1Q tag, folds

@@ -118,19 +118,14 @@ func TestExtractMatchesDecoder(t *testing.T) {
 	}
 }
 
-// TestExtractFromPoolSlot checks the pooled calling convention: the
-// extractor sees only the slot's filled prefix, and extracting from
-// the slot (whose capacity extends past the fill) is identical to
+// TestExtractFromPoolSlot checks the replay slot calling convention:
+// the extractor sees only the slot's filled prefix, and extracting
+// from the slot (whose capacity extends past the fill) is identical to
 // extracting from an exact-length copy — i.e. the parser never reads
 // past the fill length.
 func TestExtractFromPoolSlot(t *testing.T) {
-	p := NewPool(2, 2048)
+	buf := make([]byte, 2048)
 	for name, frame := range extractFrames() {
-		s, okR := p.Reserve()
-		if !okR {
-			t.Fatal("reserve failed")
-		}
-		buf := p.Bytes(s)
 		for i := range buf {
 			buf[i] = 0xAA // poison: a read past the fill would see this
 		}
@@ -142,7 +137,6 @@ func TestExtractFromPoolSlot(t *testing.T) {
 			t.Fatalf("%s: slot decode (%v,%v) != exact decode (%v,%v)",
 				name, gotSlot, okSlot, gotExact, okExact)
 		}
-		p.Recycle(s)
 	}
 }
 

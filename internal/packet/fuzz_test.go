@@ -6,14 +6,14 @@ import (
 	"cocosketch/internal/flowkey"
 )
 
-// maxFuzzFrame bounds the frames replayed through the pooled slot in
+// maxFuzzFrame bounds the frames replayed through the poisoned slot in
 // FuzzDecoder (fuzzing can generate inputs larger than any slot).
 const maxFuzzFrame = 4096
 
 // FuzzDecoder throws arbitrary frames at the 5-tuple extractors: they
-// must never panic or read out of bounds, the pooled lean extractor
+// must never panic or read out of bounds, the lean replay extractor
 // must agree bit for bit with the error-reporting Decoder, and
-// extraction from a pool slot's filled prefix must match extraction
+// extraction from a slot's filled prefix must match extraction
 // from an exact-length copy (no reads past the fill length). Seeds
 // cover the adversarial header shapes: truncated VLAN tags, IPv4
 // options (IHL > 5), and fragment offsets; the on-disk corpus under
@@ -40,7 +40,7 @@ func FuzzDecoder(f *testing.F) {
 	// Non-zero fragment offset: no L4 header at the L4 position.
 	f.Add(fragmentFrame(tcp))
 
-	pool := NewPool(1, maxFuzzFrame)
+	buf := make([]byte, maxFuzzFrame)
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var d Decoder
 		key, err := d.FiveTuple(frame)
@@ -51,14 +51,9 @@ func FuzzDecoder(f *testing.F) {
 		if ok && lean != key {
 			t.Fatalf("extract %v != decoder %v", lean, key)
 		}
-		// Pooled convention: decode from a slot prefix whose spare
+		// Replay slot convention: decode from a slot prefix whose spare
 		// capacity is poisoned; a read past the fill diverges here.
 		if len(frame) <= maxFuzzFrame {
-			s, okR := pool.Reserve()
-			if !okR {
-				t.Fatal("pool starved in fuzz")
-			}
-			buf := pool.Bytes(s)
 			for i := range buf {
 				buf[i] = 0xAA
 			}
@@ -68,7 +63,6 @@ func FuzzDecoder(f *testing.F) {
 				t.Fatalf("slot decode (%v,%v) != exact decode (%v,%v)",
 					slotKey, slotOK, lean, ok)
 			}
-			pool.Recycle(s)
 		}
 		if err != nil {
 			return

@@ -132,7 +132,7 @@ func (r *Reader) Next() (Header, []byte, error) {
 
 // ReadInto reads the next record body into dst — the zero-allocation
 // form of Next used by the pooled replay pipeline, where dst is a
-// frame-pool slot filled in place. A record longer than dst is
+// replay queue's frame slot filled in place. A record longer than dst is
 // truncated to len(dst) (NIC snapshot-length semantics) and the
 // remainder is discarded without allocating; the returned Header keeps
 // the record's full CaptureLength so callers can count truncations.

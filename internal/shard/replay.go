@@ -15,12 +15,14 @@ import (
 )
 
 // This file is the zero-allocation replay source. Each simulated
-// receive queue runs a reader goroutine (pcap record → pool slot,
+// receive queue runs a reader goroutine (pcap record → arena slot,
 // filled in place by ReadInto) and a worker (slot → 5-tuple via
-// packet.ExtractFiveTuple → InsertBatch → recycle) joined by a ring of
-// 12-byte packet.FrameRef handles. In steady state nothing is
-// allocated; when every slot is in flight the reader parks until the
-// worker has freed a quarter of the pool, instead of allocating or
+// packet.ExtractFiveTuple → InsertBatch → release) joined by a ring of
+// 12-byte packet.FrameRef handles. Frame order owns the slots: frame k
+// lives in slot k mod PoolSlots, and the reader may fill it only once
+// the worker has released frame k − PoolSlots. In steady state nothing
+// is allocated; when every slot is in flight the reader parks until
+// the worker has freed a quarter of them, instead of allocating or
 // dropping — the backpressure and slot ownership contract of
 // DESIGN.md §13.
 
@@ -29,14 +31,14 @@ type ReplayConfig struct {
 	// Queues is the number of simulated NIC receive queues, each with a
 	// dedicated reader/worker goroutine pair (default 1).
 	Queues int
-	// PoolSlots is the per-queue frame pool size in slots (default
-	// DefaultPoolSlots). Bounds the number of frames in flight per
-	// queue; when exhausted the reader waits, it never allocates. The
-	// queue's handoff ring has the same size, so it can never fill
-	// (in-flight refs ≤ in-flight slots), leaving pool starvation as
-	// the single backpressure signal.
+	// PoolSlots is the number of frame slots in each queue's arena
+	// (default DefaultPoolSlots). Bounds the number of frames in flight
+	// per queue; when every slot is in flight the reader waits, it
+	// never allocates. The queue's handoff ring holds at least as many
+	// refs, so it can never fill (in-flight refs ≤ in-flight slots),
+	// leaving slot exhaustion as the single backpressure signal.
 	PoolSlots int
-	// SlotCap is the byte capacity of each pool slot (default
+	// SlotCap is the byte capacity of each arena slot (default
 	// DefaultSlotCap). Records longer than SlotCap are truncated on
 	// read, NIC snapshot-length style, and counted in ReplayStats.
 	SlotCap int
@@ -52,8 +54,8 @@ type ReplayConfig struct {
 	Telemetry *telemetry.Registry
 }
 
-// DefaultPoolSlots is the per-queue pool size when ReplayConfig leaves
-// PoolSlots zero.
+// DefaultPoolSlots is the per-queue slot count when ReplayConfig
+// leaves PoolSlots zero.
 const DefaultPoolSlots = 1024
 
 // DefaultSlotCap is the per-slot byte capacity when ReplayConfig leaves
@@ -70,48 +72,55 @@ type ReplayStats struct {
 	// headers) — routed to queue 0 by PartitionRSS and dropped here,
 	// mirroring how trace.FromPCAP skips them.
 	Skipped uint64
-	// Truncated counts records longer than a pool slot, stored as a
+	// Truncated counts records longer than a slot, stored as a
 	// SlotCap-byte prefix.
 	Truncated uint64
-	// Starved counts reader parks: each time the reader found the pool
-	// exhausted and blocked until the worker had freed a quarter of it.
-	// One stall counts once, however long it lasts (backpressure
-	// events, not lost packets).
+	// Starved counts reader parks: each time the reader found every
+	// slot in flight and blocked until the worker had freed a quarter
+	// of them. One stall counts once, however long it lasts
+	// (backpressure events, not lost packets).
 	Starved uint64
-	// Recycled counts slots returned to the pools; equal to
-	// Packets+Skipped after a clean run.
+	// Recycled counts frames the workers released, handing their slots
+	// back to the readers; equal to Packets+Skipped after a clean run.
 	Recycled uint64
 }
 
 // frames is one receive queue's source. The reader side (readBurst,
 // readAll, park) belongs to the reader goroutine; fill and release run
-// on the queue's worker goroutine. Each counter is written by one side
-// and read only after both goroutines have joined. Reading and
-// draining are plain steps so a single goroutine can alternate them —
-// that is how the zero-allocation property is pinned by
-// testing.AllocsPerRun.
+// on the queue's worker goroutine. Reading and draining are plain
+// steps so a single goroutine can alternate them — that is how the
+// zero-allocation property is pinned by testing.AllocsPerRun. A slot
+// belongs to the worker from the reader's push until the worker's
+// release, and to the reader otherwise.
 type frames struct {
-	pool   *packet.Pool
-	ring   *ovs.RingOf[packet.FrameRef]
-	reader *pcap.Reader
+	mem     []byte // slots × slotCap, one allocation
+	slots   int
+	slotCap int
+	ring    *ovs.RingOf[packet.FrameRef]
+	reader  *pcap.Reader
 
-	// The park handshake. A starved reader sets waiting, re-checks the
-	// pool and blocks on wake; the worker, after recycling a burst,
-	// claims waiting and sends once at most resumeAt slots are in
-	// flight (at least a quarter of the pool free).
+	// read counts frames the reader has published, released the
+	// frames the worker is done with (the oldest, as the ring is
+	// FIFO). Each is written by its side once per burst.
+	read, released atomic.Uint64
+
+	// The park handshake. A starved reader sets waiting, re-checks
+	// the in-flight count and blocks on wake; the worker, after
+	// releasing a burst, claims waiting and sends once at most
+	// resumeAt frames are in flight (at least a quarter of the slots
+	// free).
 	waiting  atomic.Bool
 	wake     chan struct{}
 	resumeAt int
 
-	// Reader-side state.
+	// Reader-side state, read by others only after the join.
 	refs      []packet.FrameRef
 	done      bool
 	starved   uint64
 	truncated uint64
 
-	// Worker-side state.
-	skipped  uint64
-	recycled uint64
+	// Worker-side state, read by others only after the join.
+	skipped uint64
 
 	// Telemetry instruments, all nil (each record a nil-check) when
 	// the registry is nil.
@@ -124,7 +133,9 @@ type frames struct {
 func newQueue[S Sketch[S]](cfg ReplayConfig, i int, r *pcap.Reader, sketch S) (*frames, *worker[S, packet.FrameRef]) {
 	reg := cfg.Telemetry
 	q := &frames{
-		pool:         packet.NewPool(cfg.PoolSlots, cfg.SlotCap),
+		mem:          make([]byte, cfg.PoolSlots*cfg.SlotCap),
+		slots:        cfg.PoolSlots,
+		slotCap:      cfg.SlotCap,
 		ring:         ovs.NewRingOf[packet.FrameRef](cfg.PoolSlots),
 		reader:       r,
 		refs:         make([]packet.FrameRef, 0, DefaultBurst),
@@ -139,26 +150,35 @@ func newQueue[S Sketch[S]](cfg ReplayConfig, i int, r *pcap.Reader, sketch S) (*
 	return q, newWorker(q.ring, sketch, q, cfg.Bytes, reg.Histogram("ingest.batch_size"), nil)
 }
 
-// readBurst reserves up to one burst of pool slots, fills them in place
-// with ReadInto, and pushes their FrameRefs into the ring (spinning on
-// a full ring, which a pool-sized ring makes unreachable). It returns
-// the number of refs pushed; zero with q.done still false means the
-// pool is starved and the caller should park and retry.
+// slot returns slot s's full-capacity buffer.
+func (q *frames) slot(s packet.Slot) []byte {
+	off := int(s) * q.slotCap
+	return q.mem[off : off+q.slotCap : off+q.slotCap]
+}
+
+// inFlight returns the number of frames published and not yet
+// released.
+func (q *frames) inFlight() int { return int(q.read.Load() - q.released.Load()) }
+
+// readBurst fills up to one burst of free slots in frame order with
+// ReadInto, publishes them, and pushes their FrameRefs into the ring
+// (spinning on a full ring, which a slot-sized ring makes
+// unreachable). It returns the number of refs pushed; zero with
+// q.done still false means every slot is in flight and the caller
+// should park and retry. On EOF or a read error the frame count does
+// not advance, so the slot it was filling stays free.
 func (q *frames) readBurst() (int, error) {
+	read := q.read.Load()
+	want := min(DefaultBurst, q.slots-int(read-q.released.Load()))
+	s := packet.Slot(read % uint64(q.slots))
 	refs := q.refs[:0]
-	for len(refs) < DefaultBurst {
-		s, ok := q.pool.Reserve()
-		if !ok {
-			break
-		}
-		hdr, n, err := q.reader.ReadInto(q.pool.Bytes(s))
+	for len(refs) < want {
+		hdr, n, err := q.reader.ReadInto(q.slot(s))
 		if err == io.EOF {
-			q.pool.Recycle(s)
 			q.done = true
 			break
 		}
 		if err != nil {
-			q.pool.Recycle(s)
 			q.refs = refs
 			return 0, err
 		}
@@ -171,15 +191,20 @@ func (q *frames) readBurst() (int, error) {
 			Len:  uint32(n),
 			Orig: uint32(hdr.OriginalLength),
 		})
+		s++
+		if int(s) == q.slots {
+			s = 0
+		}
 	}
 	q.refs = refs
+	q.read.Add(uint64(len(refs)))
 	push(q.ring, refs, false, nil)
-	q.telOcc.Set(int64(q.pool.InFlight()))
+	q.telOcc.Set(int64(q.inFlight()))
 	return len(refs), nil
 }
 
 // readAll feeds the ring until the capture is exhausted, parking while
-// the pool is starved. It closes the ring on every path, so the
+// every slot is in flight. It closes the ring on every path, so the
 // worker drains what was pushed and exits.
 func (q *frames) readAll() error {
 	defer q.ring.Close()
@@ -195,16 +220,16 @@ func (q *frames) readAll() error {
 	return nil
 }
 
-// park blocks the reader on an exhausted pool until the worker has
-// freed a quarter of it. Blocking, not yielding: a reader that loops on
-// runtime.Gosched keeps its P's run queue busy, so the scheduler skips
-// its network poll (DESIGN.md §13). Both sides write before they
-// check — the reader sets waiting then reads the pool, the worker
-// recycles then reads waiting — so one of them always sees the other
-// and no wake-up is lost.
+// park blocks the reader, with every slot in flight, until the worker
+// has freed a quarter of them. Blocking, not yielding: a reader that
+// loops on runtime.Gosched keeps its P's run queue busy, so the
+// scheduler skips its network poll (DESIGN.md §13). Both sides write
+// before they check — the reader sets waiting then reads released,
+// the worker advances released then reads waiting — so one of them
+// always sees the other and no wake-up is lost.
 func (q *frames) park() {
 	q.waiting.Store(true)
-	if q.pool.InFlight() > q.resumeAt {
+	if q.inFlight() > q.resumeAt {
 		q.starved++
 		q.telStarved.Inc()
 		<-q.wake
@@ -217,14 +242,14 @@ func (q *frames) park() {
 	}
 }
 
-// fill extracts each frame's key straight out of its pool slot and
-// weights it by the frame's original wire length. Frames the extractor
-// rejects (non-IP, truncated headers) are counted and left out.
+// fill extracts each frame's key straight out of its slot and weights
+// it by the frame's original wire length. Frames the extractor rejects
+// (non-IP, truncated headers) are counted and left out.
 func (q *frames) fill(refs []packet.FrameRef, keys []flowkey.FiveTuple, ws []uint64) int {
 	m := 0
 	for j := range refs {
 		ref := &refs[j]
-		key, ok := packet.ExtractFiveTuple(q.pool.Bytes(ref.Slot)[:ref.Len])
+		key, ok := packet.ExtractFiveTuple(q.slot(ref.Slot)[:ref.Len])
 		if !ok {
 			continue
 		}
@@ -240,16 +265,14 @@ func (q *frames) fill(refs []packet.FrameRef, keys []flowkey.FiveTuple, ws []uin
 	return m
 }
 
-// release recycles the burst's slots — the worker owns them until the
-// insert has returned (DESIGN.md §13) — and wakes a parked reader once
-// a quarter of the pool is free.
+// release hands the burst's slots back to the reader — the worker owns
+// them until the insert has returned (DESIGN.md §13) — and wakes a
+// parked reader once a quarter of the slots are free.
 func (q *frames) release(refs []packet.FrameRef) {
-	for j := range refs {
-		q.pool.Recycle(refs[j].Slot)
-	}
-	q.recycled += uint64(len(refs))
-	q.telRecycled.Add(uint64(len(refs)))
-	if q.waiting.Load() && q.pool.InFlight() <= q.resumeAt && q.waiting.CompareAndSwap(true, false) {
+	n := uint64(len(refs))
+	released := q.released.Add(n)
+	q.telRecycled.Add(n)
+	if q.waiting.Load() && int(q.read.Load()-released) <= q.resumeAt && q.waiting.CompareAndSwap(true, false) {
 		q.wake <- struct{}{}
 	}
 }
@@ -295,7 +318,7 @@ func replay[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, readers []*p
 		st.Skipped += q.skipped
 		st.Truncated += q.truncated
 		st.Starved += q.starved
-		st.Recycled += q.recycled
+		st.Recycled += q.released.Load()
 	}
 	var zero S
 	for i, err := range errs {

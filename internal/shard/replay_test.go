@@ -66,25 +66,33 @@ func diffTables(t *testing.T, got, want map[flowkey.FiveTuple]uint64) {
 	}
 }
 
+// replaySlotCounts are the arena sizes the replay equivalence tests
+// run at: the default, and 100 slots — not a power of two and below
+// the handoff ring's 128 — so slot indices wrap many times over a
+// capture and the ring has spare capacity.
+var replaySlotCounts = []int{0, 100}
+
 // TestReplayOneQueueMatchesSequential pins the tentpole's correctness
 // anchor: a 1-queue pooled replay produces the bit-identical decode
 // table of the legacy FromPCAP + sequential-sketch path, in both
 // packet-count and byte-weight modes.
 func TestReplayOneQueueMatchesSequential(t *testing.T) {
 	_, data := replayCapture(t, 20000, 256)
-	for _, bytesMode := range []bool{false, true} {
-		merged, st, err := ReplayPCAPBasic(
-			ReplayConfig{Queues: 1, Seed: 42, Bytes: bytesMode},
-			replaySketchCfg(), bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffTables(t, merged.Decode(), sequentialDecode(t, data, bytesMode))
-		if st.Skipped != 0 {
-			t.Fatalf("bytes=%v: skipped %d packets of a fully decodable trace", bytesMode, st.Skipped)
-		}
-		if st.Packets == 0 || st.Recycled != st.Packets {
-			t.Fatalf("bytes=%v: stats %+v: recycled must equal inserted", bytesMode, st)
+	for _, slots := range replaySlotCounts {
+		for _, bytesMode := range []bool{false, true} {
+			merged, st, err := ReplayPCAPBasic(
+				ReplayConfig{Queues: 1, Seed: 42, Bytes: bytesMode, PoolSlots: slots},
+				replaySketchCfg(), bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffTables(t, merged.Decode(), sequentialDecode(t, data, bytesMode))
+			if st.Skipped != 0 {
+				t.Fatalf("slots=%d bytes=%v: skipped %d packets of a fully decodable trace", slots, bytesMode, st.Skipped)
+			}
+			if st.Packets == 0 || st.Recycled != st.Packets {
+				t.Fatalf("slots=%d bytes=%v: stats %+v: recycled must equal inserted", slots, bytesMode, st)
+			}
 		}
 	}
 }
@@ -129,9 +137,9 @@ func TestReplayQueuesMatchesEngine(t *testing.T) {
 }
 
 // TestReplaySkipsUndecodableFrames checks the FromPCAP-mirroring skip
-// convention: frames the extractor rejects are counted, recycled, and
-// excluded from the sketch, and the remaining packets still match the
-// sequential path.
+// convention: frames the extractor rejects are counted, released in
+// order with the rest, and excluded from the sketch, and the remaining
+// packets still match the sequential path.
 func TestReplaySkipsUndecodableFrames(t *testing.T) {
 	tr := trace.CAIDALike(2000, 3)
 	var buf bytes.Buffer
@@ -159,24 +167,26 @@ func TestReplaySkipsUndecodableFrames(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	for _, queues := range []int{1, 3} {
-		merged, st, err := ReplayPCAPBasic(
-			ReplayConfig{Queues: queues, Seed: 5},
-			replaySketchCfg(), bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Skipped != arpFrames {
-			t.Fatalf("queues=%d: skipped %d frames, want %d", queues, st.Skipped, arpFrames)
-		}
-		if st.Packets != uint64(len(tr.Packets)) {
-			t.Fatalf("queues=%d: inserted %d packets, want %d", queues, st.Packets, len(tr.Packets))
-		}
-		if st.Recycled != st.Packets+st.Skipped {
-			t.Fatalf("queues=%d: recycled %d slots, want %d", queues, st.Recycled, st.Packets+st.Skipped)
-		}
-		if queues == 1 {
-			diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
+	for _, slots := range replaySlotCounts {
+		for _, queues := range []int{1, 3} {
+			merged, st, err := ReplayPCAPBasic(
+				ReplayConfig{Queues: queues, Seed: 5, PoolSlots: slots},
+				replaySketchCfg(), bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Skipped != arpFrames {
+				t.Fatalf("slots=%d queues=%d: skipped %d frames, want %d", slots, queues, st.Skipped, arpFrames)
+			}
+			if st.Packets != uint64(len(tr.Packets)) {
+				t.Fatalf("slots=%d queues=%d: inserted %d packets, want %d", slots, queues, st.Packets, len(tr.Packets))
+			}
+			if st.Recycled != st.Packets+st.Skipped {
+				t.Fatalf("slots=%d queues=%d: recycled %d slots, want %d", slots, queues, st.Recycled, st.Packets+st.Skipped)
+			}
+			if queues == 1 {
+				diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
+			}
 		}
 	}
 }
@@ -268,9 +278,9 @@ func TestReplayReaderParksWhenStarved(t *testing.T) {
 }
 
 // TestReplaySteadyStateNoAllocs is the tentpole's gate: driving the
-// full replay→decode→InsertBatch loop — pool reserve, ReadInto, ring
-// handoff, key extraction, batch insert, recycle — allocates nothing
-// per burst in steady state. The queue's steppable readBurst and the
+// full replay→decode→InsertBatch loop — ReadInto into the next free
+// slots, ring handoff, key extraction, batch insert, release —
+// allocates nothing per burst in steady state. The queue's steppable readBurst and the
 // worker's drain let one goroutine alternate the two sides
 // deterministically.
 func TestReplaySteadyStateNoAllocs(t *testing.T) {

@@ -12,8 +12,9 @@ import (
 
 // source is the per-burst step that differs between the two ingest
 // sources: the Engine queues decoded trace.Packet records, a replay
-// queue's pcap reader queues pooled packet.FrameRef handles. A worker
-// calls each method once per burst, never once per packet.
+// queue's pcap reader queues packet.FrameRef handles to its arena
+// slots. A worker calls each method once per burst, never once per
+// packet.
 type source[T any] interface {
 	// fill writes the keys of burst to keys — and, when ws is non-nil,
 	// their weights to ws — and returns how many it wrote. Elements it

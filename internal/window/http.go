@@ -52,6 +52,10 @@ func (sp RangeSpec) String() string {
 	return sp.Range.String()
 }
 
+// relative reports whether the spec re-resolves against the ring at
+// each query ("*" or "last:N") rather than naming fixed epochs.
+func (sp RangeSpec) relative() bool { return sp.Whole || sp.LastN > 0 }
+
 // Resolve turns the spec into the concrete range it denotes on ring r.
 func (sp RangeSpec) Resolve(r *Ring) Range {
 	switch {
@@ -154,8 +158,9 @@ type EpochsResponse struct {
 //	GET /epochs                           → EpochsResponse
 //
 // Errors map to status codes: 400 for unparseable sql/range/limit, 404
-// for a window with no sealed epochs, 410 for a window reaching
-// evicted epochs, 405 for non-GET methods.
+// for a window with no sealed epochs, 410 for an explicit range
+// reaching evicted epochs ("*" and "last:N" retry instead), 405 for
+// non-GET methods.
 func Handler(r *Ring) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", func(w http.ResponseWriter, req *http.Request) {
@@ -187,14 +192,21 @@ func Handler(r *Ring) http.Handler {
 				return
 			}
 		}
-		rg := sp.Resolve(r)
-		from, to, err := r.Resolve(rg)
-		if err == nil {
-			var rows []Row
-			rows, err = queryRows(r, rg, m, limit)
-			if err == nil {
-				writeJSON(w, QueryResponse{Mask: m.String(), From: from, To: to, Rows: rows})
-				return
+		for {
+			rg := sp.Resolve(r)
+			var from, to uint64
+			if from, to, err = r.Resolve(rg); err == nil {
+				var rows []Row
+				if rows, err = queryRows(r, rg, m, limit); err == nil {
+					writeJSON(w, QueryResponse{Mask: m.String(), From: from, To: to, Rows: rows})
+					return
+				}
+			}
+			// "*" and "last:N" re-resolve to current retention: a seal
+			// that evicted the resolved range's oldest epoch mid-request
+			// is retried, never answered 410.
+			if !errors.Is(err, ErrEvicted) || !sp.relative() {
+				break
 			}
 		}
 		switch {

@@ -9,8 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"cocosketch/internal/core"
+	"cocosketch/internal/flowkey"
 	"cocosketch/internal/trace"
 	"cocosketch/internal/window"
 )
@@ -189,6 +193,66 @@ func TestQueryEndpointErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestRelativeRangesNeverGone pins the promise of "*" and "last:N"
+// through the handler: both re-resolve to current retention, so a seal
+// that evicts their oldest epoch while the request is in flight must
+// not turn it into a 410. A capacity-2 ring is sealed in a tight loop
+// while 20k requests of each form go through Handler; every one must
+// answer 200.
+func TestRelativeRangesNeverGone(t *testing.T) {
+	cfg := core.Config{Arrays: 2, BucketsPerArray: 64, Seed: 5}
+	r := window.NewRing(2, cfg)
+	seal := func(e uint64) {
+		sk := core.NewBasic[flowkey.FiveTuple](cfg)
+		for i := uint64(0); i < 8; i++ {
+			sk.Insert(raceTuple(e*8+i), 1+i)
+		}
+		if err := r.Seal(e, sk); err != nil {
+			t.Errorf("seal %d: %v", e, err)
+		}
+	}
+	seal(0)
+	seal(1)
+	h := window.Handler(r)
+
+	stop := make(chan struct{})
+	sealer := make(chan struct{})
+	go func() {
+		defer close(sealer)
+		for e := uint64(2); ; e++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			seal(e)
+		}
+	}()
+	const perRange = 20000
+	var failed atomic.Int64
+	var wg sync.WaitGroup
+	for _, rg := range []string{"*", "last:2"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			path := "/query?sql=" + sqlSrc + "&limit=3&range=" + url.QueryEscape(rg)
+			for i := 0; i < perRange; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				if rec.Code != http.StatusOK && failed.Add(1) == 1 {
+					t.Errorf("range %s: status %d: %s", rg, rec.Code, rec.Body)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-sealer
+	if n := failed.Load(); n > 0 {
+		t.Fatalf("%d of %d relative-range requests failed under eviction", n, 2*perRange)
 	}
 }
 
