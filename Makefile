@@ -15,13 +15,16 @@ test:
 
 # Race-check the concurrent packages (SPSC ring, sharded ingest
 # workers and pooled replay, network-wide merge workers, cluster dispatcher, query
-# front-end against a live sealing loop, telemetry instruments), then
-# the replay tests ten more times (the reader/worker park handshake is
-# cross-goroutine state every replay exercises), then the seeded chaos
-# suite (deterministic fault injection exercises the agent/collector
+# front-end against a live sealing loop, telemetry instruments) and the
+# cocoagent/cococollector binaries (their tests run agents, flaky
+# proxies and collectors concurrently in one process: the only
+# end-to-end checks of the two delivery loops), then the replay tests
+# ten more times (the reader/worker park handshake is cross-goroutine
+# state every replay exercises), then the seeded chaos suite
+# (deterministic fault injection exercises the agent/collector
 # concurrency paths hardest).
 race:
-	$(GO) test -race -shuffle=on ./internal/ovs/... ./internal/core/... ./internal/netwide/... ./internal/shard/... ./internal/cluster/... ./internal/query/... ./internal/window/... ./internal/telemetry/... ./internal/packet/... ./internal/pcap/...
+	$(GO) test -race -shuffle=on ./internal/ovs/... ./internal/core/... ./internal/netwide/... ./internal/shard/... ./internal/cluster/... ./internal/query/... ./internal/window/... ./internal/telemetry/... ./internal/packet/... ./internal/pcap/... ./cmd/cocoagent/ ./cmd/cococollector/
 	$(GO) test -race -count=10 -run 'Replay' ./internal/shard/
 	$(MAKE) chaos
 

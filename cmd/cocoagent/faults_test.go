@@ -1,8 +1,9 @@
 package main
 
 // Error-path tests for the agent binary: usage errors, an unreachable
-// collector, and the -spool hardened mode surviving (or honestly
-// reporting) a mid-run outage injected by a frame-level flaky proxy.
+// collector, the fail-fast mode exiting on a mid-run outage injected by
+// a frame-level flaky proxy, and the -spool hardened mode surviving (or
+// honestly reporting) one.
 
 import (
 	"bytes"
@@ -113,6 +114,34 @@ func (p *flakyProxy) pipe(client, upstream net.Conn, breakAfter int, heal bool, 
 		if err := netwide.WriteMessage(client, ack); err != nil {
 			return
 		}
+	}
+}
+
+// TestRunFailFastExitsOnLostCollector pins the mode without -spool: the
+// second sketch is dropped and every redial is refused, so the run must
+// exit 1 at epoch 1 with only epoch 0 delivered.
+func TestRunFailFastExitsOnLostCollector(t *testing.T) {
+	collector, addr := startCollector(t, 64, 2, 5)
+	proxy := startFlakyProxy(t, addr, 1, false)
+
+	var stdout, stderr bytes.Buffer
+	code := run([]string{
+		"-id", "1", "-collector", proxy.addr,
+		"-packets", "5000", "-epochs", "3",
+		"-mem", "64", "-d", "2", "-seed", "5",
+		"-redials", "1",
+	}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("run = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "cocoagent: report:") {
+		t.Fatalf("stderr missing report failure:\n%s", stderr.String())
+	}
+	if got := collector.Epochs(); len(got) != 1 || got[0] != 0 {
+		t.Errorf("collector holds epochs %v, want only [0]", got)
+	}
+	if strings.Contains(stdout.String(), "epoch 1 reported") {
+		t.Errorf("stdout claims the lost epoch was reported:\n%s", stdout.String())
 	}
 }
 

@@ -1,22 +1,23 @@
 // Command cocoagent runs one network-wide measurement vantage point:
 // it measures traffic (a pcap file or a synthetic trace) into a
-// CocoSketch and reports the sketch to a cococollector at the end of
-// each epoch.
+// CocoSketch, and at the end of each epoch seals the sketch into the
+// agent's spool and flushes the spool to a cococollector.
 //
 // With -workers > 1 the epoch is ingested through the sharded engine
 // (internal/shard): N workers each update a private sketch behind an
 // SPSC ring, and the merged snapshot is absorbed into the agent's
-// epoch sketch before it is reported. Sketch memory is per worker
+// epoch sketch before it is sealed. Sketch memory is per worker
 // (merge compatibility requires all shards to share one geometry).
 //
 // With -telemetry the agent serves its runtime counters as expvar-style
 // JSON on /debug/vars and mounts net/http/pprof under /debug/pprof/.
 //
-// With -spool N the agent runs hardened: each epoch is sealed into a
-// bounded coalescing spool and delivery failures are survived — the
-// agent keeps measuring through collector outages and flushes the
-// backlog when connectivity returns (exit 1 only if epochs remain
-// undelivered at the end). -write-timeout bounds each report exchange.
+// Without -spool the agent exits 1 on the first epoch it cannot
+// deliver. With -spool N it runs hardened: the spool holds up to N
+// coalescing epochs and the agent keeps measuring through collector
+// outages, flushing the backlog when connectivity returns (exit 1 only
+// if epochs remain undelivered at the end). -write-timeout bounds each
+// report exchange.
 //
 // All agents and the collector must agree on -mem, -d, -seed and
 // -report-codec (the compressed codec rounds the memory-derived bucket
@@ -169,19 +170,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 				agent.Observe(tr.Packets[i].Key, 1)
 			}
 		}
-		if *spool > 0 {
-			// Hardened mode: seal the epoch (never blocks ingest) and
-			// try to deliver the spool; an unreachable collector is a
-			// warning, not an exit — the epochs ride along and flush
-			// once connectivity returns.
-			agent.EndEpoch()
-			if conn, err = agent.FlushWithRedial(conn, dial, *redials); err != nil {
-				fmt.Fprintf(stderr, "cocoagent: epoch %d spooled, delivery pending: %v\n", e, err)
-				continue
+		agent.EndEpoch()
+		if conn, err = agent.FlushWithRedial(conn, dial, *redials); err != nil {
+			if *spool == 0 {
+				fmt.Fprintf(stderr, "cocoagent: report: %v\n", err)
+				return 1
 			}
-		} else if conn, err = agent.ReportWithRedial(conn, dial, *redials); err != nil {
-			fmt.Fprintf(stderr, "cocoagent: report: %v\n", err)
-			return 1
+			// Hardened mode: the epochs ride along and flush once
+			// connectivity returns.
+			fmt.Fprintf(stderr, "cocoagent: epoch %d spooled, delivery pending: %v\n", e, err)
+			continue
 		}
 		fmt.Fprintf(stdout, "agent %d: epoch %d reported (%d packets)\n", *id, e, len(tr.Packets))
 	}

@@ -46,6 +46,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -180,8 +181,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	for epoch := uint32(0); ; {
+	for next := uint32(0); ; {
 		time.Sleep(*every)
+		// Serve the oldest held epoch at or past next, not next itself:
+		// a coalesced spool report arrives under its range's high epoch,
+		// so the lower epochs it covers never arrive. The ring accepts
+		// the gap, because seals only need increasing epochs.
+		held := collector.Epochs()
+		i := sort.Search(len(held), func(i int) bool { return held[i] >= next })
+		if i == len(held) {
+			continue
+		}
+		epoch := held[i]
 		engine, ok := collector.Epoch(epoch)
 		if !ok {
 			continue
@@ -201,7 +212,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *oneshot {
 			return 0
 		}
-		epoch++
+		next = epoch + 1
 	}
 }
 

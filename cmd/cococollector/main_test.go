@@ -136,7 +136,8 @@ func TestRunClusterDispatchEndToEnd(t *testing.T) {
 			agent.Observe(flowkey.FiveTuple{SrcPort: uint16(i % 64), Proto: 6}, 1)
 			observed++
 		}
-		if err := agent.Report(conn); err != nil {
+		agent.EndEpoch()
+		if err := agent.Flush(conn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +242,8 @@ func TestRunWindowQueryEndToEnd(t *testing.T) {
 			agent.Observe(flowkey.FiveTuple{SrcIP: [4]byte{10, 0, 0, byte(i % 4)}, Proto: 6}, 1)
 			observed++
 		}
-		if err := agent.Report(conn); err != nil {
+		agent.EndEpoch()
+		if err := agent.Flush(conn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,10 +294,11 @@ func TestRunWindowQueryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunOneshotEndToEnd boots the collector via run() on an ephemeral
-// port, reports one epoch from an in-process agent, and checks run
-// exits 0 after printing the epoch summary.
-func TestRunOneshotEndToEnd(t *testing.T) {
+// oneshot boots run() with -oneshot on an ephemeral port, flushes the
+// agent's spool to it, and returns run's stdout once it has exited 0
+// (failing the test if it exits otherwise or not within five seconds).
+func oneshot(t *testing.T, agent *netwide.Agent) string {
+	t.Helper()
 	stdout := &syncBuffer{}
 	stderr := &syncBuffer{}
 	done := make(chan int, 1)
@@ -311,19 +314,12 @@ func TestRunOneshotEndToEnd(t *testing.T) {
 
 	out := waitFor(t, stdout, "collecting on ")
 	line := out[strings.Index(out, "collecting on ")+len("collecting on "):]
-	addr := strings.Fields(line)[0]
-
-	cfg := core.ConfigForMemory[flowkey.FiveTuple](2, 64*1024, 5)
-	agent := netwide.NewAgent(1, cfg)
-	for i := 0; i < 5000; i++ {
-		agent.Observe(flowkey.FiveTuple{SrcPort: uint16(i % 64), Proto: 6}, 1)
-	}
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.Dial("tcp", strings.Fields(line)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := agent.Report(conn); err != nil {
+	if err := agent.Flush(conn); err != nil {
 		t.Fatal(err)
 	}
 
@@ -333,9 +329,45 @@ func TestRunOneshotEndToEnd(t *testing.T) {
 			t.Fatalf("run = %d\nstderr: %s", code, stderr.String())
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("oneshot run never exited")
+		t.Fatalf("oneshot run never exited\nstdout: %s", stdout.String())
 	}
-	if out := stdout.String(); !strings.Contains(out, "=== epoch 0 (1 agents) ===") {
+	return stdout.String()
+}
+
+// TestRunOneshotEndToEnd boots the collector via run() on an ephemeral
+// port, reports one epoch from an in-process agent, and checks run
+// exits 0 after printing the epoch summary.
+func TestRunOneshotEndToEnd(t *testing.T) {
+	cfg := core.ConfigForMemory[flowkey.FiveTuple](2, 64*1024, 5)
+	agent := netwide.NewAgent(1, cfg)
+	for i := 0; i < 5000; i++ {
+		agent.Observe(flowkey.FiveTuple{SrcPort: uint16(i % 64), Proto: 6}, 1)
+	}
+	agent.EndEpoch()
+	out := oneshot(t, agent)
+	if !strings.Contains(out, "=== epoch 0 (1 agents) ===") {
 		t.Fatalf("no epoch summary in output:\n%s", out)
+	}
+}
+
+// TestRunOneshotServesCoalescedEpoch delivers epochs 0 and 1 as one
+// coalesced spool report, which arrives under its range's high epoch
+// only. The main loop must serve epoch 1 instead of waiting forever for
+// an epoch 0 that never arrives.
+func TestRunOneshotServesCoalescedEpoch(t *testing.T) {
+	cfg := core.ConfigForMemory[flowkey.FiveTuple](2, 64*1024, 5)
+	agent := netwide.NewAgent(1, cfg).SetSpool(1, netwide.SpoolCoalesce)
+	for e := 0; e < 2; e++ {
+		for i := 0; i < 2000; i++ {
+			agent.Observe(flowkey.FiveTuple{SrcPort: uint16(i % 64), DstPort: uint16(e), Proto: 6}, 1)
+		}
+		agent.EndEpoch()
+	}
+	if agent.PendingEpochs() != 1 {
+		t.Fatalf("spool holds %d entries, want epochs 0-1 coalesced into 1", agent.PendingEpochs())
+	}
+	out := oneshot(t, agent)
+	if !strings.Contains(out, "=== epoch 1 (1 agents) ===") {
+		t.Fatalf("coalesced epoch not served:\n%s", out)
 	}
 }

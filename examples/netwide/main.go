@@ -48,7 +48,8 @@ func main() {
 				panic(err)
 			}
 			defer conn.Close()
-			if err := agent.Report(conn); err != nil {
+			agent.EndEpoch()
+			if err := agent.Flush(conn); err != nil {
 				panic(err)
 			}
 			fmt.Printf("site %d reported epoch 0 (%d packets)\n", site, len(tr.Packets))

@@ -62,7 +62,8 @@ func TestDispatcherRealTCPSmoke(t *testing.T) {
 				agent.Observe(flowkey.FiveTuple{SrcPort: id, DstPort: uint16(p), Proto: 6}, uint64(1+p%3))
 				observed += uint64(1 + p%3)
 			}
-			if err := agent.Report(conn); err != nil {
+			agent.EndEpoch()
+			if err := agent.Flush(conn); err != nil {
 				t.Fatalf("agent %d epoch %d: %v", id, e, err)
 			}
 		}

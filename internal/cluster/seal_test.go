@@ -46,11 +46,13 @@ func TestClusterSealMatchesSingleCollector(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := scattered.Report(conn); err != nil {
+			scattered.EndEpoch()
+			if err := scattered.Flush(conn); err != nil {
 				t.Fatalf("scattered agent %d epoch %d: %v", id, e, err)
 			}
 			conn.Close()
-			if err := single.Report(conn0); err != nil {
+			single.EndEpoch()
+			if err := single.Flush(conn0); err != nil {
 				t.Fatalf("single agent %d epoch %d: %v", id, e, err)
 			}
 		}

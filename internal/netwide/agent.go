@@ -20,20 +20,12 @@ const DefaultSpoolLimit = 8
 type SpoolPolicy int
 
 const (
-	// SpoolCoalesce merges the newest adjacent pair of spool entries
-	// sealed by fingerprint-identical codecs with core.Merge: memory
-	// stays bounded, no observation is lost, and estimates over the
-	// union stay unbiased — the epochs just coarsen (the merged report
-	// spans an epoch range). Coalescing compares report.Codec
-	// Fingerprints, not names: entries sealed under different sealing
-	// parameters (e.g. a mid-run -report-shrink change) have different
-	// stage geometries and delta semantics, so they never merge; if a mixed-codec spool has no
-	// mergeable adjacent pair at all, the oldest non-head entry is
-	// shed instead, with its weight counted in
-	// "netwide.dropped_weight" (exact accounting, like
-	// SpoolDropOldest). The head of the spool is never coalesced or
-	// shed when the limit is at least 2, because a head entry may
-	// already have been received by the collector with its
+	// SpoolCoalesce merges the two newest spool entries with
+	// core.Merge: memory stays bounded, no observation is lost, and
+	// estimates over the union stay unbiased — the epochs just coarsen
+	// (the merged report spans an epoch range). The head of the spool
+	// is never coalesced when the limit is at least 2, because a head
+	// entry may already have been received by the collector with its
 	// acknowledgement lost, and re-sending it unmodified is what makes
 	// the retry idempotent.
 	SpoolCoalesce SpoolPolicy = iota
@@ -44,11 +36,8 @@ const (
 )
 
 // spoolEntry is one undelivered report: the stage sealed by the
-// epoch's codec and the contiguous epoch range it covers ([lo, hi],
-// both inclusive; lo == hi until coalescing widens it). The sealing
-// codec rides along so a spool that spans a SetCodec switch still
-// flushes every entry through the encoder that understands it, and so
-// coalescing only merges stages of the same codec (same geometry).
+// agent's codec and the contiguous epoch range it covers ([lo, hi],
+// both inclusive; lo == hi until coalescing widens it).
 type spoolEntry struct {
 	lo, hi uint32
 	stage  *core.Basic[flowkey.FiveTuple]
@@ -56,7 +45,6 @@ type spoolEntry struct {
 	// rawBytes is what a full snapshot of the sealed epoch would have
 	// cost on the wire — the numerator of the compression ratio.
 	rawBytes uint64
-	codec    report.Codec[flowkey.FiveTuple]
 }
 
 // Agent is one vantage point: it measures local traffic into a basic
@@ -65,12 +53,13 @@ type spoolEntry struct {
 // merge their sketches; flows seen at multiple vantage points are
 // counted once per observation, as in link-level measurement.
 //
-// Reporting is hardened for a collector that is slow, restarting or
-// partitioned away: every report exchange runs under a write deadline
-// (SetWriteTimeout), retries redial with capped jittered backoff
-// (Backoff), and epochs the collector never acknowledged are sealed
-// into a bounded spool (EndEpoch) that coalesces instead of blocking
-// the ingest path — see DESIGN.md §12 for the full fault model.
+// An epoch ships one way: EndEpoch seals it into a bounded spool and
+// Flush (or FlushWithRedial) delivers the spool, hardened for a
+// collector that is slow, restarting or partitioned away: every report
+// exchange runs under a write deadline (SetWriteTimeout), retries
+// redial with capped jittered backoff (Backoff), and unacknowledged
+// epochs stay in the spool, which coalesces instead of blocking the
+// ingest path — see DESIGN.md §12 for the full fault model.
 //
 // Agent is not safe for concurrent use (one dataplane thread per
 // agent, as elsewhere in this repository).
@@ -90,11 +79,10 @@ type Agent struct {
 	spoolLimit   int
 	spoolPolicy  SpoolPolicy
 
-	// codec seals epochs from here on; encoders holds one live encoder
-	// per codec ever used (delta state must survive codec switches for
-	// entries already spooled under the old codec).
-	codec    report.Codec[flowkey.FiveTuple]
-	encoders map[report.Codec[flowkey.FiveTuple]]report.Encoder[flowkey.FiveTuple]
+	// codec seals every epoch; enc is its one encoder, whose delta base
+	// carries from flush to flush.
+	codec report.Codec[flowkey.FiveTuple]
+	enc   report.Encoder[flowkey.FiveTuple]
 	// local is the fat stage of the most recently sealed epoch: with a
 	// compressed codec only the small stage ships, and this keeps
 	// full-resolution local queries possible (SF-sketch's split).
@@ -120,7 +108,7 @@ type agentTel struct {
 	deliveredWeight *telemetry.Counter
 	// absorbs counts external sketches merged in (sharded ingest).
 	absorbs *telemetry.Counter
-	// reconnects counts redials performed by the *WithRedial methods.
+	// reconnects counts redials performed by FlushWithRedial.
 	reconnects *telemetry.Counter
 	// spooledEpochs counts epochs sealed into the spool; spoolCoalesced
 	// counts overflow merges; droppedWeight/droppedEpochs what the
@@ -167,60 +155,49 @@ func (a *Agent) SetTelemetry(r *telemetry.Registry) *Agent {
 }
 
 // NewAgent creates an agent with the shared sketch configuration, the
-// system clock, the default backoff policy (seeded from the shared
-// seed and the agent id, so co-failing agents jitter apart), no write
-// timeout, and a DefaultSpoolLimit-entry coalescing spool.
+// full report codec, the system clock, the default backoff policy
+// (seeded from the shared seed and the agent id, so co-failing agents
+// jitter apart), no write timeout, and a DefaultSpoolLimit-entry
+// coalescing spool.
 func NewAgent(id uint16, cfg core.Config) *Agent {
-	return &Agent{
+	a := &Agent{
 		id:         id,
 		cfg:        cfg,
 		sketch:     core.NewBasic[flowkey.FiveTuple](cfg),
 		clock:      SystemClock,
 		backoff:    NewBackoff(DefaultBackoffBase, DefaultBackoffMax, cfg.Seed^(uint64(id)+1)*0x9e3779b97f4a7c15),
 		spoolLimit: DefaultSpoolLimit,
-		codec:      report.Full[flowkey.FiveTuple](flowkey.FiveTupleFromBytes),
-		encoders:   make(map[report.Codec[flowkey.FiveTuple]]report.Encoder[flowkey.FiveTuple]),
 	}
+	return a.SetCodec(report.Full[flowkey.FiveTuple](flowkey.FiveTupleFromBytes))
 }
 
-// SetCodec selects the report codec sealing epochs from now on (the
-// default is report.Full, the pre-codec wire format). Epochs already
-// spooled keep the codec that sealed them, so switching mid-stream is
-// safe — the spool simply becomes mixed-codec until it drains (see
-// SpoolPolicy for how coalescing treats that). The collector must run
-// a decoder that understands the chosen codec (Collector.SetCodec);
+// SetCodec selects the one report codec that seals and encodes every
+// epoch of this agent (NewAgent installs report.Full, the pre-codec
+// wire format) and starts a fresh encoder for it. Call it at
+// construction: it panics if any epoch is spooled, because those
+// stages were sealed by the previous codec. The collector must run a
+// decoder that understands the chosen codec (Collector.SetCodec);
 // DESIGN.md §14 has the compatibility matrix. Returns the agent for
 // chaining.
 func (a *Agent) SetCodec(c report.Codec[flowkey.FiveTuple]) *Agent {
+	if len(a.spool) > 0 {
+		panic("netwide: Agent.SetCodec with epochs spooled under the previous codec")
+	}
 	a.codec = c
+	a.enc = c.NewEncoder()
 	return a
 }
 
-// Codec returns the codec currently sealing epochs.
-func (a *Agent) Codec() report.Codec[flowkey.FiveTuple] { return a.codec }
-
 // LocalStage returns the fat stage of the most recently sealed epoch
-// (nil before the first EndEpoch or Report). With a compressed codec
+// (nil before the first EndEpoch). With a compressed codec
 // only the extracted small stage ships to the collector; the fat
 // sketch stays here at full resolution for local queries, per
 // SF-sketch's two-stage split. With the full codec the sealed sketch
 // itself is returned. Callers must treat it as read-only.
 func (a *Agent) LocalStage() *core.Basic[flowkey.FiveTuple] { return a.local }
 
-// encoderFor returns the live encoder for a codec, creating it on
-// first use. Encoders are per-codec because delta state is only
-// meaningful within one codec's stage geometry.
-func (a *Agent) encoderFor(c report.Codec[flowkey.FiveTuple]) report.Encoder[flowkey.FiveTuple] {
-	enc, ok := a.encoders[c]
-	if !ok {
-		enc = c.NewEncoder()
-		a.encoders[c] = enc
-	}
-	return enc
-}
-
 // seal converts the current epoch's fat sketch into its wire stage via
-// the active codec, retaining the fat sketch for LocalStage. A codec
+// the agent's codec, retaining the fat sketch for LocalStage. A codec
 // that cannot stage this geometry falls back to the fat sketch itself:
 // every codec's wire format is self-describing, so the report is then
 // merely uncompressed, never wrong.
@@ -274,18 +251,10 @@ func (a *Agent) Observe(key flowkey.FiveTuple, w uint64) {
 	a.tel.observed.Add(w)
 }
 
-// ObserveBatch records a burst of unit-weight packets through the
-// batched insert path (the ring-drain hot path of shard.Engine and the
-// OVS pipeline).
-func (a *Agent) ObserveBatch(keys []flowkey.FiveTuple) {
-	a.sketch.InsertBatchUnit(keys)
-	a.tel.observed.Add(uint64(len(keys)))
-}
-
 // Absorb merges an externally built sketch of the shared Config into
 // the current epoch — the hand-off point for sharded ingest: a
 // shard.Engine measures the epoch's traffic across N workers, and its
-// merged snapshot lands here before Report ships it to the collector.
+// merged snapshot lands here before EndEpoch seals it for the collector.
 func (a *Agent) Absorb(s *core.Basic[flowkey.FiveTuple]) error {
 	if err := a.sketch.Merge(s); err != nil {
 		return err
@@ -321,7 +290,6 @@ func (a *Agent) EndEpoch() {
 		hi:       a.epoch,
 		weight:   a.sketch.SumValues(),
 		rawBytes: uint64(a.sketch.MarshaledSize()),
-		codec:    a.codec,
 	}
 	e.stage = a.seal()
 	a.epoch++
@@ -343,52 +311,25 @@ func (a *Agent) shedOverflow() {
 		a.tel.droppedWeight.Add(head.weight)
 		a.tel.droppedEpochs.Add(uint64(head.hi-head.lo) + 1)
 	default: // SpoolCoalesce
-		// Coalescing is codec-aware: only adjacent entries whose
-		// sealing codecs share a Fingerprint may merge. The fingerprint
-		// — not the name — is the comparison, because "compressed" at
-		// shrink 8 and at shrink 16 seal to different stage geometries;
-		// a mid-run SetCodec shrink change must start a new coalescing
-		// run, never fold a new-shrink stage into an old-shrink one.
-		// Scan newest-first so a single-codec spool behaves exactly as
-		// before — the two newest entries merge. The head (index 0)
-		// stays untouched unless it is half of the only pair,
-		// preserving retry idempotency (see SpoolPolicy).
-		low := 1
-		if len(a.spool) == 2 {
-			low = 0
+		// The head (index 0) is only touched when it is half of the
+		// only pair (limit 1), preserving retry idempotency (see
+		// SpoolPolicy).
+		j := len(a.spool) - 1
+		i := j - 1
+		if err := a.spool[i].stage.Merge(a.spool[j].stage); err != nil {
+			// Every stage was sealed by the agent's one codec from the
+			// agent's one Config, so all share a geometry.
+			panic(fmt.Sprintf("netwide: coalescing spooled epochs: %v", err))
 		}
-		for i := len(a.spool) - 2; i >= low; i-- {
-			j := i + 1
-			if a.spool[i].codec.Fingerprint() != a.spool[j].codec.Fingerprint() {
-				continue
-			}
-			// Merge validates compatibility before mutating, so a
-			// failed pair can be skipped and the scan continued.
-			if err := a.spool[i].stage.Merge(a.spool[j].stage); err != nil {
-				continue
-			}
-			a.spool[i].hi = a.spool[j].hi
-			a.spool[i].weight += a.spool[j].weight
-			// The merged range's snapshot baseline is one snapshot,
-			// not two: keep the larger of the pair.
-			if a.spool[j].rawBytes > a.spool[i].rawBytes {
-				a.spool[i].rawBytes = a.spool[j].rawBytes
-			}
-			a.spool = append(a.spool[:j], a.spool[j+1:]...)
-			a.tel.spoolCoalesced.Inc()
-			return
+		a.spool[i].hi = a.spool[j].hi
+		a.spool[i].weight += a.spool[j].weight
+		// The merged range's snapshot baseline is one snapshot, not
+		// two: keep the larger of the pair.
+		if a.spool[j].rawBytes > a.spool[i].rawBytes {
+			a.spool[i].rawBytes = a.spool[j].rawBytes
 		}
-		// No mergeable pair (a mixed-codec spool with alternating
-		// seams): shed the oldest non-head entry with exact
-		// accounting, keeping the possibly-transmitted head intact.
-		drop := 1
-		if len(a.spool) < 2 {
-			drop = 0
-		}
-		d := a.spool[drop]
-		a.spool = append(a.spool[:drop], a.spool[drop+1:]...)
-		a.tel.droppedWeight.Add(d.weight)
-		a.tel.droppedEpochs.Add(uint64(d.hi-d.lo) + 1)
+		a.spool = a.spool[:j]
+		a.tel.spoolCoalesced.Inc()
 	}
 }
 
@@ -400,26 +341,26 @@ func (a *Agent) updateSpoolTel() {
 
 // Flush delivers spooled reports oldest-first over conn, stopping at
 // the first transport error (delivered entries are retired either
-// way). Each entry is encoded by the codec that sealed it; payloads
-// are delta-encoded at flush time, against the last acknowledged
-// report, so coalescing a spooled stage never invalidates a
-// pre-computed delta. Any failed exchange resets that codec's delta
-// base — the collector's receipt is then unknown, and the retry must
-// be self-contained. Each exchange runs under the agent's write
-// timeout. A nil return means the spool is empty.
+// way). A coalesced entry ships as one report under its range's high
+// epoch. Payloads are encoded at flush time, delta-encoded against the
+// last acknowledged report, so coalescing a spooled stage never
+// invalidates a pre-computed delta. Any failed exchange resets the
+// delta base — the collector's receipt is then unknown, and the retry
+// must be self-contained; sealing is deterministic, so the retried
+// payload describes the identical stage. Each exchange runs under the
+// agent's write timeout. A nil return means the spool is empty.
 func (a *Agent) Flush(conn net.Conn) error {
 	for len(a.spool) > 0 {
 		e := &a.spool[0]
-		enc := a.encoderFor(e.codec)
-		blob, err := enc.Encode(e.hi, e.stage)
+		blob, err := a.enc.Encode(e.hi, e.stage)
 		if err != nil {
 			return err
 		}
 		if err := a.exchange(conn, Message{Type: MsgSketch, Epoch: e.hi, AgentID: a.id, Payload: blob}); err != nil {
-			enc.Reset()
+			a.enc.Reset()
 			return err
 		}
-		enc.Ack(e.hi, e.stage)
+		a.enc.Ack(e.hi, e.stage)
 		a.tel.reportsSent.Inc()
 		a.tel.reportBytes.Add(uint64(len(blob)))
 		a.tel.reportRawBytes.Add(e.rawBytes)
@@ -434,10 +375,15 @@ func (a *Agent) Flush(conn net.Conn) error {
 }
 
 // FlushWithRedial is Flush with the shared redial policy: on a
-// transport error it closes the connection, sleeps the backoff delay,
-// redials and resumes flushing, up to attempts redials. It returns the
-// connection to use next (the last successfully dialed one) and the
-// last error once attempts are exhausted.
+// transport error it closes the connection, sleeps the backoff delay
+// (capped exponential with seeded jitter — see Backoff), redials and
+// resumes flushing, up to attempts redials; failed dials consume an
+// attempt and keep retrying, so a collector restart longer than one
+// backoff step is survived. Each successful redial is counted in the
+// "netwide.reconnects" telemetry counter. It returns the connection to
+// use next (the last successfully dialed one) and the last error once
+// attempts are exhausted; undelivered epochs stay spooled, and the
+// collector's duplicate detection makes re-sending one idempotent.
 func (a *Agent) FlushWithRedial(conn net.Conn, dial func() (net.Conn, error), attempts int) (net.Conn, error) {
 	return a.withRedial(conn, dial, attempts, a.Flush)
 }
@@ -462,61 +408,6 @@ func (a *Agent) exchange(conn net.Conn, msg Message) error {
 		return fmt.Errorf("netwide: unexpected ack (type %d, epoch %d)", ack.Type, ack.Epoch)
 	}
 	return nil
-}
-
-// Report ships the current epoch's sketch to the collector over conn
-// through the active codec, waits for the acknowledgement, and resets
-// local state for the next epoch. The spool is not involved: a failed
-// Report leaves the epoch open for a direct retry (ReportWithRedial),
-// which is the simple fail-fast mode of cmd/cocoagent without -spool.
-// As in Flush, a failed exchange resets the codec's delta base so the
-// retry is self-contained; sealing is deterministic, so the retried
-// payload describes the identical stage.
-func (a *Agent) Report(conn net.Conn) error {
-	stage, err := a.codec.Seal(a.sketch)
-	if err != nil {
-		stage = a.sketch
-	}
-	enc := a.encoderFor(a.codec)
-	blob, err := enc.Encode(a.epoch, stage)
-	if err != nil {
-		return err
-	}
-	w := a.sketch.SumValues()
-	raw := uint64(a.sketch.MarshaledSize())
-	if err := a.exchange(conn, Message{Type: MsgSketch, Epoch: a.epoch, AgentID: a.id, Payload: blob}); err != nil {
-		enc.Reset()
-		return err
-	}
-	enc.Ack(a.epoch, stage)
-	a.local = a.sketch
-	a.epoch++
-	a.sketch = core.NewBasic[flowkey.FiveTuple](a.cfg).SetTelemetry(a.sketchTel)
-	a.tel.reportsSent.Inc()
-	a.tel.reportBytes.Add(uint64(len(blob)))
-	a.tel.reportRawBytes.Add(raw)
-	if len(blob) > 0 {
-		a.tel.reportRatio.Observe(raw * 100 / uint64(len(blob)))
-	}
-	a.tel.deliveredWeight.Add(w)
-	return nil
-}
-
-// ReportWithRedial ships the epoch like Report, but on a transport
-// error it closes the connection, sleeps the shared backoff delay
-// (capped exponential with seeded jitter — see Backoff), redials and
-// retries, up to attempts redials; failed dials consume an attempt and
-// keep retrying, so a collector restart longer than one backoff step
-// is survived. Each successful redial is counted in the
-// "netwide.reconnects" telemetry counter. It returns the connection to
-// use for the next epoch and the last error once attempts are
-// exhausted.
-//
-// The epoch sketch is only reset after a successful acknowledgement,
-// so a retried report re-sends the same epoch; the collector's
-// duplicate detection makes that idempotent.
-func (a *Agent) ReportWithRedial(conn net.Conn, dial func() (net.Conn, error), attempts int) (net.Conn, error) {
-	return a.withRedial(conn, dial, attempts, a.Report)
 }
 
 // withRedial runs op over conn, and on failure loops close → backoff

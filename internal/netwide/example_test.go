@@ -14,9 +14,10 @@ import (
 )
 
 // Example wires one agent to a collector over an in-memory connection:
-// the agent measures an epoch of traffic, reports the serialized
-// sketch, and the collector answers a network-wide query. Sharing one
-// core.Config between both sides is what makes the sketches mergeable.
+// the agent measures an epoch of traffic, seals it and flushes the
+// serialized sketch, and the collector answers a network-wide query.
+// Sharing one core.Config between both sides is what makes the
+// sketches mergeable.
 func Example() {
 	cfg := core.Config{Arrays: 2, BucketsPerArray: 1024, Seed: 7}
 	collector := netwide.NewCollector(cfg)
@@ -33,7 +34,8 @@ func Example() {
 	for i := range tr.Packets {
 		agent.Observe(tr.Packets[i].Key, 1)
 	}
-	if err := agent.Report(agentConn); err != nil {
+	agent.EndEpoch()
+	if err := agent.Flush(agentConn); err != nil {
 		panic(err)
 	}
 	agentConn.Close()

@@ -78,19 +78,20 @@ func TestBackoffSchedulePinned(t *testing.T) {
 	}
 }
 
-// TestReportWithRedialBackoffSchedule checks ReportWithRedial sleeps
+// TestFlushWithRedialBackoffSchedule checks FlushWithRedial sleeps
 // exactly the shared policy's schedule between redials — the
 // regression test for the old retry-immediately loop.
-func TestReportWithRedialBackoffSchedule(t *testing.T) {
+func TestFlushWithRedialBackoffSchedule(t *testing.T) {
 	cfg := telNetCfg()
 	clk := &recClock{now: time.Unix(0, 0)}
 	agent := NewAgent(1, cfg).
 		SetClock(clk).
 		SetBackoff(NewBackoff(50*time.Millisecond, 2*time.Second, 7))
 	agent.Observe(flowkey.FiveTuple{Proto: 6}, 1)
+	agent.EndEpoch()
 
 	failDial := func() (net.Conn, error) { return nil, errors.New("collector down") }
-	if _, err := agent.ReportWithRedial(deadConn{}, failDial, 5); err == nil {
+	if _, err := agent.FlushWithRedial(deadConn{}, failDial, 5); err == nil {
 		t.Fatal("redial against dead dialer succeeded")
 	}
 	want := NewBackoff(50*time.Millisecond, 2*time.Second, 7)
@@ -102,8 +103,8 @@ func TestReportWithRedialBackoffSchedule(t *testing.T) {
 			t.Errorf("sleep %d = %v, want %v", i, d, w)
 		}
 	}
-	if agent.Epoch() != 0 {
-		t.Errorf("epoch advanced to %d on failed report", agent.Epoch())
+	if got := agent.PendingEpochs(); got != 1 {
+		t.Errorf("spool holds %d epochs after failed flush, want 1", got)
 	}
 }
 
@@ -210,12 +211,13 @@ func TestReportWriteTimeout(t *testing.T) {
 
 	agent := NewAgent(1, telNetCfg()).SetClock(n).SetWriteTimeout(5 * time.Second)
 	agent.Observe(flowkey.FiveTuple{Proto: 6}, 3)
+	agent.EndEpoch()
 	conn, err := n.Dial("collector")
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := n.Now()
-	err = agent.Report(conn)
+	err = agent.Flush(conn)
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("report against stalled collector = %v, want timeout", err)
@@ -223,8 +225,8 @@ func TestReportWriteTimeout(t *testing.T) {
 	if waited := n.Now().Sub(start); waited != 5*time.Second {
 		t.Errorf("timeout after %v, want exactly the 5s budget", waited)
 	}
-	if agent.Epoch() != 0 {
-		t.Errorf("epoch advanced to %d on timed-out report", agent.Epoch())
+	if got := agent.PendingEpochs(); got != 1 {
+		t.Errorf("spool holds %d epochs after timed-out flush, want 1", got)
 	}
 	conn.Close()
 	l.Close()

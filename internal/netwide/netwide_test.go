@@ -106,7 +106,8 @@ func TestEndToEnd(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			if err := agent.Report(conn); err != nil {
+			agent.EndEpoch()
+			if err := agent.Flush(conn); err != nil {
 				t.Error(err)
 			}
 			if agent.Epoch() != 1 {

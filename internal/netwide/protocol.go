@@ -16,8 +16,9 @@
 // Compressed codec keeps the fat sketch on the agent and ships a
 // shrunken, delta-encoded stage per epoch — roughly an order of
 // magnitude fewer report bytes (wire format in DESIGN.md §14). Both
-// Agent and Collector select a codec with SetCodec; the spool, the
-// retry path and the conservation ledger are codec-aware throughout.
+// Agent and Collector select a codec with SetCodec; an agent picks one
+// at construction, and every epoch it spools, retries and accounts for
+// goes through that codec.
 package netwide
 
 import (

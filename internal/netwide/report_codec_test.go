@@ -133,111 +133,65 @@ func TestCompressedEndToEndConservesMassAtFiveXFewerBytes(t *testing.T) {
 	}
 }
 
-// TestMixedCodecSpoolCoalescesPerCodec is the regression test for
-// codec-aware coalescing: entries sealed under different codecs must
-// never merge; same-codec runs coalesce as before; and when no
-// adjacent pair matches, the oldest non-head entry is shed with exact
-// ledger accounting.
-func TestMixedCodecSpoolCoalescesPerCodec(t *testing.T) {
+// TestMixedFleetAtCompressedCollector serves a full-codec agent and a
+// compressed-codec agent from one compressed collector: snapshots pass
+// through, deltas decode, and every epoch's mass is conserved. The
+// compressed agent ships at shrink 1 because an epoch's shards must
+// share one geometry to merge.
+func TestMixedFleetAtCompressedCollector(t *testing.T) {
 	cfg := telNetCfg()
-	compressed := mustCompressed(t, cfg, 4)
-	full := report.Full[flowkey.FiveTuple](flowkey.FiveTupleFromBytes)
+	collector := NewCollector(cfg).SetCodec(mustCompressed(t, cfg, 1))
+	addr, stop := serveCollector(t, collector)
+	defer stop()
 
-	t.Run("same-codec runs coalesce", func(t *testing.T) {
-		reg := telemetry.New()
-		agent := NewAgent(1, cfg).SetTelemetry(reg).SetSpool(3, SpoolCoalesce)
-		weights := []uint64{10, 20, 30, 40, 50}
-		codecs := []report.Codec[flowkey.FiveTuple]{full, full, compressed, compressed, compressed}
-		for i, w := range weights {
-			agent.SetCodec(codecs[i])
-			agent.Observe(flowkey.FiveTuple{Proto: 6, SrcPort: uint16(i)}, w)
-			agent.EndEpoch()
-		}
-		// Overflows: [f0 f1 c2 c3] → merge (c2,c3); [f0 f1 c23 c4] →
-		// merge (c23,c4). Full entries stay single-epoch.
-		if got := agent.PendingEpochs(); got != 3 {
-			t.Fatalf("spool depth = %d, want 3", got)
-		}
-		for i, want := range []struct {
-			lo, hi uint32
-			codec  report.Codec[flowkey.FiveTuple]
-		}{{0, 0, full}, {1, 1, full}, {2, 4, compressed}} {
-			e := agent.spool[i]
-			if e.lo != want.lo || e.hi != want.hi || e.codec != want.codec {
-				t.Errorf("entry %d spans [%d,%d] codec %s, want [%d,%d] %s",
-					i, e.lo, e.hi, e.codec.Name(), want.lo, want.hi, want.codec.Name())
-			}
-		}
-		snap := reg.Snapshot()
-		if got := snap.Counters["netwide.spool_coalesced"]; got != 2 {
-			t.Errorf("spool_coalesced = %d, want 2", got)
-		}
-		if got := snap.Counters["netwide.dropped_weight"]; got != 0 {
-			t.Errorf("dropped_weight = %d, nothing should be shed", got)
-		}
-
-		// Flushing the mixed spool to a compressed-codec collector
-		// delivers everything: full snapshots pass through, compressed
-		// entries decode. The ledger closes exactly.
-		collector := NewCollector(cfg).SetCodec(mustCompressed(t, cfg, 4))
-		addr, stop := serveCollector(t, collector)
-		defer stop()
+	agents := []*Agent{NewAgent(1, cfg), NewAgent(2, cfg).SetCodec(mustCompressed(t, cfg, 1))}
+	conns := make([]net.Conn, len(agents))
+	for i := range agents {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if err := agent.Flush(conn); err != nil {
-			t.Fatal(err)
-		}
-		snap = reg.Snapshot()
-		if ob, dw := snap.Counters["netwide.observed"], snap.Counters["netwide.delivered_weight"]; ob != dw {
-			t.Errorf("ledger: observed %d != delivered %d", ob, dw)
-		}
-		for _, e := range []uint32{0, 1, 4} {
-			if _, ok := collector.Epoch(e); !ok {
-				t.Errorf("epoch %d missing at collector", e)
+		conns[i] = conn
+	}
+	for epoch := 0; epoch < 3; epoch++ {
+		var want uint64
+		for i, a := range agents {
+			observeEpoch(a, epoch, 2000, int64(10*epoch+i))
+			want += a.sketch.SumValues()
+			a.EndEpoch()
+			if err := a.Flush(conns[i]); err != nil {
+				t.Fatalf("agent %d epoch %d: %v", i, epoch, err)
 			}
 		}
-	})
+		eng, ok := collector.Epoch(uint32(epoch))
+		if !ok {
+			t.Fatalf("epoch %d missing at collector", epoch)
+		}
+		var total uint64
+		for _, v := range eng.FullTable() {
+			total += v
+		}
+		if total != want {
+			t.Errorf("epoch %d: collector mass %d, agents observed %d", epoch, total, want)
+		}
+	}
+}
 
-	t.Run("alternating codecs shed with accounting", func(t *testing.T) {
-		reg := telemetry.New()
-		agent := NewAgent(2, cfg).SetTelemetry(reg).SetSpool(3, SpoolCoalesce)
-		codecs := []report.Codec[flowkey.FiveTuple]{full, compressed, full, compressed}
-		for i, w := range []uint64{10, 20, 30, 40} {
-			agent.SetCodec(codecs[i])
-			agent.Observe(flowkey.FiveTuple{Proto: 17, SrcPort: uint16(i)}, w)
-			agent.EndEpoch()
+// TestSetCodecPanicsWithSpooledEpochs: an agent has one codec, so
+// switching it while stages sealed by the old one wait in the spool is
+// a programming error that must fail loudly.
+func TestSetCodecPanicsWithSpooledEpochs(t *testing.T) {
+	cfg := telNetCfg()
+	agent := NewAgent(1, cfg)
+	agent.Observe(flowkey.FiveTuple{Proto: 6}, 1)
+	agent.EndEpoch()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetCodec with a spooled epoch did not panic")
 		}
-		// [f0 c1 f2 c3]: no adjacent pair shares a codec and the head
-		// is protected, so the oldest non-head entry (epoch 1) is shed.
-		if got := agent.PendingEpochs(); got != 3 {
-			t.Fatalf("spool depth = %d, want 3", got)
-		}
-		if e := agent.spool[0]; e.lo != 0 || e.hi != 0 {
-			t.Errorf("head entry spans [%d,%d], want untouched [0,0]", e.lo, e.hi)
-		}
-		if e := agent.spool[1]; e.lo != 2 || e.hi != 2 {
-			t.Errorf("entry 1 spans [%d,%d], want [2,2] (epoch 1 shed)", e.lo, e.hi)
-		}
-		snap := reg.Snapshot()
-		if got := snap.Counters["netwide.dropped_weight"]; got != 20 {
-			t.Errorf("dropped_weight = %d, want exactly epoch 1's 20", got)
-		}
-		if got := snap.Counters["netwide.dropped_epochs"]; got != 1 {
-			t.Errorf("dropped_epochs = %d, want 1", got)
-		}
-		if got := snap.Counters["netwide.spool_coalesced"]; got != 0 {
-			t.Errorf("spool_coalesced = %d, cross-codec entries must not merge", got)
-		}
-		ob := snap.Counters["netwide.observed"]
-		pending := uint64(snap.Gauges["netwide.spool_weight"])
-		dropped := snap.Counters["netwide.dropped_weight"]
-		if ob != pending+dropped {
-			t.Errorf("ledger: observed %d != pending %d + dropped %d", ob, pending, dropped)
-		}
-	})
+	}()
+	agent.SetCodec(mustCompressed(t, cfg, 4))
 }
 
 // TestFullCollectorRejectsCompressedReports pins the strict cell of
@@ -329,104 +283,4 @@ func TestCollectorRestartRecovery(t *testing.T) {
 	if total != want {
 		t.Errorf("epoch 1 mass %d after recovery, want %d", total, want)
 	}
-}
-
-// TestSpoolCoalesceComparesShrinkNotJustName is the regression test
-// for fingerprint-based coalescing: "compressed" at two different
-// shrink factors must never merge (their stages have different
-// geometries — the old name-only comparison would have corrupted the
-// spool on a mid-run -report-shrink change), while two distinct codec
-// instances with identical sealing parameters must still coalesce.
-func TestSpoolCoalesceComparesShrinkNotJustName(t *testing.T) {
-	cfg := telNetCfg()
-
-	t.Run("mid-run shrink change never merges", func(t *testing.T) {
-		reg := telemetry.New()
-		agent := NewAgent(3, cfg).SetTelemetry(reg).SetSpool(2, SpoolCoalesce)
-		shrink4 := mustCompressed(t, cfg, 4)
-		shrink8 := mustCompressed(t, cfg, 8)
-		if shrink4.Name() != shrink8.Name() {
-			t.Fatalf("precondition: names differ (%s vs %s), test would not catch name-only comparison",
-				shrink4.Name(), shrink8.Name())
-		}
-		if shrink4.Fingerprint() == shrink8.Fingerprint() {
-			t.Fatal("fingerprints must differ across shrink factors")
-		}
-		for i, c := range []report.Codec[flowkey.FiveTuple]{shrink4, shrink4, shrink8} {
-			agent.SetCodec(c)
-			agent.Observe(flowkey.FiveTuple{Proto: 6, SrcPort: uint16(i)}, uint64(10*(i+1)))
-			agent.EndEpoch()
-		}
-		// Overflow at [s4(0) s4(1) s8(2)]: the only scannable pair
-		// (1,2) spans the shrink change, so nothing merges and the
-		// oldest non-head entry (epoch 1, weight 20) is shed.
-		if got := agent.PendingEpochs(); got != 2 {
-			t.Fatalf("spool depth = %d, want 2", got)
-		}
-		for i, want := range []struct{ lo, hi uint32 }{{0, 0}, {2, 2}} {
-			if e := agent.spool[i]; e.lo != want.lo || e.hi != want.hi {
-				t.Errorf("entry %d spans [%d,%d], want [%d,%d]", i, e.lo, e.hi, want.lo, want.hi)
-			}
-		}
-		snap := reg.Snapshot()
-		if got := snap.Counters["netwide.spool_coalesced"]; got != 0 {
-			t.Errorf("spool_coalesced = %d, cross-shrink entries must not merge", got)
-		}
-		if got := snap.Counters["netwide.dropped_weight"]; got != 20 {
-			t.Errorf("dropped_weight = %d, want exactly epoch 1's 20", got)
-		}
-		ob := snap.Counters["netwide.observed"]
-		pending := uint64(snap.Gauges["netwide.spool_weight"])
-		if ob != pending+snap.Counters["netwide.dropped_weight"] {
-			t.Errorf("ledger: observed %d != pending %d + dropped %d",
-				ob, pending, snap.Counters["netwide.dropped_weight"])
-		}
-	})
-
-	t.Run("distinct instances with equal parameters coalesce", func(t *testing.T) {
-		reg := telemetry.New()
-		agent := NewAgent(4, cfg).SetTelemetry(reg).SetSpool(2, SpoolCoalesce)
-		ca := mustCompressed(t, cfg, 4)
-		cb := mustCompressed(t, cfg, 4)
-		var observed uint64
-		for i, c := range []report.Codec[flowkey.FiveTuple]{ca, ca, cb} {
-			agent.SetCodec(c)
-			agent.Observe(flowkey.FiveTuple{Proto: 17, SrcPort: uint16(i)}, uint64(10*(i+1)))
-			observed += uint64(10 * (i + 1))
-			agent.EndEpoch()
-		}
-		// ca and cb are different objects with the same fingerprint:
-		// entries 1 and 2 merge (the old identity comparison would have
-		// shed epoch 1 instead).
-		if got := agent.PendingEpochs(); got != 2 {
-			t.Fatalf("spool depth = %d, want 2", got)
-		}
-		if e := agent.spool[1]; e.lo != 1 || e.hi != 2 {
-			t.Errorf("entry 1 spans [%d,%d], want coalesced [1,2]", e.lo, e.hi)
-		}
-		snap := reg.Snapshot()
-		if got := snap.Counters["netwide.spool_coalesced"]; got != 1 {
-			t.Errorf("spool_coalesced = %d, want 1", got)
-		}
-		if got := snap.Counters["netwide.dropped_weight"]; got != 0 {
-			t.Errorf("dropped_weight = %d, nothing should be shed", got)
-		}
-
-		// The mixed-instance spool still flushes cleanly end to end.
-		collector := NewCollector(cfg).SetCodec(mustCompressed(t, cfg, 4))
-		addr, stop := serveCollector(t, collector)
-		defer stop()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if err := agent.Flush(conn); err != nil {
-			t.Fatal(err)
-		}
-		snap = reg.Snapshot()
-		if ob, dw := snap.Counters["netwide.observed"], snap.Counters["netwide.delivered_weight"]; ob != observed || dw != observed {
-			t.Errorf("ledger: observed %d delivered %d, want both %d", ob, dw, observed)
-		}
-	})
 }

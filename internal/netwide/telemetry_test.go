@@ -46,12 +46,11 @@ func TestAgentCollectorTelemetryRoundTrip(t *testing.T) {
 
 	const epochs = 2
 	for e := 0; e < epochs; e++ {
-		half := len(keys) / 2
-		for _, k := range keys[:half] {
+		for _, k := range keys {
 			agent.Observe(k, 1)
 		}
-		agent.ObserveBatch(keys[half:])
-		if err := agent.Report(conn); err != nil {
+		agent.EndEpoch()
+		if err := agent.Flush(conn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,10 +129,10 @@ func TestCollectorTelemetryDupAndMergeError(t *testing.T) {
 	}
 }
 
-// TestReportWithRedialReconnects kills the collector's listener out
-// from under the agent and checks ReportWithRedial redials, delivers
+// TestFlushWithRedialReconnects kills the collector's listener out
+// from under the agent and checks FlushWithRedial redials, delivers
 // the epoch exactly once, and counts the reconnect.
-func TestReportWithRedialReconnects(t *testing.T) {
+func TestFlushWithRedialReconnects(t *testing.T) {
 	cfg := telNetCfg()
 	regC := telemetry.New()
 	collector := NewCollector(cfg).SetTelemetry(regC)
@@ -147,16 +146,17 @@ func TestReportWithRedialReconnects(t *testing.T) {
 	reg := telemetry.New()
 	agent := NewAgent(7, cfg).SetTelemetry(reg)
 	agent.Observe(flowkey.FiveTuple{Proto: 17, SrcPort: 53}, 4)
+	agent.EndEpoch()
 
 	dial := func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }
-	// A pre-closed connection forces the first Report to fail.
+	// A pre-closed connection forces the first Flush to fail.
 	dead, err := dial()
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead.Close()
 
-	conn, err := agent.ReportWithRedial(dead, dial, 2)
+	conn, err := agent.FlushWithRedial(dead, dial, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,26 +167,27 @@ func TestReportWithRedialReconnects(t *testing.T) {
 	if got := reg.Counter("netwide.reports_sent").Value(); got != 1 {
 		t.Errorf("netwide.reports_sent = %d, want 1", got)
 	}
-	if agent.Epoch() != 1 {
-		t.Errorf("epoch = %d after successful redial report", agent.Epoch())
+	if got := agent.PendingEpochs(); got != 0 {
+		t.Errorf("spool holds %d epochs after successful redial flush", got)
 	}
 	if got := collector.AgentsReported(0); got != 1 {
 		t.Errorf("collector saw %d agents for epoch 0, want 1", got)
 	}
 
 	// Exhausted attempts surface the dial error and leave the epoch
-	// un-reported for a later retry.
+	// spooled for a later retry.
 	agent.Observe(flowkey.FiveTuple{Proto: 6, SrcPort: 443}, 1)
+	agent.EndEpoch()
 	dead2, err := dial()
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead2.Close()
 	failDial := func() (net.Conn, error) { return nil, errors.New("collector down") }
-	if _, err := agent.ReportWithRedial(dead2, failDial, 3); err == nil {
+	if _, err := agent.FlushWithRedial(dead2, failDial, 3); err == nil {
 		t.Fatal("redial with dead dialer reported success")
 	}
-	if agent.Epoch() != 1 {
-		t.Errorf("epoch advanced to %d on failed report", agent.Epoch())
+	if got := agent.PendingEpochs(); got != 1 {
+		t.Errorf("spool holds %d epochs after failed flush, want 1", got)
 	}
 }

@@ -134,16 +134,6 @@ func Compressed[K flowkey.Key](cfg core.Config, shrink int, decode core.KeyDecod
 
 func (c *compressedCodec[K]) Name() string { return "compressed" }
 
-// Fingerprint folds in everything that shapes the sealed stage: the
-// fat geometry (arrays, buckets, seed) and the shrink factor. Two
-// compressed codecs at different shrinks seal to different stage
-// geometries, so their fingerprints must differ even though their
-// names agree.
-func (c *compressedCodec[K]) Fingerprint() string {
-	return fmt.Sprintf("compressed/d=%d,l=%d,seed=%d,shrink=%d",
-		c.cfg.Arrays, c.cfg.BucketsPerArray, c.cfg.Seed, c.shrink)
-}
-
 func (c *compressedCodec[K]) Seal(fat *core.Basic[K]) (*core.Basic[K], error) {
 	if c.shrink == 1 {
 		return fat.Clone(), nil
@@ -184,8 +174,8 @@ func (e *compressedEncoder[K]) Encode(epoch uint32, stage *core.Basic[K]) ([]byt
 	shrinkLog := bits.TrailingZeros(uint(ratio))
 
 	// Delta only against a base of the exact same geometry; a sealed
-	// fat fallback or a codec swap silently degrades to
-	// self-contained rather than failing.
+	// fat fallback silently degrades to self-contained rather than
+	// failing.
 	base := e.base
 	if base != nil && (base.stage.Arrays() != d || base.stage.BucketsPerArray() != l) {
 		base = nil
@@ -283,9 +273,8 @@ type compressedDecoder[K flowkey.Key] struct {
 func (dec *compressedDecoder[K]) Decode(agent uint16, epoch uint32, payload []byte) (*core.Basic[K], error) {
 	if len(payload) >= 4 && string(payload[:4]) == "COCO" {
 		// Full-snapshot payload from a full-codec agent: accept it
-		// unchanged. The agent's compressed encoder (if it has one —
-		// mixed-codec spools flush both kinds) did not advance its
-		// base for this exchange, so ours stays untouched too.
+		// unchanged. That agent keeps no delta base, so ours stays
+		// untouched too.
 		return core.UnmarshalBasic(payload, dec.c.decode)
 	}
 	c := dec.c

@@ -23,10 +23,6 @@ func Full[K flowkey.Key](decode core.KeyDecoder[K]) Codec[K] {
 
 func (c *fullCodec[K]) Name() string { return "full" }
 
-// Fingerprint is just the name: Seal is the identity, so any two full
-// codecs seal to the same (fat) geometry.
-func (c *fullCodec[K]) Fingerprint() string { return "full" }
-
 func (c *fullCodec[K]) Seal(fat *core.Basic[K]) (*core.Basic[K], error) {
 	return fat, nil
 }

@@ -78,17 +78,9 @@ func AlignConfig(cfg core.Config) core.Config {
 // format. Implementations are immutable and safe to share; all mutable
 // state lives in the Encoder/Decoder instances they hand out.
 type Codec[K flowkey.Key] interface {
-	// Name identifies the codec ("full", "compressed") in flags,
-	// telemetry and spool entries.
+	// Name identifies the codec ("full", "compressed") in flags and
+	// telemetry.
 	Name() string
-	// Fingerprint identifies the codec's sealing semantics: two codecs
-	// with the same fingerprint seal any given fat sketch into stages
-	// of identical geometry, so their sealed spool entries may be
-	// coalesced with core.Merge. The name alone is not enough —
-	// "compressed" at shrink 8 and shrink 16 produce incompatible
-	// stages — so implementations fold every parameter that affects
-	// the sealed geometry into the string.
-	Fingerprint() string
 	// Seal converts the fat epoch sketch into the stage that will go
 	// on the wire: the identity for Full, a compressed deep copy
 	// (core.ExtractStage) for Compressed. The fat sketch is never
