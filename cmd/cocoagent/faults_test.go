@@ -22,6 +22,31 @@ func TestRunBadFlagExitsUsage(t *testing.T) {
 	}
 }
 
+// TestRunBadSizesExitUsage pins the size flags' usage errors: each
+// exits 2 naming its flag before the agent dials (the unparsable
+// collector port would exit 1 otherwise).
+func TestRunBadSizesExitUsage(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value string
+	}{
+		{"-d", "0"},
+		{"-mem", "0"},
+		{"-mem", "-5"},
+		{"-packets", "-1"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run([]string{"-collector", "127.0.0.1:notaport", "-packets", "1000", tc.flag, tc.value}, &stdout, &stderr)
+			if code != 2 {
+				t.Fatalf("run = %d, want 2\nstderr: %s", code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.flag+" ") {
+				t.Fatalf("stderr does not name %s: %q", tc.flag, stderr.String())
+			}
+		})
+	}
+}
+
 func TestRunCollectorDownAtStart(t *testing.T) {
 	// Bind and immediately close a listener: the port is real but
 	// refuses connections, so the initial dial fails fast.

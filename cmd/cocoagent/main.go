@@ -98,6 +98,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *d < 1 {
+		fmt.Fprintf(stderr, "cocoagent: -d must be at least 1, got %d\n", *d)
+		return 2
+	}
+	if *memKB < 1 {
+		fmt.Fprintf(stderr, "cocoagent: -mem must be at least 1 (KB), got %d\n", *memKB)
+		return 2
+	}
+	if *packets < 0 {
+		fmt.Fprintf(stderr, "cocoagent: -packets must be non-negative, got %d\n", *packets)
+		return 2
+	}
 
 	reg := telemetry.Disabled
 	if *telAddr != "" {

@@ -5,14 +5,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/netwide"
+	"cocosketch/internal/shard"
+	"cocosketch/internal/trace"
 )
 
 // startCollector runs an in-process collector on a loopback port and
@@ -154,5 +159,66 @@ func TestRunNoTelemetryFlag(t *testing.T) {
 	}
 	if strings.Contains(stdout.String(), "telemetry") {
 		t.Fatalf("telemetry output without -telemetry:\n%s", stdout.String())
+	}
+}
+
+// TestRunPcapMatchesReference feeds a real capture through -pcap
+// (trace.FromPCAP and packet.Decoder) and checks the collector's
+// epoch-0 table: at -workers 1 it equals one sketch fed the trace's
+// packets in order, at -workers 2 a 2-worker shard engine fed the
+// same packets.
+func TestRunPcapMatchesReference(t *testing.T) {
+	tr := trace.CAIDALike(20000, 5)
+	path := filepath.Join(t.TempDir(), "caida.pcap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WritePCAP(f, 128); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := core.ConfigForMemory[flowkey.FiveTuple](2, 64<<10, 5)
+	seq := core.NewBasic[flowkey.FiveTuple](cfg)
+	for i := range tr.Packets {
+		seq.Insert(tr.Packets[i].Key, 1)
+	}
+	eng := shard.NewBasic(shard.Config{Workers: 2, Seed: 5}, cfg)
+	eng.Ingest(tr.Packets)
+	eng.Close()
+	sharded, err := eng.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		workers string
+		want    map[flowkey.FiveTuple]uint64
+	}{
+		{"1", seq.Decode()},
+		{"2", sharded},
+	} {
+		t.Run("workers="+tc.workers, func(t *testing.T) {
+			collector, addr := startCollector(t, 64, 2, 5)
+			var stdout, stderr bytes.Buffer
+			code := run([]string{
+				"-id", "1", "-collector", addr, "-pcap", path,
+				"-mem", "64", "-d", "2", "-seed", "5", "-workers", tc.workers,
+			}, &stdout, &stderr)
+			if code != 0 {
+				t.Fatalf("run = %d\nstderr: %s", code, stderr.String())
+			}
+			got, ok := collector.Epoch(0)
+			if !ok {
+				t.Fatal("collector holds no epoch 0")
+			}
+			if !maps.Equal(got.FullTable(), tc.want) {
+				t.Fatalf("epoch-0 table (%d flows) differs from the reference (%d flows)",
+					len(got.FullTable()), len(tc.want))
+			}
+		})
 	}
 }

@@ -93,6 +93,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if !*clusterOn {
+		// A dispatcher relays frames undecoded, so only collector mode
+		// sizes a sketch and prints rows.
+		if *d < 1 {
+			fmt.Fprintf(stderr, "cococollector: -d must be at least 1, got %d\n", *d)
+			return 2
+		}
+		if *memKB < 1 {
+			fmt.Fprintf(stderr, "cococollector: -mem must be at least 1 (KB), got %d\n", *memKB)
+			return 2
+		}
+		if *top < 0 {
+			fmt.Fprintf(stderr, "cococollector: -top must be non-negative, got %d\n", *top)
+			return 2
+		}
+	}
 
 	reg := telemetry.Disabled
 	if *telAddr != "" {

@@ -80,6 +80,35 @@ func TestRunBadListenAddrFails(t *testing.T) {
 	}
 }
 
+// TestRunBadSizesExitUsage pins the size flags' usage errors in
+// collector mode: each exits 2 naming its flag before the collector
+// listens (the unparsable listen port would exit 1 otherwise). A
+// dispatcher ignores the geometry flags, so -cluster -d 0 still fails
+// only for its missing -peers.
+func TestRunBadSizesExitUsage(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-d", "0"}, "-d"},
+		{[]string{"-mem", "0"}, "-mem"},
+		{[]string{"-mem", "-5"}, "-mem"},
+		{[]string{"-top", "-1"}, "-top"},
+		{[]string{"-cluster", "-d", "0"}, "-peers"},
+	} {
+		t.Run(strings.Join(tc.args, "="), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run(append([]string{"-listen", "256.0.0.1:notaport"}, tc.args...), &stdout, &stderr)
+			if code != 2 {
+				t.Fatalf("run = %d, want 2\nstderr: %s", code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.flag+" ") {
+				t.Fatalf("stderr does not name %s:\n%s", tc.flag, stderr.String())
+			}
+		})
+	}
+}
+
 // TestRunClusterRequiresPeers pins the -cluster usage contract.
 func TestRunClusterRequiresPeers(t *testing.T) {
 	var stdout, stderr bytes.Buffer

@@ -16,6 +16,10 @@ import (
 	"cocosketch/internal/trace"
 )
 
+// minSnaplen is the length of packet.Build's TCP frame (Ethernet 14 +
+// IPv4 20 + TCP 20 bytes): a shorter capture keeps no 5-tuple.
+const minSnaplen = 54
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -31,6 +35,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		snap    = fs.Uint("snaplen", 128, "pcap snapshot length")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *packets < 0 {
+		fmt.Fprintf(stderr, "cocogen: -packets must be non-negative, got %d\n", *packets)
+		return 2
+	}
+	if *snap < minSnaplen {
+		fmt.Fprintf(stderr, "cocogen: -snaplen must be at least %d (Ethernet + IPv4 + TCP headers), got %d\n", minSnaplen, *snap)
 		return 2
 	}
 

@@ -42,6 +42,33 @@ func TestBadProfile(t *testing.T) {
 	}
 }
 
+// TestBadSizesExitUsage pins the size flags' usage errors: a negative
+// trace size, or a snaplen that cuts every frame before its 5-tuple,
+// exits 2 naming the flag and writes no file.
+func TestBadSizesExitUsage(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value string
+	}{
+		{"-packets", "-1"},
+		{"-snaplen", "20"},
+		{"-snaplen", "53"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "t.pcap")
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-packets", "100", "-o", out, tc.flag, tc.value}, &stdout, &stderr); code != 2 {
+				t.Fatalf("exit %d, want 2", code)
+			}
+			if !strings.Contains(stderr.String(), tc.flag+" ") {
+				t.Fatalf("stderr does not name %s: %q", tc.flag, stderr.String())
+			}
+			if _, err := os.Stat(out); err == nil {
+				t.Fatal("wrote a pcap despite the usage error")
+			}
+		})
+	}
+}
+
 func TestBadOutputPath(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-packets", "10", "-o", "/nonexistent-dir/x.pcap"}, &stdout, &stderr); code != 1 {

@@ -48,6 +48,18 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cocoquery: -top must be non-negative, got %d\n", *top)
 		return 2
 	}
+	if *d < 1 {
+		fmt.Fprintf(stderr, "cocoquery: -d must be at least 1, got %d\n", *d)
+		return 2
+	}
+	if *memKB < 1 {
+		fmt.Fprintf(stderr, "cocoquery: -mem must be at least 1 (KB), got %d\n", *memKB)
+		return 2
+	}
+	if *packets < 0 {
+		fmt.Fprintf(stderr, "cocoquery: -packets must be non-negative, got %d\n", *packets)
+		return 2
+	}
 
 	var tr *trace.Trace
 	if *pcapPath != "" {

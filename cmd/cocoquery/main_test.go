@@ -2,8 +2,15 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"cocosketch/internal/core"
+	"cocosketch/internal/flowkey"
+	"cocosketch/internal/query"
+	"cocosketch/internal/trace"
 )
 
 func TestSingleQuery(t *testing.T) {
@@ -69,5 +76,70 @@ func TestNegativeTopExitsUsage(t *testing.T) {
 	}
 	if !strings.Contains(errw.String(), "-top") {
 		t.Fatalf("no message about -top: %q", errw.String())
+	}
+}
+
+// TestBadSizesExitUsage pins the size flags' usage errors: a value the
+// sketch or the trace generator cannot honour exits 2 with a message
+// naming the flag, instead of panicking or building a degenerate
+// sketch.
+func TestBadSizesExitUsage(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value string
+	}{
+		{"-d", "0"},
+		{"-mem", "0"},
+		{"-mem", "-5"},
+		{"-packets", "-1"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			var out, errw bytes.Buffer
+			code := run([]string{"-packets", "1000", "-q", "SrcIP", tc.flag, tc.value},
+				strings.NewReader(""), &out, &errw)
+			if code != 2 {
+				t.Fatalf("exit %d, want 2", code)
+			}
+			if !strings.Contains(errw.String(), tc.flag+" ") {
+				t.Fatalf("no message about %s: %q", tc.flag, errw.String())
+			}
+		})
+	}
+}
+
+// TestPcapMatchesSequentialSketch feeds a real capture through -pcap
+// (trace.FromPCAP and packet.Decoder): the printed rows must be
+// exactly those of one sketch fed the trace's packets in order.
+func TestPcapMatchesSequentialSketch(t *testing.T) {
+	tr := trace.CAIDALike(20000, 5)
+	path := filepath.Join(t.TempDir(), "caida.pcap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WritePCAP(f, 128); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var out, errw bytes.Buffer
+	code := run([]string{"-pcap", path, "-q", "SrcIP/24+DstIP", "-top", "15", "-mem", "64", "-seed", "5"},
+		strings.NewReader(""), &out, &errw)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errw.String())
+	}
+
+	sk := core.NewBasicForMemory[flowkey.FiveTuple](2, 64<<10, 5)
+	for i := range tr.Packets {
+		sk.Insert(tr.Packets[i].Key, 1)
+	}
+	m, err := flowkey.ParseMask("SrcIP/24+DstIP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := query.FormatRows(m, query.NewEngine(sk.Decode()).Top(m, 15), 15)
+	if !strings.HasSuffix(out.String(), want) {
+		t.Fatalf("rows differ from the sequential sketch\n--- want suffix\n%s--- got\n%s", want, out.String())
 	}
 }

@@ -14,8 +14,7 @@
 // Library entry points:
 //
 //   - internal/core — the CocoSketch algorithm (basic and
-//     hardware-friendly), plus merge, compress, serialize, sampling,
-//     sliding windows and planning helpers;
+//     hardware-friendly), plus merge, compress and serialize;
 //   - internal/flowkey, internal/query — the partial-key model and the
 //     aggregation/SQL front-end;
 //   - internal/experiments — the evaluation runners behind

@@ -538,3 +538,21 @@ func median(v []uint64) uint64 {
 	a, b := v[n/2-1], v[n/2]
 	return a + (b-a)/2
 }
+
+// interface checks: both variants satisfy the shared contracts.
+var (
+	_ interface {
+		Insert(flowkey.FiveTuple, uint64)
+		Query(flowkey.FiveTuple) uint64
+		Decode() map[flowkey.FiveTuple]uint64
+		MemoryBytes() int
+		Name() string
+	} = (*Basic[flowkey.FiveTuple])(nil)
+	_ interface {
+		Insert(flowkey.FiveTuple, uint64)
+		Query(flowkey.FiveTuple) uint64
+		Decode() map[flowkey.FiveTuple]uint64
+		MemoryBytes() int
+		Name() string
+	} = (*Hardware[flowkey.FiveTuple])(nil)
+)

@@ -175,13 +175,19 @@ func NewAgent(id uint16, cfg core.Config) *Agent {
 // epoch of this agent (NewAgent installs report.Full, the pre-codec
 // wire format) and starts a fresh encoder for it. Call it at
 // construction: it panics if any epoch is spooled, because those
-// stages were sealed by the previous codec. The collector must run a
-// decoder that understands the chosen codec (Collector.SetCodec);
-// DESIGN.md §14 has the compatibility matrix. Returns the agent for
-// chaining.
+// stages were sealed by the previous codec, and if the codec cannot
+// seal the agent's geometry, because no epoch could then be delivered.
+// The collector must run a decoder that understands the chosen codec
+// (Collector.SetCodec); DESIGN.md §14 has the compatibility matrix.
+// Returns the agent for chaining.
 func (a *Agent) SetCodec(c report.Codec[flowkey.FiveTuple]) *Agent {
 	if len(a.spool) > 0 {
 		panic("netwide: Agent.SetCodec with epochs spooled under the previous codec")
+	}
+	// Seal never mutates the sketch and fails on geometry alone, so
+	// one trial seal covers every epoch this agent will seal.
+	if _, err := c.Seal(a.sketch); err != nil {
+		panic(fmt.Sprintf("netwide: Agent.SetCodec: %v", err))
 	}
 	a.codec = c
 	a.enc = c.NewEncoder()
@@ -197,14 +203,12 @@ func (a *Agent) SetCodec(c report.Codec[flowkey.FiveTuple]) *Agent {
 func (a *Agent) LocalStage() *core.Basic[flowkey.FiveTuple] { return a.local }
 
 // seal converts the current epoch's fat sketch into its wire stage via
-// the agent's codec, retaining the fat sketch for LocalStage. A codec
-// that cannot stage this geometry falls back to the fat sketch itself:
-// every codec's wire format is self-describing, so the report is then
-// merely uncompressed, never wrong.
+// the agent's codec, retaining the fat sketch for LocalStage.
 func (a *Agent) seal() *core.Basic[flowkey.FiveTuple] {
 	stage, err := a.codec.Seal(a.sketch)
 	if err != nil {
-		stage = a.sketch
+		// SetCodec proved the codec seals this agent's geometry.
+		panic(fmt.Sprintf("netwide: sealing epoch %d: %v", a.epoch, err))
 	}
 	a.local = a.sketch
 	return stage

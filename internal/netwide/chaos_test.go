@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -316,15 +317,17 @@ func TestChaosScenarios(t *testing.T) {
 					t.Error("partition outlasting the spool never coalesced")
 				}
 				// Coalesced epochs landed under their range's high epoch,
-				// so some mid-partition epoch has no table of its own;
-				// the collector serves the freshest one instead.
-				if _, served, ok := res.collector.EpochOrLatest(2); !ok {
-					t.Error("EpochOrLatest(2) found nothing")
-				} else if served != 5 {
-					t.Errorf("degraded serve picked epoch %d, want latest 5", served)
+				// so some mid-partition epoch has no table of its own; a
+				// server moves on to the oldest held epoch past it.
+				held := res.collector.Epochs()
+				i := slices.IndexFunc(held, func(e uint32) bool { return e >= 2 })
+				if i >= 0 && held[i] == 2 {
+					t.Errorf("epoch 2 held (%v), want it coalesced away", held)
+				} else if i < 0 || held[i] != 4 {
+					t.Errorf("oldest held epoch at or past 2 in %v, want 4", held)
 				}
-				if latest, _ := res.collector.LatestEpoch(); latest != 5 {
-					t.Errorf("latest epoch = %d, want 5", latest)
+				if len(held) == 0 || held[len(held)-1] != 5 {
+					t.Errorf("newest held epoch in %v, want 5", held)
 				}
 			},
 		},

@@ -22,11 +22,11 @@ import (
 //
 // The collector degrades gracefully rather than stalling: per-agent
 // handlers run under an idle read deadline (SetIdleTimeout) so a
-// half-open connection cannot leak a goroutine, per-agent liveness is
-// tracked (AgentStatuses), and when a queried epoch has not arrived —
-// agents partitioned away, reports spooled — the freshest available
-// epoch is served instead with the staleness made explicit
-// (EpochOrLatest, "netwide.stale_serves").
+// half-open connection cannot leak a goroutine, and per-agent
+// liveness is tracked (AgentStatuses). An epoch covered by a coalesced
+// report never arrives on its own, so a server walks Epochs and serves
+// the oldest held epoch at or past the next one it expects, as
+// cococollector does.
 type Collector struct {
 	cfg core.Config
 	tel collectorTel
@@ -50,10 +50,8 @@ type Collector struct {
 	// matter which backend each report landed on or in what order. An
 	// (epoch, agent) pair is present exactly when its report decoded,
 	// which is what deduplicates retries.
-	shards     map[uint32]map[uint16]*core.Basic[flowkey.FiveTuple]
-	agents     map[uint16]AgentStatus
-	latest     uint32
-	haveLatest bool
+	shards map[uint32]map[uint16]*core.Basic[flowkey.FiveTuple]
+	agents map[uint16]AgentStatus
 }
 
 // AgentStatus is the liveness view of one agent.
@@ -85,15 +83,10 @@ type collectorTel struct {
 	decodeFailures *telemetry.Counter
 	baseMismatches *telemetry.Counter
 	// conns tracks live agent connections; epochsTracked the epochs
-	// held in memory; agentsSeen the distinct agents ever heard from;
-	// latestEpoch the freshest epoch with data.
+	// held in memory; agentsSeen the distinct agents ever heard from.
 	conns         *telemetry.Gauge
 	epochsTracked *telemetry.Gauge
 	agentsSeen    *telemetry.Gauge
-	latestEpoch   *telemetry.Gauge
-	// staleServes counts queries answered with an older epoch than
-	// requested (EpochOrLatest fallback).
-	staleServes *telemetry.Counter
 }
 
 // SetTelemetry registers the collector's counters ("netwide."-
@@ -110,8 +103,6 @@ func (c *Collector) SetTelemetry(r *telemetry.Registry) *Collector {
 		conns:          r.Gauge("netwide.agent_conns"),
 		epochsTracked:  r.Gauge("netwide.epochs_tracked"),
 		agentsSeen:     r.Gauge("netwide.agents_seen"),
-		latestEpoch:    r.Gauge("netwide.latest_epoch"),
-		staleServes:    r.Counter("netwide.stale_serves"),
 	}
 	return c
 }
@@ -280,10 +271,6 @@ func (c *Collector) ingest(msg Message) error {
 		}
 	}
 	epochShards[msg.AgentID] = shard
-	if !c.haveLatest || msg.Epoch > c.latest {
-		c.latest, c.haveLatest = msg.Epoch, true
-		c.tel.latestEpoch.Set(int64(msg.Epoch))
-	}
 	c.tel.reportsRecv.Inc()
 	c.tel.recvBytes.Add(uint64(len(msg.Payload)))
 	return nil
@@ -306,14 +293,6 @@ func (c *Collector) AgentStatuses() map[uint16]AgentStatus {
 		out[id] = st
 	}
 	return out
-}
-
-// LatestEpoch returns the freshest epoch any agent has reported (false
-// before the first report).
-func (c *Collector) LatestEpoch() (uint32, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.latest, c.haveLatest
 }
 
 // fold returns a fresh canonical aggregate of the epoch's shards, the
@@ -408,27 +387,4 @@ func (c *Collector) Epoch(epoch uint32) (*query.Engine, bool) {
 		return nil, false
 	}
 	return query.NewEngine(agg.Decode()), true
-}
-
-// EpochOrLatest returns a query engine for the requested epoch, or —
-// when that epoch has no data yet because the reporting path is
-// degraded — for the freshest epoch that does, so dashboards keep
-// serving during a partition instead of going blank. The returned
-// epoch is the one actually served; a stale serve (served < requested)
-// is counted in "netwide.stale_serves". ok is false only when no epoch
-// at all has data.
-func (c *Collector) EpochOrLatest(epoch uint32) (eng *query.Engine, served uint32, ok bool) {
-	c.mu.Lock()
-	agg, exact := c.fold(epoch)
-	served = epoch
-	if !exact && c.haveLatest {
-		agg, exact = c.fold(c.latest)
-		served = c.latest
-		c.tel.staleServes.Inc()
-	}
-	c.mu.Unlock()
-	if agg == nil || !exact {
-		return nil, 0, false
-	}
-	return query.NewEngine(agg.Decode()), served, true
 }

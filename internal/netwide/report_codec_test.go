@@ -194,6 +194,20 @@ func TestSetCodecPanicsWithSpooledEpochs(t *testing.T) {
 	agent.SetCodec(mustCompressed(t, cfg, 4))
 }
 
+// TestSetCodecPanicsOnUnsealableGeometry: a codec whose stage cannot
+// be cut from the agent's geometry would leave every sealed epoch
+// undeliverable, so SetCodec refuses it up front.
+func TestSetCodecPanicsOnUnsealableGeometry(t *testing.T) {
+	agent := NewAgent(1, core.Config{Arrays: 2, BucketsPerArray: 1000, Seed: 1})
+	codec := mustCompressed(t, core.Config{Arrays: 2, BucketsPerArray: 1024, Seed: 1}, 16)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetCodec accepted a shrink-16 codec for 1000 buckets per array")
+		}
+	}()
+	agent.SetCodec(codec)
+}
+
 // TestFullCollectorRejectsCompressedReports pins the strict cell of
 // the compatibility matrix, with the decode failure counted.
 func TestFullCollectorRejectsCompressedReports(t *testing.T) {

@@ -173,9 +173,9 @@ func (e *compressedEncoder[K]) Encode(epoch uint32, stage *core.Basic[K]) ([]byt
 	}
 	shrinkLog := bits.TrailingZeros(uint(ratio))
 
-	// Delta only against a base of the exact same geometry; a sealed
-	// fat fallback silently degrades to self-contained rather than
-	// failing.
+	// Delta only against a base of the exact same geometry: Encode
+	// accepts any stage whose shrink divides the fat geometry, and a
+	// stage of another geometry than the base goes self-contained.
 	base := e.base
 	if base != nil && (base.stage.Arrays() != d || base.stage.BucketsPerArray() != l) {
 		base = nil

@@ -86,9 +86,8 @@ type Codec[K flowkey.Key] interface {
 	// (core.ExtractStage) for Compressed. The fat sketch is never
 	// mutated, so the agent can keep it for local full-resolution
 	// queries. An error means the sketch's geometry cannot produce
-	// the configured stage; callers fall back to sealing the fat
-	// sketch itself (every codec's wire format is self-describing and
-	// carries its stage geometry).
+	// the configured stage; it depends on the geometry alone, so one
+	// trial seal vets a codec for every epoch (netwide.Agent.SetCodec).
 	Seal(fat *core.Basic[K]) (*core.Basic[K], error)
 	// NewEncoder returns fresh agent-side encoder state.
 	NewEncoder() Encoder[K]

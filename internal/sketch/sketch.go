@@ -146,17 +146,6 @@ func sortRanked[K flowkey.Key](rs []ranked[K]) []Entry[K] {
 	return out
 }
 
-// Threshold filters a table, keeping flows of size >= threshold.
-func Threshold[K flowkey.Key](table map[K]uint64, threshold uint64) map[K]uint64 {
-	out := make(map[K]uint64)
-	for k, v := range table {
-		if v >= threshold {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 // TotalWeight sums the sizes in a table.
 func TotalWeight[K flowkey.Key](table map[K]uint64) uint64 {
 	var sum uint64

@@ -168,14 +168,6 @@ func TestTopKMatchesEntries(t *testing.T) {
 	}
 }
 
-func TestThreshold(t *testing.T) {
-	table := map[flowkey.IPv4]uint64{key(1): 10, key(2): 100, key(3): 99}
-	got := Threshold(table, 100)
-	if len(got) != 1 || got[key(2)] != 100 {
-		t.Fatalf("Threshold = %v", got)
-	}
-}
-
 func TestTotalWeight(t *testing.T) {
 	table := map[flowkey.IPv4]uint64{key(1): 10, key(2): 100}
 	if got := TotalWeight(table); got != 110 {
