@@ -49,7 +49,7 @@ docs:
 # variants, plus hashing.
 bench-insert:
 	$(GO) test -run '^$$' -bench 'BenchmarkInsertCoco' -benchmem .
-	$(GO) test -run '^$$' -bench 'Bob32Multi|HashSeeds' -benchmem ./internal/hash/ ./internal/flowkey/
+	$(GO) test -run '^$$' -bench 'Wide|HashSeeds' -benchmem ./internal/hash/ ./internal/flowkey/
 
 # Ring transfer microbenchmarks: uncached vs cached indices, single vs
 # batch operations.
@@ -96,9 +96,10 @@ bench-query:
 
 bench: bench-insert bench-ring bench-smoke bench-report bench-query
 
-# Short fuzz pass over the multi-seed hash (equivalence with Bob32).
+# Short fuzz pass over the sketch hash: every key type's field-built
+# HashSeeds must equal the wide hash of its byte encoding.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzBob32Multi -fuzztime 30s ./internal/hash/
+	$(GO) test -run '^$$' -fuzz FuzzHashSeedsMatchesWide -fuzztime 30s ./internal/flowkey/
 
 # Statistical verification: the differential matrix (every sketch
 # implementation against the exact oracle, variance-bound CIs), the

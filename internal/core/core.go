@@ -70,7 +70,7 @@ type table[K flowkey.Key] struct {
 	seeds   []uint32
 	buckets []Bucket[K]
 	rng     *xrand.Source
-	// hbuf is the per-insert scratch for encode-once hashing (len d).
+	// hbuf is the per-insert scratch for the d hash lanes (len d).
 	// Sketches are single-goroutine (see package comment), so one
 	// buffer per table keeps every insert and query allocation-free.
 	hbuf []uint32
@@ -109,8 +109,9 @@ func (t *table[K]) index(h uint32) int {
 	return int((uint64(h) * uint64(t.l)) >> 32)
 }
 
-// hashIndices fills t.hbuf with the d bucket indices of key, encoding
-// the key once for all seeds, and returns the buffer.
+// hashIndices fills t.hbuf with the d bucket indices of key — the d
+// lanes of one wide hash (flowkey.Key.HashSeeds), range-reduced — and
+// returns the buffer.
 func (t *table[K]) hashIndices(key K) []uint32 {
 	hs := t.hbuf
 	key.HashSeeds(t.seeds, hs)
@@ -126,8 +127,8 @@ func (t *table[K]) hashIndices(key K) []uint32 {
 // set (DPDK-style burst processing).
 const insertBatchChunk = 256
 
-// batchIndices hashes keys (one encode per key) and returns the flat
-// d-per-packet bucket index buffer.
+// batchIndices hashes keys (one wide hash per key) and returns the
+// flat d-per-packet bucket index buffer.
 func (t *table[K]) batchIndices(keys []K) []uint32 {
 	need := len(keys) * t.d
 	if cap(t.idxbuf) < need {

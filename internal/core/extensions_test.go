@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cocosketch/internal/flowkey"
@@ -201,6 +202,21 @@ func TestSerializeRoundTripHardware(t *testing.T) {
 		if back.Query(k) != v {
 			t.Fatalf("restored hardware sketch differs at %v", k)
 		}
+	}
+}
+
+// TestSerializeRejectsVersion1 pins the version bump that came with the
+// wide hash: a version-1 sketch was placed by d Bob hashes, and the
+// stream names the seeds but not the hash function, so decoding must
+// refuse it instead of merging it into the wrong buckets.
+func TestSerializeRejectsVersion1(t *testing.T) {
+	s := NewBasic[flowkey.FiveTuple](Config{Arrays: 2, BucketsPerArray: 4, Seed: 1})
+	s.Insert(tuple(1, 2), 3)
+	blob, _ := s.MarshalBinary()
+	blob[4] = 1
+	_, err := UnmarshalBasic(blob, flowkey.FiveTupleFromBytes)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("v1 sketch: got %v, want \"unsupported version 1\"", err)
 	}
 }
 

@@ -17,10 +17,16 @@ import (
 //
 // all little-endian. Because flow-key types are generic, decoding
 // takes the key codec explicitly (e.g. flowkey.FiveTupleFromBytes).
+//
+// The stream carries the hash seeds but not the hash function, so the
+// version names the bucket placement too. Version 2 is the wide-hash
+// layout (one 64-bit hash split into d lanes, DESIGN.md §8); a
+// version-1 sketch, placed by d Bob hashes, is rejected instead of
+// merging position by position into the wrong buckets.
 
 const (
 	serMagic   = "COCO"
-	serVersion = 1
+	serVersion = 2
 
 	variantBasic    = 0
 	variantHardware = 1

@@ -67,8 +67,33 @@ func measureThroughput(inst Instance, tr *trace.Trace) (float64, float64) {
 	return mpps, metrics.Percentile(samples, 95)
 }
 
+// fig14Runs bounds how many times fig14 measures one cell, and
+// fig14Budget how long a cell may keep starting repeats.
+const (
+	fig14Runs   = 3
+	fig14Budget = time.Second
+)
+
+// bestThroughput measures fresh instances from newInst over the trace
+// up to fig14Runs times and returns the fastest run's Mpps and p95
+// cycles. Whatever else the host runs can only slow a run down, so the
+// fastest run is the least disturbed estimate of the system's own cost
+// (the min-of-counts rule of internal/tools/benchsmoke). No repeat
+// starts after fig14Budget, so the slowest baselines still cost one
+// run.
+func bestThroughput(newInst func() Instance, tr *trace.Trace) (mpps, p95 float64) {
+	start := time.Now()
+	for r := 0; r < fig14Runs && (r == 0 || time.Since(start) < fig14Budget); r++ {
+		if m, p := measureThroughput(newInst(), tr); m > mpps {
+			mpps, p95 = m, p
+		}
+	}
+	return mpps, p95
+}
+
 // runFig14 reproduces Figure 14(a–b): single-thread CPU throughput and
-// 95th-percentile per-packet CPU cycles vs the number of keys.
+// 95th-percentile per-packet CPU cycles vs the number of keys, each
+// cell the best of up to fig14Runs runs.
 func runFig14(cfg RunConfig) (*TableResult, error) {
 	tr := trace.CAIDALike(cfg.packets(), cfg.Seed)
 	allMasks := flowkey.EvaluationMasks()
@@ -80,7 +105,9 @@ func runFig14(cfg RunConfig) (*TableResult, error) {
 		Columns: []string{"algorithm", "keys", "Mpps", "p95cycles"},
 		Notes: []string{
 			"paper (C++): CocoSketch ~23.7 Mpps flat in keys; baselines fall with keys; 27.2x gap at 6 keys",
-			"Go numbers are lower in absolute terms (GC, bounds checks); relative ordering is the result",
+			"Go numbers differ from the paper's in absolute terms (GC, bounds checks, other hardware); relative ordering is the result",
+			"CocoSketch hashes each key once (one wide hash split into d lanes); the baselines keep one Bob hash per row",
+			"each cell is the fastest of up to 3 runs",
 		},
 	}
 	keyCounts := []int{1, 2, 3, 4, 5, 6}
@@ -89,8 +116,7 @@ func runFig14(cfg RunConfig) (*TableResult, error) {
 	}
 	for _, sys := range HeavyHitterSystems() {
 		for _, nk := range keyCounts {
-			inst := sys.New(allMasks[:nk], memory, cfg.Seed+7)
-			mpps, p95 := measureThroughput(inst, tr)
+			mpps, p95 := bestThroughput(func() Instance { return sys.New(allMasks[:nk], memory, cfg.Seed+7) }, tr)
 			out.AddRow(sys.Name, nk, mpps, p95)
 		}
 	}

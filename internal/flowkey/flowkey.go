@@ -10,7 +10,9 @@
 package flowkey
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 
 	"cocosketch/internal/hash"
@@ -23,10 +25,11 @@ type Key interface {
 	comparable
 	// Hash returns a 32-bit hash of the key under the given seed.
 	Hash(seed uint32) uint32
-	// HashSeeds computes Hash for every seed, writing the results to
-	// out[:len(seeds)]. The key is encoded once, so a d-array sketch
-	// pays one serialization per packet instead of d (encode-once
-	// hashing).
+	// HashSeeds writes len(seeds) 32-bit lanes of one wide hash of the
+	// key to out[:len(seeds)]: hash.Wide of the canonical encoding,
+	// keyed by hash.WideSeed(seeds) and split by hash.Lanes. A d-array
+	// sketch thus pays one hash per packet, not d. Lane i is not
+	// Hash(seeds[i]).
 	HashSeeds(seeds []uint32, out []uint32)
 	// AppendBytes appends the canonical byte encoding of the key to dst
 	// and returns the extended slice.
@@ -40,12 +43,22 @@ const FiveTupleLen = 13
 // FiveTuple is the canonical full key kF of the paper's evaluation.
 // The zero value is the empty flow (also used as the "not recorded"
 // sentinel inside sketches).
+//
+// The blank tail pads the struct from 14 to 16 bytes. Go copies a
+// 14-byte value with two overlapping 8-byte moves (bytes 0–7 and
+// 6–13), and a later 4-byte load of bytes 4–7 spans both stores, so
+// the CPU cannot forward it from its store buffer and stalls. A
+// 16-byte key copies as two disjoint words, and the hot path copies
+// keys by value at every hand-off (DESIGN.md §8). Blank fields take
+// no part in == or in map hashing, and the canonical encoding stays
+// 13 bytes.
 type FiveTuple struct {
 	SrcIP   [4]byte
 	DstIP   [4]byte
 	SrcPort uint16
 	DstPort uint16
 	Proto   uint8
+	_       [3]byte
 }
 
 // AppendBytes appends the canonical 13-byte encoding.
@@ -65,16 +78,15 @@ func (k FiveTuple) Hash(seed uint32) uint32 {
 	return hash.Bob32(b, seed)
 }
 
-// HashSeeds hashes the canonical encoding once under every seed. The
-// lane words are built straight from the struct fields (matching the
-// little-endian decode of the canonical 13-byte encoding), so the hot
-// path never materializes the byte encoding.
+// HashSeeds writes the lanes of one wide hash of the canonical
+// encoding (see Key). The two hash words are built straight from the
+// struct fields, matching the little-endian decode of the 13-byte
+// encoding, so the hot path never materializes the bytes.
 func (k FiveTuple) HashSeeds(seeds []uint32, out []uint32) {
-	w0 := uint32(k.SrcIP[0]) | uint32(k.SrcIP[1])<<8 | uint32(k.SrcIP[2])<<16 | uint32(k.SrcIP[3])<<24
-	w1 := uint32(k.DstIP[0]) | uint32(k.DstIP[1])<<8 | uint32(k.DstIP[2])<<16 | uint32(k.DstIP[3])<<24
-	// Bytes 8–11 are the big-endian ports, decoded as a little-endian word.
-	w2 := uint32(k.SrcPort>>8) | uint32(k.SrcPort&0xff)<<8 | uint32(k.DstPort>>8)<<16 | uint32(k.DstPort&0xff)<<24
-	hash.Bob32MultiBlock(w0, w1, w2, uint32(k.Proto), 0, FiveTupleLen, seeds, out)
+	w0 := uint64(binary.LittleEndian.Uint32(k.SrcIP[:])) | uint64(binary.LittleEndian.Uint32(k.DstIP[:]))<<32
+	// Bytes 8–12 are the big-endian ports and the protocol.
+	w1 := uint64(bits.ReverseBytes16(k.SrcPort)) | uint64(bits.ReverseBytes16(k.DstPort))<<16 | uint64(k.Proto)<<32
+	hash.Lanes(hash.Wide2(w0, w1, FiveTupleLen, hash.WideSeed(seeds)), out[:len(seeds)])
 }
 
 // String renders the flow as "src:port->dst:port/proto".
@@ -111,10 +123,10 @@ func (k IPv4) Hash(seed uint32) uint32 {
 	return hash.Bob32(buf[:], seed)
 }
 
-// HashSeeds hashes the address once under every seed.
+// HashSeeds writes the lanes of one wide hash of the address (see Key).
 func (k IPv4) HashSeeds(seeds []uint32, out []uint32) {
-	ta := uint32(k[0]) | uint32(k[1])<<8 | uint32(k[2])<<16 | uint32(k[3])<<24
-	hash.Bob32MultiTail(ta, 0, 4, seeds, out)
+	w0 := uint64(binary.LittleEndian.Uint32(k[:]))
+	hash.Lanes(hash.Wide2(w0, 0, 4, hash.WideSeed(seeds)), out[:len(seeds)])
 }
 
 // Uint32 returns the address as a big-endian integer.
@@ -164,13 +176,11 @@ func (k IPv6) Hash(seed uint32) uint32 {
 	return hash.Bob32(buf[:], seed)
 }
 
-// HashSeeds hashes the address once under every seed.
+// HashSeeds writes the lanes of one wide hash of the address (see Key).
 func (k IPv6) HashSeeds(seeds []uint32, out []uint32) {
-	w0 := uint32(k[0]) | uint32(k[1])<<8 | uint32(k[2])<<16 | uint32(k[3])<<24
-	w1 := uint32(k[4]) | uint32(k[5])<<8 | uint32(k[6])<<16 | uint32(k[7])<<24
-	w2 := uint32(k[8]) | uint32(k[9])<<8 | uint32(k[10])<<16 | uint32(k[11])<<24
-	ta := uint32(k[12]) | uint32(k[13])<<8 | uint32(k[14])<<16 | uint32(k[15])<<24
-	hash.Bob32MultiBlock(w0, w1, w2, ta, 0, 16, seeds, out)
+	w0 := binary.LittleEndian.Uint64(k[0:8])
+	w1 := binary.LittleEndian.Uint64(k[8:16])
+	hash.Lanes(hash.Wide2(w0, w1, 16, hash.WideSeed(seeds)), out[:len(seeds)])
 }
 
 // Prefix zeroes all but the leading bits of the address.
@@ -219,11 +229,11 @@ func (k IPPair) Hash(seed uint32) uint32 {
 	return hash.Bob32(b, seed)
 }
 
-// HashSeeds hashes the 8-byte encoding once under every seed.
+// HashSeeds writes the lanes of one wide hash of the 8-byte encoding
+// (see Key).
 func (k IPPair) HashSeeds(seeds []uint32, out []uint32) {
-	ta := uint32(k.Src[0]) | uint32(k.Src[1])<<8 | uint32(k.Src[2])<<16 | uint32(k.Src[3])<<24
-	tb := uint32(k.Dst[0]) | uint32(k.Dst[1])<<8 | uint32(k.Dst[2])<<16 | uint32(k.Dst[3])<<24
-	hash.Bob32MultiTail(ta, tb, 8, seeds, out)
+	w0 := uint64(binary.LittleEndian.Uint32(k.Src[:])) | uint64(binary.LittleEndian.Uint32(k.Dst[:]))<<32
+	hash.Lanes(hash.Wide2(w0, 0, 8, hash.WideSeed(seeds)), out[:len(seeds)])
 }
 
 // Prefix applies independent prefix lengths to the two addresses.

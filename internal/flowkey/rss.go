@@ -6,9 +6,9 @@ package flowkey
 const rssSeedMix = 0x5bd1e995
 
 // RSSIndex maps a key to one of n receive queues, the way a NIC's
-// receive-side scaling spreads flows across hardware queues: one
-// Bob32 hash of the canonical encoding under a seed derived from the
-// engine seed, range-reduced by multiply-shift. It is the single
+// receive-side scaling spreads flows across hardware queues: lane 0 of
+// the sketches' wide hash (FiveTuple.HashSeeds) under a seed derived
+// from the engine seed, range-reduced by multiply-shift. It is the single
 // definition of the split shared by the shard dispatcher and the
 // simulated multi-queue pcap replay (pcap.PartitionRSS), so a trace
 // partitioned into n queues lands packets on exactly the workers the

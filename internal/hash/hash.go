@@ -1,11 +1,17 @@
-// Package hash provides the seeded 32-bit hash functions used by every
-// sketch in this repository.
+// Package hash provides the seeded hash functions used by the sketches
+// in this repository.
 //
-// The primary function is Bob32, an implementation of Bob Jenkins' 1996
-// lookup ("Bob hash") used by the CocoSketch paper (reference [83]).
-// A sketch with d arrays derives d independent hash functions from d
-// distinct seeds; see Family.
+// Bob32 is an implementation of Bob Jenkins' 1996 lookup ("Bob hash")
+// used by the CocoSketch paper (reference [83]). The baseline sketches
+// hash once per row with it, deriving d independent functions from d
+// distinct seeds (see Family).
+//
+// CocoSketch's bucket indices come instead from one 64-bit hash per
+// key, Wide, split into d 32-bit lanes by double hashing (Lanes): a
+// d-array update costs one hash, not d.
 package hash
+
+import "math/bits"
 
 // Bob32 computes Bob Jenkins' 32-bit hash of key with the given seed.
 //
@@ -67,189 +73,6 @@ func Bob32(key []byte, seed uint32) uint32 {
 	}
 	_, _, c = mix(a, b, c)
 	return c
-}
-
-// Bob32Multi computes Bob32(key, seeds[i]) for every seed, writing the
-// results to out[:len(seeds)]. It is equivalent to calling Bob32 once
-// per seed but decodes the key bytes into 32-bit lane words only once
-// (encode-once hashing; see DESIGN.md "Hot-path engineering"). Keys
-// shorter than 24 bytes — every flow-key type in this repository —
-// additionally run a hand-inlined mixing loop, as mix exceeds the
-// compiler's inlining budget.
-func Bob32Multi(key []byte, seeds []uint32, out []uint32) {
-	n := len(key)
-	if n < 12 {
-		ta, tb, tc := tailLanes(key, n)
-		Bob32MultiTail(ta, tb, tc, seeds, out)
-		return
-	}
-	if n < 24 {
-		w0 := uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24
-		w1 := uint32(key[4]) | uint32(key[5])<<8 | uint32(key[6])<<16 | uint32(key[7])<<24
-		w2 := uint32(key[8]) | uint32(key[9])<<8 | uint32(key[10])<<16 | uint32(key[11])<<24
-		ta, tb, tc := tailLanes(key[12:], n)
-		Bob32MultiBlock(w0, w1, w2, ta, tb, tc, seeds, out)
-		return
-	}
-	// Longer keys are off the per-packet hot path; the byte encoding is
-	// still shared across seeds.
-	for s, seed := range seeds {
-		out[s] = Bob32(key, seed)
-	}
-}
-
-// Bob32MultiTail is the multi-seed hash of a key shorter than 12 bytes
-// whose tail lane accumulators (see tailLanes; tc must include the key
-// length) have already been decoded. Fixed-layout key types call this
-// directly so the bytes never round-trip through memory.
-func Bob32MultiTail(ta, tb, tc uint32, seeds []uint32, out []uint32) {
-	for s, seed := range seeds {
-		a := 0x9e3779b9 + ta
-		b := 0x9e3779b9 + tb
-		c := seed + tc
-		a -= b
-		a -= c
-		a ^= c >> 13
-		b -= c
-		b -= a
-		b ^= a << 8
-		c -= a
-		c -= b
-		c ^= b >> 13
-		a -= b
-		a -= c
-		a ^= c >> 12
-		b -= c
-		b -= a
-		b ^= a << 16
-		c -= a
-		c -= b
-		c ^= b >> 5
-		a -= b
-		a -= c
-		a ^= c >> 3
-		b -= c
-		b -= a
-		b ^= a << 10
-		c -= a
-		c -= b
-		c ^= b >> 15
-		out[s] = c
-	}
-}
-
-// Bob32MultiBlock is the multi-seed hash of a 12–23 byte key decoded
-// into its first-block lane words (little-endian w0‖w1‖w2 = bytes
-// 0–11) and the tail accumulators of the remaining bytes (tc including
-// the total key length). The mixing step is hand-inlined: it exceeds
-// the compiler's inlining budget, and this loop is the hottest code in
-// the repository (d mixes per packet in every sketch).
-func Bob32MultiBlock(w0, w1, w2, ta, tb, tc uint32, seeds []uint32, out []uint32) {
-	for s, seed := range seeds {
-		a := 0x9e3779b9 + w0
-		b := 0x9e3779b9 + w1
-		c := seed + w2
-		a -= b
-		a -= c
-		a ^= c >> 13
-		b -= c
-		b -= a
-		b ^= a << 8
-		c -= a
-		c -= b
-		c ^= b >> 13
-		a -= b
-		a -= c
-		a ^= c >> 12
-		b -= c
-		b -= a
-		b ^= a << 16
-		c -= a
-		c -= b
-		c ^= b >> 5
-		a -= b
-		a -= c
-		a ^= c >> 3
-		b -= c
-		b -= a
-		b ^= a << 10
-		c -= a
-		c -= b
-		c ^= b >> 15
-		a += ta
-		b += tb
-		c += tc
-		a -= b
-		a -= c
-		a ^= c >> 13
-		b -= c
-		b -= a
-		b ^= a << 8
-		c -= a
-		c -= b
-		c ^= b >> 13
-		a -= b
-		a -= c
-		a ^= c >> 12
-		b -= c
-		b -= a
-		b ^= a << 16
-		c -= a
-		c -= b
-		c ^= b >> 5
-		a -= b
-		a -= c
-		a ^= c >> 3
-		b -= c
-		b -= a
-		b ^= a << 10
-		c -= a
-		c -= b
-		c ^= b >> 15
-		out[s] = c
-	}
-}
-
-// tailLanes decodes Bob32's trailing-bytes accumulators for the final
-// block. n is the total key length; Bob32 adds it into the c lane,
-// which commutes with the tail bytes, so it is folded in here.
-func tailLanes(rest []byte, n int) (ta, tb, tc uint32) {
-	tc = uint32(n)
-	switch len(rest) {
-	case 11:
-		tc += uint32(rest[10]) << 24
-		fallthrough
-	case 10:
-		tc += uint32(rest[9]) << 16
-		fallthrough
-	case 9:
-		tc += uint32(rest[8]) << 8
-		fallthrough
-	case 8:
-		tb += uint32(rest[7]) << 24
-		fallthrough
-	case 7:
-		tb += uint32(rest[6]) << 16
-		fallthrough
-	case 6:
-		tb += uint32(rest[5]) << 8
-		fallthrough
-	case 5:
-		tb += uint32(rest[4])
-		fallthrough
-	case 4:
-		ta += uint32(rest[3]) << 24
-		fallthrough
-	case 3:
-		ta += uint32(rest[2]) << 16
-		fallthrough
-	case 2:
-		ta += uint32(rest[1]) << 8
-		fallthrough
-	case 1:
-		ta += uint32(rest[0])
-	}
-	return ta, tb, tc
 }
 
 // mix is Bob Jenkins' reversible 96-bit mixing step.
@@ -324,3 +147,67 @@ func (f *Family) Hash(i int, key []byte) uint32 {
 
 // Seed returns the i-th seed, for callers that hash incrementally.
 func (f *Family) Seed(i int) uint32 { return f.seeds[i] }
+
+// Multipliers of the wide hash (wyhash's default secrets).
+const (
+	wideP0 = 0xa0761d6478bd642f
+	wideP1 = 0xe7037ed1a0b428db
+)
+
+// Wide hashes key to 64 bits under seed. It is the byte-level
+// definition of the wide hash: the key is read as little-endian 64-bit
+// words, zero-padded at the end, two words per 16-byte block, and each
+// block is folded in with Wide2. A key type whose canonical encoding
+// is at most 16 bytes packs those two words straight from its fields
+// and calls Wide2, which gives the same hash without building the
+// bytes.
+func Wide(key []byte, seed uint64) uint64 {
+	n := len(key)
+	for len(key) > 16 {
+		seed = Wide2(loadLE(key[:8]), loadLE(key[8:16]), 16, seed)
+		key = key[16:]
+	}
+	if len(key) > 8 {
+		return Wide2(loadLE(key[:8]), loadLE(key[8:]), n, seed)
+	}
+	return Wide2(loadLE(key), 0, n, seed)
+}
+
+// loadLE reads up to 8 bytes as a little-endian word.
+func loadLE(b []byte) uint64 {
+	var w uint64
+	for i := len(b) - 1; i >= 0; i-- {
+		w = w<<8 | uint64(b[i])
+	}
+	return w
+}
+
+// Wide2 is the wide hash of an n-byte key packed into two
+// little-endian words (w0 = bytes 0–7, w1 = bytes 8–15, zero-padded):
+// a wyhash-style finalizer of two 64×64→128-bit multiplies, each
+// folded to 64 bits by xoring its halves.
+func Wide2(w0, w1 uint64, n int, seed uint64) uint64 {
+	hi, lo := bits.Mul64(w0^wideP1, w1^seed^wideP0)
+	hi, lo = bits.Mul64(lo^wideP0^uint64(n), hi^wideP1)
+	return hi ^ lo
+}
+
+// WideSeed folds the 32-bit per-array seeds of a d-array sketch into
+// the wide hash's 64-bit seed: seeds[0] in the low half, seeds[d−1] in
+// the high half. The sketch keeps serializing its d seeds unchanged.
+func WideSeed(seeds []uint32) uint64 {
+	return uint64(seeds[0]) | uint64(seeds[len(seeds)-1])<<32
+}
+
+// Lanes splits a wide hash h into len(out) 32-bit lanes by
+// Kirsch–Mitzenmacher double hashing ("Less Hashing, Same
+// Performance", ESA 2006): lane i is lo + i·hi over h's two halves.
+// Two keys agree on lanes 0 and 1 only if their whole 64-bit hashes
+// agree.
+func Lanes(h uint64, out []uint32) {
+	lo, hi := uint32(h), uint32(h>>32)
+	for i := range out {
+		out[i] = lo
+		lo += hi
+	}
+}

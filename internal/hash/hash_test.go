@@ -126,6 +126,80 @@ func TestNewFamilyPanicsOnZero(t *testing.T) {
 	NewFamily(0, 0)
 }
 
+// TestWideLengthsDistinct checks that keys which are prefixes of each
+// other, across the zero-padded tails and the 16-byte block chain, do
+// not collide: the length is part of the hash.
+func TestWideLengthsDistinct(t *testing.T) {
+	long := make([]byte, 64)
+	seen := make(map[uint64]int)
+	for n := 0; n <= len(long); n++ {
+		h := Wide(long[:n], 7)
+		if prev, dup := seen[h]; dup {
+			t.Fatalf("all-zero keys of length %d and %d collide", prev, n)
+		}
+		seen[h] = n
+	}
+}
+
+// TestWideKeySensitivity flips every bit of keys of the sketches' key
+// lengths, and of the seed: each flip must change the hash.
+func TestWideKeySensitivity(t *testing.T) {
+	for _, n := range []int{4, 8, 13, 16, 40} {
+		base := make([]byte, n)
+		for i := range base {
+			base[i] = byte(i * 17)
+		}
+		h0 := Wide(base, 42)
+		for i := 0; i < n*8; i++ {
+			k := append([]byte(nil), base...)
+			k[i/8] ^= 1 << (i % 8)
+			if Wide(k, 42) == h0 {
+				t.Fatalf("len %d: flipping bit %d leaves the hash unchanged", n, i)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			if Wide(base, 42^1<<i) == h0 {
+				t.Fatalf("len %d: flipping seed bit %d leaves the hash unchanged", n, i)
+			}
+		}
+	}
+}
+
+// TestLanes pins the double-hashing split: lane i is lo + i·hi mod
+// 2^32.
+func TestLanes(t *testing.T) {
+	h := uint64(0xfffffff0_00000020)
+	out := make([]uint32, 4)
+	Lanes(h, out)
+	for i, got := range out {
+		if want := uint32(0x20) + uint32(i)*0xfffffff0; got != want {
+			t.Fatalf("lane %d = %#x, want %#x", i, got, want)
+		}
+	}
+}
+
+// TestWideSeedFoldsEnds checks which per-array seeds key the wide
+// hash: the first and the last.
+func TestWideSeedFoldsEnds(t *testing.T) {
+	if got := WideSeed([]uint32{1, 2, 3}); got != 3<<32|1 {
+		t.Fatalf("WideSeed = %#x", got)
+	}
+	if got := WideSeed([]uint32{5}); got != 5<<32|5 {
+		t.Fatalf("WideSeed of one seed = %#x", got)
+	}
+}
+
+// BenchmarkWide_13B is the wide hash of a 5-tuple-sized key from its
+// bytes; compare BenchmarkBob32_13B, which d-row sketches pay d times.
+func BenchmarkWide_13B(b *testing.B) {
+	key := make([]byte, 13)
+	b.SetBytes(13)
+	for i := 0; i < b.N; i++ {
+		key[0] = byte(i)
+		_ = Wide(key, 42)
+	}
+}
+
 func BenchmarkBob32_13B(b *testing.B) {
 	key := make([]byte, 13)
 	b.SetBytes(13)

@@ -2,6 +2,12 @@ package packet
 
 import "cocosketch/internal/flowkey"
 
+// MaxKeyHeaderLen is the longest frame prefix ExtractFiveTuple reads:
+// Ethernet (14) + one 802.1Q tag (4) + an IPv4 header with IHL 15 (60)
+// + a TCP header with data offset 15 (60). Any frame cut to this many
+// bytes yields the key and the acceptance of the whole frame.
+const MaxKeyHeaderLen = 14 + 4 + 60 + 60
+
 // ExtractFiveTuple is the allocation-free 5-tuple extractor of the
 // pooled ingest pipeline. It accepts exactly the frames
 // Decoder.FiveTuple accepts and produces the identical key (the

@@ -140,6 +140,24 @@ func TestExtractFromPoolSlot(t *testing.T) {
 	}
 }
 
+// TestMaxKeyHeaderLen pins the bound replay slots are sized by: the
+// deepest header stack the extractor accepts (802.1Q, IPv4 IHL 15, TCP
+// data offset 15) needs exactly MaxKeyHeaderLen bytes.
+func TestMaxKeyHeaderLen(t *testing.T) {
+	f := make([]byte, MaxKeyHeaderLen)
+	f[12], f[13] = byte(EtherTypeVLAN>>8), byte(EtherTypeVLAN&0xFF)
+	f[16], f[17] = byte(EtherTypeIPv4>>8), byte(EtherTypeIPv4&0xFF)
+	f[18] = 0x4F // version 4, IHL 15
+	f[18+9] = ProtoTCP
+	f[18+60+12] = 0xF0 // data offset 15
+	if _, ok := ExtractFiveTuple(f); !ok {
+		t.Fatalf("deepest header stack rejected at %d bytes", len(f))
+	}
+	if _, ok := ExtractFiveTuple(f[:len(f)-1]); ok {
+		t.Fatalf("deepest header stack accepted at %d bytes", len(f)-1)
+	}
+}
+
 func TestExtractNoAllocs(t *testing.T) {
 	valid := Build(flowkey.FiveTuple{
 		SrcIP: [4]byte{1, 2, 3, 4}, DstIP: [4]byte{5, 6, 7, 8},

@@ -2,6 +2,7 @@ package pcap
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -28,13 +29,30 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// ReadInto and ReadFrame with room for any record must return
+		// what Next returns, errors and io.EOF included.
+		into, _ := NewReader(bytes.NewReader(data))
+		frame, _ := NewReader(bytes.NewReader(data))
+		slot := make([]byte, MaxSnapLen)
 		for i := 0; i < 1000; i++ {
-			_, body, err := r.Next()
-			if err == io.EOF {
-				return
+			hdr, body, err := r.Next()
+			hdrInto, n, errInto := into.ReadInto(slot)
+			same := func(e error) bool { return fmt.Sprint(err) == fmt.Sprint(e) && (err == io.EOF) == (e == io.EOF) }
+			if !same(errInto) {
+				t.Fatalf("record %d: Next error %v, ReadInto error %v", i, err, errInto)
+			}
+			if err == nil && (hdr != hdrInto || !bytes.Equal(body, slot[:n])) {
+				t.Fatalf("record %d: ReadInto (%+v, %d bytes) differs from Next (%+v, %d bytes)", i, hdrInto, n, hdr, len(body))
+			}
+			n, capLen, origLen, errFrame := frame.ReadFrame(slot)
+			if !same(errFrame) {
+				t.Fatalf("record %d: Next error %v, ReadFrame error %v", i, err, errFrame)
 			}
 			if err != nil {
 				return
+			}
+			if capLen != hdr.CaptureLength || origLen != hdr.OriginalLength || !bytes.Equal(body, slot[:n]) {
+				t.Fatalf("record %d: ReadFrame (%d/%d, %d bytes) differs from Next (%+v, %d bytes)", i, capLen, origLen, n, hdr, len(body))
 			}
 			if len(body) > MaxSnapLen {
 				t.Fatalf("record exceeds MaxSnapLen: %d", len(body))

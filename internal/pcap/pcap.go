@@ -51,7 +51,7 @@ type Reader struct {
 	linkType uint32
 	snapLen  uint32
 	buf      []byte
-	rec      [16]byte // record-header scratch; a local would escape through io.ReadFull
+	rec      [16]byte // the last record header ReadFrame consumed; a local would escape through io.ReadFull
 }
 
 // NewReader parses the global header and returns a reader positioned at
@@ -103,78 +103,99 @@ func (r *Reader) Next() (Header, []byte, error) {
 		}
 		return Header{}, nil, fmt.Errorf("pcap: reading record header: %w", err)
 	}
-	sec := r.order.Uint32(rec[0:4])
-	frac := r.order.Uint32(rec[4:8])
-	capLen := r.order.Uint32(rec[8:12])
-	origLen := r.order.Uint32(rec[12:16])
-	if capLen > MaxSnapLen {
-		return Header{}, nil, fmt.Errorf("pcap: capture length %d exceeds limit", capLen)
+	h := r.record(rec[:])
+	if uint(h.CaptureLength) > MaxSnapLen {
+		return Header{}, nil, fmt.Errorf("pcap: capture length %d exceeds limit", h.CaptureLength)
 	}
-	if cap(r.buf) < int(capLen) {
-		r.buf = make([]byte, capLen)
+	if cap(r.buf) < h.CaptureLength {
+		r.buf = make([]byte, h.CaptureLength)
 	}
-	data := r.buf[:capLen]
+	data := r.buf[:h.CaptureLength]
 	if _, err := io.ReadFull(r.r, data); err != nil {
 		return Header{}, nil, fmt.Errorf("pcap: reading record body: %w", err)
 	}
-	ts := time.Unix(int64(sec), 0)
+	return h, data, nil
+}
+
+// record decodes a 16-byte record header.
+func (r *Reader) record(rec []byte) Header {
+	ts := time.Unix(int64(r.order.Uint32(rec[0:4])), 0)
+	frac := time.Duration(r.order.Uint32(rec[4:8]))
 	if r.nanos {
-		ts = ts.Add(time.Duration(frac) * time.Nanosecond)
+		ts = ts.Add(frac * time.Nanosecond)
 	} else {
-		ts = ts.Add(time.Duration(frac) * time.Microsecond)
+		ts = ts.Add(frac * time.Microsecond)
 	}
 	return Header{
 		Timestamp:      ts,
-		CaptureLength:  int(capLen),
-		OriginalLength: int(origLen),
-	}, data, nil
+		CaptureLength:  int(r.order.Uint32(rec[8:12])),
+		OriginalLength: int(r.order.Uint32(rec[12:16])),
+	}
 }
 
 // ReadInto reads the next record body into dst — the zero-allocation
-// form of Next used by the pooled replay pipeline, where dst is a
-// replay queue's frame slot filled in place. A record longer than dst is
-// truncated to len(dst) (NIC snapshot-length semantics) and the
-// remainder is discarded without allocating; the returned Header keeps
-// the record's full CaptureLength so callers can count truncations.
-// The returned n is the number of bytes stored in dst. io.EOF signals
-// a clean end of file.
+// form of Next, where dst is a caller's reusable buffer filled in
+// place. A record longer than dst is truncated to len(dst) (NIC
+// snapshot-length semantics) and the remainder is discarded without
+// allocating; the returned Header keeps the record's full
+// CaptureLength so callers can count truncations. The returned n is
+// the number of bytes stored in dst. io.EOF signals a clean end of
+// file.
 func (r *Reader) ReadInto(dst []byte) (Header, int, error) {
+	n, _, _, err := r.ReadFrame(dst)
+	if err != nil {
+		return Header{}, 0, err
+	}
+	return r.record(r.rec[:]), n, nil
+}
+
+// ReadFrame is ReadInto without the timestamp, for the pooled replay's
+// per-packet loop, where dst is a replay queue's frame slot: it
+// returns the stored byte count n and the record's captured and
+// original lengths as plain integers. A caller of ReadInto spills the
+// 40-byte Header result with 8-byte stores and copies it with 16-byte
+// loads, which stalls store-to-load forwarding once per record
+// (DESIGN.md §13); three integers stay in registers. Errors and io.EOF
+// are ReadInto's.
+func (r *Reader) ReadFrame(dst []byte) (n, capLen, origLen int, err error) {
+	// When the buffer holds the record header and the bytes to store —
+	// every record but about one per buffer refill — parse the record
+	// in place: one Peek, one copy, one Discard, instead of two
+	// io.ReadFull calls. Anything else takes the reading path below,
+	// whose errors are the same as Next's.
+	if buf, _ := r.r.Peek(r.r.Buffered()); len(buf) >= len(r.rec) {
+		capLen = int(r.order.Uint32(buf[8:12]))
+		n = min(capLen, len(dst))
+		if uint(capLen) <= MaxSnapLen && len(r.rec)+n <= len(buf) {
+			origLen = int(r.order.Uint32(buf[12:16]))
+			r.rec = [16]byte(buf)
+			copy(dst[:n], buf[len(r.rec):])
+			if _, err := r.r.Discard(len(r.rec) + capLen); err != nil {
+				return 0, 0, 0, fmt.Errorf("pcap: discarding truncated record body: %w", err)
+			}
+			return n, capLen, origLen, nil
+		}
+	}
 	if _, err := io.ReadFull(r.r, r.rec[:]); err != nil {
 		if err == io.EOF {
-			return Header{}, 0, io.EOF
+			return 0, 0, 0, io.EOF
 		}
-		return Header{}, 0, fmt.Errorf("pcap: reading record header: %w", err)
+		return 0, 0, 0, fmt.Errorf("pcap: reading record header: %w", err)
 	}
-	sec := r.order.Uint32(r.rec[0:4])
-	frac := r.order.Uint32(r.rec[4:8])
-	capLen := r.order.Uint32(r.rec[8:12])
-	origLen := r.order.Uint32(r.rec[12:16])
-	if capLen > MaxSnapLen {
-		return Header{}, 0, fmt.Errorf("pcap: capture length %d exceeds limit", capLen)
+	capLen = int(r.order.Uint32(r.rec[8:12]))
+	if uint(capLen) > MaxSnapLen {
+		return 0, 0, 0, fmt.Errorf("pcap: capture length %d exceeds limit", capLen)
 	}
-	n := int(capLen)
-	if n > len(dst) {
-		n = len(dst)
-	}
+	n = min(capLen, len(dst))
 	if _, err := io.ReadFull(r.r, dst[:n]); err != nil {
-		return Header{}, 0, fmt.Errorf("pcap: reading record body: %w", err)
+		return 0, 0, 0, fmt.Errorf("pcap: reading record body: %w", err)
 	}
-	if rest := int(capLen) - n; rest > 0 {
+	if rest := capLen - n; rest > 0 {
 		if _, err := r.r.Discard(rest); err != nil {
-			return Header{}, 0, fmt.Errorf("pcap: discarding truncated record body: %w", err)
+			return 0, 0, 0, fmt.Errorf("pcap: discarding truncated record body: %w", err)
 		}
 	}
-	ts := time.Unix(int64(sec), 0)
-	if r.nanos {
-		ts = ts.Add(time.Duration(frac) * time.Nanosecond)
-	} else {
-		ts = ts.Add(time.Duration(frac) * time.Microsecond)
-	}
-	return Header{
-		Timestamp:      ts,
-		CaptureLength:  int(capLen),
-		OriginalLength: int(origLen),
-	}, n, nil
+	return n, capLen, int(r.order.Uint32(r.rec[12:16])), nil
 }
 
 // Writer encodes a pcap stream (little endian, microsecond timestamps).

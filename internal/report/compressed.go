@@ -11,8 +11,11 @@ import (
 	"cocosketch/internal/sketch"
 )
 
-// The CRPT v1 payload layout (DESIGN.md §14 documents it byte by
-// byte):
+// The CRPT v2 payload layout (DESIGN.md §14 documents it byte by
+// byte). Version 2 changed no byte of the layout: it marks stages
+// whose buckets were placed by the wide hash (DESIGN.md §8), so a
+// version-1 stage is rejected rather than decoded into the wrong
+// buckets.
 //
 //	magic "CRPT" | version u8 | flags u8 | shrinkLog2 u8 | keySize u8 |
 //	d u16 LE | l u32 LE | epoch u32 LE | baseEpoch u32 LE |
@@ -22,7 +25,7 @@ import (
 //	  value (zigzag varint delta if ref == 0, else plain uvarint) }
 const (
 	crptMagic   = "CRPT"
-	crptVersion = 1
+	crptVersion = 2
 
 	// flagDelta marks a payload encoded against the previous
 	// acknowledged stage; clear means self-contained.

@@ -16,7 +16,7 @@ import (
 
 // This file is the zero-allocation replay source. Each simulated
 // receive queue runs a reader goroutine (pcap record → arena slot,
-// filled in place by ReadInto) and a worker (slot → 5-tuple via
+// filled in place by ReadFrame) and a worker (slot → 5-tuple via
 // packet.ExtractFiveTuple → InsertBatch → release) joined by a ring of
 // 12-byte packet.FrameRef handles. Frame order owns the slots: frame k
 // lives in slot k mod PoolSlots, and the reader may fill it only once
@@ -41,6 +41,8 @@ type ReplayConfig struct {
 	// SlotCap is the byte capacity of each arena slot (default
 	// DefaultSlotCap). Records longer than SlotCap are truncated on
 	// read, NIC snapshot-length style, and counted in ReplayStats.
+	// Byte weights come from the record's original length, so only a
+	// SlotCap below packet.MaxKeyHeaderLen can change what is measured.
 	SlotCap int
 	// Seed drives the RSS split when a stream is partitioned into
 	// queues; it must match the shard Engine seed being compared
@@ -59,8 +61,13 @@ type ReplayConfig struct {
 const DefaultPoolSlots = 1024
 
 // DefaultSlotCap is the per-slot byte capacity when ReplayConfig leaves
-// SlotCap zero — enough for a full 1500-byte MTU frame plus headers.
-const DefaultSlotCap = 2048
+// SlotCap zero: the headers, not the payload. The replay reads nothing
+// past the L4 ports, and the deepest header stack the extractor
+// accepts is packet.MaxKeyHeaderLen (138) bytes, so no frame's key or
+// acceptance depends on the bytes a 192-byte slot drops. Small slots
+// keep the arena dense in cache and stop copying payloads (DESIGN.md
+// §13).
+const DefaultSlotCap = 192
 
 // ReplayStats summarizes a finished replay.
 type ReplayStats struct {
@@ -73,7 +80,9 @@ type ReplayStats struct {
 	// mirroring how trace.FromPCAP skips them.
 	Skipped uint64
 	// Truncated counts records longer than a slot, stored as a
-	// SlotCap-byte prefix.
+	// SlotCap-byte prefix. At the default SlotCap that is every frame
+	// whose payload was dropped, not a loss: keys and byte weights are
+	// unchanged.
 	Truncated uint64
 	// Starved counts reader parks: each time the reader found every
 	// slot in flight and blocked until the worker had freed a quarter
@@ -161,7 +170,7 @@ func (q *frames) slot(s packet.Slot) []byte {
 func (q *frames) inFlight() int { return int(q.read.Load() - q.released.Load()) }
 
 // readBurst fills up to one burst of free slots in frame order with
-// ReadInto, publishes them, and pushes their FrameRefs into the ring
+// ReadFrame, publishes them, and pushes their FrameRefs into the ring
 // (spinning on a full ring, which a slot-sized ring makes
 // unreachable). It returns the number of refs pushed; zero with
 // q.done still false means every slot is in flight and the caller
@@ -173,7 +182,7 @@ func (q *frames) readBurst() (int, error) {
 	s := packet.Slot(read % uint64(q.slots))
 	refs := q.refs[:0]
 	for len(refs) < want {
-		hdr, n, err := q.reader.ReadInto(q.slot(s))
+		n, capLen, origLen, err := q.reader.ReadFrame(q.slot(s))
 		if err == io.EOF {
 			q.done = true
 			break
@@ -182,14 +191,14 @@ func (q *frames) readBurst() (int, error) {
 			q.refs = refs
 			return 0, err
 		}
-		if hdr.CaptureLength > n {
+		if capLen > n {
 			q.truncated++
 			q.telTruncated.Inc()
 		}
 		refs = append(refs, packet.FrameRef{
 			Slot: s,
 			Len:  uint32(n),
-			Orig: uint32(hdr.OriginalLength),
+			Orig: uint32(origLen),
 		})
 		s++
 		if int(s) == q.slots {

@@ -212,6 +212,79 @@ func TestReplayTruncatesToSlotCap(t *testing.T) {
 	diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
 }
 
+// deepHeaderFrame hand-builds frame i of a flow set with the deepest
+// header stacks ExtractFiveTuple reads, which packet.Build cannot
+// produce: an 802.1Q tag, then IPv4 with IHL 15 or IPv6, then TCP
+// with data offset 15 or UDP. The frame is padded to a full 1514-byte
+// Ethernet frame, so at the default slot size the payload is dropped.
+func deepHeaderFrame(i int) []byte {
+	f := make([]byte, 1514)
+	f[12], f[13] = byte(packet.EtherTypeVLAN>>8), byte(packet.EtherTypeVLAN&0xFF)
+	f[15] = 7 // VLAN ID
+	ip := f[18:]
+	proto := []uint8{packet.ProtoTCP, packet.ProtoUDP}[i%2]
+	var l4 []byte
+	if i%3 == 0 {
+		f[16], f[17] = byte(packet.EtherTypeIPv6>>8), byte(packet.EtherTypeIPv6&0xFF)
+		ip[0] = 0x60
+		ip[6] = proto
+		ip[8], ip[23] = 0x20, byte(i%37) // source 2000::/16
+		ip[24], ip[39] = 0x20, byte(i%11)
+		l4 = ip[40:]
+	} else {
+		f[16], f[17] = byte(packet.EtherTypeIPv4>>8), byte(packet.EtherTypeIPv4&0xFF)
+		ip[0] = 0x4F // IHL 15: 40 option bytes
+		ip[9] = proto
+		copy(ip[12:16], []byte{10, 0, byte(i % 5), byte(i % 37)})
+		copy(ip[16:20], []byte{192, 168, 1, byte(i % 11)})
+		l4 = ip[60:]
+	}
+	l4[0], l4[1] = 0x80, byte(i%13)
+	l4[2], l4[3] = 0x01, 0xBB
+	if proto == packet.ProtoTCP {
+		l4[12] = 0xF0 // data offset 15: 40 option bytes
+	}
+	return f
+}
+
+// TestReplayHeaderSlotsKeepKeys pins the default slot size: frames
+// with the deepest accepted header stacks, padded to 1514 bytes,
+// replay at DefaultSlotCap to the sketch that trace.FromPCAP plus
+// sequential inserts builds from the whole frames, in packet-count and
+// byte-weighted modes.
+func TestReplayHeaderSlotsKeepKeys(t *testing.T) {
+	if DefaultSlotCap < packet.MaxKeyHeaderLen {
+		t.Fatalf("DefaultSlotCap %d is below the %d-byte header bound", DefaultSlotCap, packet.MaxKeyHeaderLen)
+	}
+	const n = 3000
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf, pcap.LinkTypeEthernet, 65535)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		// Original lengths past the capture vary the byte weights.
+		if err := w.WritePacket(time.Unix(int64(i), 0), deepHeaderFrame(i), 1514+i%64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for _, bytesMode := range []bool{false, true} {
+		merged, st, err := ReplayPCAPBasic(ReplayConfig{Queues: 1, Seed: 42, Bytes: bytesMode},
+			replaySketchCfg(), bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Packets != n || st.Skipped != 0 || st.Truncated != n {
+			t.Fatalf("bytes=%v: stats %+v, want %d packets, all inserted and truncated", bytesMode, st, n)
+		}
+		diffTables(t, merged.Decode(), sequentialDecode(t, data, bytesMode))
+	}
+}
+
 // TestReplayBackpressureStarvation checks the backpressure-not-drop
 // contract: with a pool smaller than one burst the reader must stall on
 // slot exhaustion (Starved > 0), yet every packet is still delivered
