@@ -14,7 +14,7 @@ test:
 	cd cmd/cocoperf && $(GO) test -shuffle=on ./...
 
 # Race-check the concurrent packages (SPSC ring, sharded ingest
-# workers and pooled replay, network-wide merge workers, cluster dispatcher, query
+# workers and pooled replay, network-wide merge workers, query
 # front-end against a live sealing loop, telemetry instruments) and the
 # cocoagent/cococollector binaries (their tests run agents, flaky
 # proxies and collectors concurrently in one process: the only
@@ -24,20 +24,17 @@ test:
 # (deterministic fault injection exercises the agent/collector
 # concurrency paths hardest).
 race:
-	$(GO) test -race -shuffle=on ./internal/ovs/... ./internal/core/... ./internal/netwide/... ./internal/shard/... ./internal/cluster/... ./internal/query/... ./internal/window/... ./internal/telemetry/... ./internal/packet/... ./internal/pcap/... ./cmd/cocoagent/ ./cmd/cococollector/
+	$(GO) test -race -shuffle=on ./internal/ovs/... ./internal/core/... ./internal/netwide/... ./internal/shard/... ./internal/query/... ./internal/window/... ./internal/telemetry/... ./internal/packet/... ./internal/pcap/... ./cmd/cocoagent/ ./cmd/cococollector/
 	$(GO) test -race -count=10 -run 'Replay' ./internal/shard/
 	$(MAKE) chaos
 
 # Seeded chaos simulation: the faultnet scenarios (latency, drops,
-# partial writes, resets, bandwidth caps, partitions), the differential
-# chaos gates against the exact oracle, and the cluster chaos suite
-# (collectors killed/revived/partitioned behind the Maglev dispatcher,
-# cluster-wide conservation ledger + decode equality, bit-identical
-# across two replays per seed), all under the race detector with
-# shuffled test order. Every fault schedule derives from a fixed seed,
-# so a pass here is reproducible, not lucky.
+# partial writes, resets, bandwidth caps, partitions) and the
+# differential chaos gates against the exact oracle, all under the race
+# detector with shuffled test order. Every fault schedule derives from
+# a fixed seed, so a pass here is reproducible, not lucky.
 chaos:
-	$(GO) test -race -count=1 -shuffle=on -run 'Chaos' ./internal/netwide/ ./internal/oracle/ ./internal/cluster/
+	$(GO) test -race -count=1 -shuffle=on -run 'Chaos' ./internal/netwide/ ./internal/oracle/
 
 # Documentation gate: go vet plus the doc-comment linter (fails on any
 # package or exported identifier missing a doc comment).

@@ -24,14 +24,6 @@
 // count down to a multiple of report.GeometryAlign on both ends so any
 // power-of-two -report-shrink divides the shared geometry).
 //
-// -collector may equally point at a cococollector running in -cluster
-// mode: the dispatcher speaks the same report protocol and shards each
-// (agent, epoch) report across its backend collectors transparently
-// (DESIGN.md §15), so the agent needs no extra configuration. Use the
-// full codec with a dispatcher — compressed delta reports assume one
-// collector tracks the delta base, and epoch striping would force a
-// base resync on nearly every report.
-//
 // Usage:
 //
 //	cocoagent -id 1 -collector 127.0.0.1:7700 -pcap site1.pcap

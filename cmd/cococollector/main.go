@@ -23,21 +23,9 @@
 //	GET /query?sql=SELECT+SrcIP,+SUM(Size)+FROM+table+GROUP+BY+SrcIP&range=last:4
 //	GET /epochs
 //
-// With -cluster the process runs as a Maglev dispatcher instead of a
-// collector: agents keep pointing their -collector flag at it, and it
-// consistently shards each (agent, epoch) report across the backend
-// collectors named by -peers, health-checking them on -health-interval
-// and failing over transparently when one dies (DESIGN.md §15). The
-// backends are ordinary cococollector processes — no extra flags;
-// each holds a partial per-epoch view, and the cluster-wide decode is
-// the canonical fold of their shards (internal/cluster). Codec and
-// sketch-geometry flags are irrelevant to a dispatcher, which relays
-// report frames without decoding them.
-//
 // Usage:
 //
 //	cococollector -listen 127.0.0.1:7700 -keys SrcIP,DstIP+DstPort
-//	cococollector -cluster -listen 127.0.0.1:7700 -peers 127.0.0.1:7710,127.0.0.1:7711
 package main
 
 import (
@@ -50,7 +38,6 @@ import (
 	"strings"
 	"time"
 
-	"cocosketch/internal/cluster"
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/netwide"
@@ -84,30 +71,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		telAddr   = fs.String("telemetry", "", "serve /debug/vars and /debug/pprof on this address (off when empty)")
 		idleTO    = fs.Duration("idle-timeout", 0, "drop an agent connection after this much silence, freeing its handler (0 = never)")
 		codecName = fs.String("report-codec", "full", "report codec to accept: full (snapshots only, compatible default) or compressed (two-stage delta reports, DESIGN.md §14; also accepts full snapshots)")
-		clusterOn = fs.Bool("cluster", false, "run as a Maglev dispatcher sharding reports across the -peers backend collectors instead of collecting locally")
-		peers     = fs.String("peers", "", "comma-separated backend collector addresses (required with -cluster)")
-		healthIv  = fs.Duration("health-interval", cluster.DefaultProbeInterval, "backend health-probe cadence in -cluster mode")
 		windowN   = fs.Int("window", 0, "retain the last N sealed epochs in a sliding-window query ring (0 = off)")
 		queryAddr = fs.String("serve-query", "", "serve the windowed JSON query endpoint (/query, /epochs) on this address (requires -window)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !*clusterOn {
-		// A dispatcher relays frames undecoded, so only collector mode
-		// sizes a sketch and prints rows.
-		if *d < 1 {
-			fmt.Fprintf(stderr, "cococollector: -d must be at least 1, got %d\n", *d)
-			return 2
-		}
-		if *memKB < 1 {
-			fmt.Fprintf(stderr, "cococollector: -mem must be at least 1 (KB), got %d\n", *memKB)
-			return 2
-		}
-		if *top < 0 {
-			fmt.Fprintf(stderr, "cococollector: -top must be non-negative, got %d\n", *top)
-			return 2
-		}
+	if *d < 1 {
+		fmt.Fprintf(stderr, "cococollector: -d must be at least 1, got %d\n", *d)
+		return 2
+	}
+	if *memKB < 1 {
+		fmt.Fprintf(stderr, "cococollector: -mem must be at least 1 (KB), got %d\n", *memKB)
+		return 2
+	}
+	if *top < 0 {
+		fmt.Fprintf(stderr, "cococollector: -top must be non-negative, got %d\n", *top)
+		return 2
+	}
+	if *every <= 0 {
+		// time.Sleep returns at once for a non-positive duration, so the
+		// serve loop would spin at full CPU.
+		fmt.Fprintf(stderr, "cococollector: -every must be positive, got %v\n", *every)
+		return 2
 	}
 
 	reg := telemetry.Disabled
@@ -119,10 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "telemetry: listening on %s\n", addr)
-	}
-
-	if *clusterOn {
-		return runDispatcher(*listen, *peers, *healthIv, reg, stdout, stderr)
 	}
 
 	var masks []flowkey.Mask
@@ -230,41 +212,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		next = epoch + 1
 	}
-}
-
-// runDispatcher is the -cluster mode: terminate agent connections on
-// the listen address and shard each report across the peer collectors
-// through the Maglev table, with active health checking and
-// transparent failover. Blocks until the process is killed.
-func runDispatcher(listen, peers string, healthIv time.Duration, reg *telemetry.Registry, stdout, stderr io.Writer) int {
-	var backends []string
-	for _, p := range strings.Split(peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			backends = append(backends, p)
-		}
-	}
-	if len(backends) == 0 {
-		fmt.Fprintln(stderr, "cococollector: -cluster requires -peers (comma-separated backend addresses)")
-		return 2
-	}
-	d, err := cluster.NewDispatcher(backends)
-	if err != nil {
-		fmt.Fprintf(stderr, "cococollector: %v\n", err)
-		return 2
-	}
-	d.SetTelemetry(reg).SetHealth(healthIv, cluster.DefaultDownAfter, cluster.DefaultUpAfter)
-	l, err := net.Listen("tcp", listen)
-	if err != nil {
-		fmt.Fprintf(stderr, "cococollector: %v\n", err)
-		return 1
-	}
-	defer l.Close()
-	defer d.Close()
-	fmt.Fprintf(stdout, "dispatching on %s across %d backends (%s)\n",
-		l.Addr(), len(backends), strings.Join(d.Table().Backends(), ", "))
-	if err := d.Serve(l); err != nil {
-		fmt.Fprintf(stderr, "cococollector: dispatch: %v\n", err)
-		return 1
-	}
-	return 0
 }

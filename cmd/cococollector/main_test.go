@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"cocosketch/internal/cluster"
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/netwide"
@@ -80,11 +79,9 @@ func TestRunBadListenAddrFails(t *testing.T) {
 	}
 }
 
-// TestRunBadSizesExitUsage pins the size flags' usage errors in
-// collector mode: each exits 2 naming its flag before the collector
-// listens (the unparsable listen port would exit 1 otherwise). A
-// dispatcher ignores the geometry flags, so -cluster -d 0 still fails
-// only for its missing -peers.
+// TestRunBadSizesExitUsage pins the size and interval flags' usage
+// errors: each exits 2 naming its flag before the collector listens
+// (the unparsable listen port would exit 1 otherwise).
 func TestRunBadSizesExitUsage(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -94,7 +91,8 @@ func TestRunBadSizesExitUsage(t *testing.T) {
 		{[]string{"-mem", "0"}, "-mem"},
 		{[]string{"-mem", "-5"}, "-mem"},
 		{[]string{"-top", "-1"}, "-top"},
-		{[]string{"-cluster", "-d", "0"}, "-peers"},
+		{[]string{"-every", "0"}, "-every"},
+		{[]string{"-every", "-1s"}, "-every"},
 	} {
 		t.Run(strings.Join(tc.args, "="), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -106,94 +104,6 @@ func TestRunBadSizesExitUsage(t *testing.T) {
 				t.Fatalf("stderr does not name %s:\n%s", tc.flag, stderr.String())
 			}
 		})
-	}
-}
-
-// TestRunClusterRequiresPeers pins the -cluster usage contract.
-func TestRunClusterRequiresPeers(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-cluster"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("run = %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "-peers") {
-		t.Fatalf("stderr does not explain the missing -peers:\n%s", stderr.String())
-	}
-}
-
-// TestRunClusterDispatchEndToEnd boots two in-process backend
-// collectors, starts run() in -cluster mode in front of them, reports
-// several epochs from an agent pointed at the dispatcher, and checks
-// every report landed on exactly the backend the Maglev table routes
-// it to, with the cluster-wide decode holding the full observed mass.
-func TestRunClusterDispatchEndToEnd(t *testing.T) {
-	cfg := core.ConfigForMemory[flowkey.FiveTuple](2, 64*1024, 5)
-	backends := make([]*netwide.Collector, 2)
-	addrs := make([]string, 2)
-	for i := range backends {
-		backends[i] = netwide.NewCollector(cfg)
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		addrs[i] = l.Addr().String()
-		go func(i int, l net.Listener) { _ = backends[i].Serve(l) }(i, l)
-	}
-
-	stdout := &syncBuffer{}
-	stderr := &syncBuffer{}
-	go run([]string{
-		"-cluster",
-		"-listen", "127.0.0.1:0",
-		"-peers", strings.Join(addrs, ","),
-	}, stdout, stderr)
-
-	out := waitFor(t, stdout, "dispatching on ")
-	line := out[strings.Index(out, "dispatching on ")+len("dispatching on "):]
-	dispatchAddr := strings.Fields(line)[0]
-
-	const epochs = 4
-	agent := netwide.NewAgent(3, cfg)
-	conn, err := net.Dial("tcp", dispatchAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var observed uint64
-	for e := 0; e < epochs; e++ {
-		for i := 0; i < 2000; i++ {
-			agent.Observe(flowkey.FiveTuple{SrcPort: uint16(i % 64), Proto: 6}, 1)
-			observed++
-		}
-		agent.EndEpoch()
-		if err := agent.Flush(conn); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	table, err := cluster.NewTable(addrs, cluster.DefaultTableSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mass uint64
-	for e := uint32(0); e < epochs; e++ {
-		want, _ := table.Lookup(cluster.EpochKey(3, e))
-		for i, c := range backends {
-			_, held := c.EpochShards(e)
-			if routed := addrs[i] == want; held != routed {
-				t.Errorf("epoch %d: backend %s held=%v, want routed=%v", e, addrs[i], held, routed)
-			}
-		}
-		eng, ok := cluster.DecodeEpoch(e, backends...)
-		if !ok {
-			t.Fatalf("cluster decode missing epoch %d", e)
-		}
-		for _, w := range eng.FullTable() {
-			mass += w
-		}
-	}
-	if mass != observed {
-		t.Errorf("cluster decode mass %d != observed %d", mass, observed)
 	}
 }
 

@@ -281,26 +281,3 @@ func (n *Network) linkSeed(connID, dir int) uint64 {
 	x := xrand.New(n.seed ^ (uint64(connID)<<1 | uint64(dir)) ^ 0xc0c0_5ce7_c4a0_5000)
 	return x.Uint64()
 }
-
-// Probe reports whether a listener is currently reachable at address:
-// nil when a dial would succeed right now, ErrRefused when no listener
-// is bound, the listener is closed, or the network is partitioned.
-// Unlike Dial it creates no connection and wakes no acceptor, so a
-// health checker can poll on a timer without spawning handler
-// goroutines whose teardown would interleave nondeterministically with
-// the workload's transcript — a probe is a single transcript line.
-func (n *Network) Probe(address string) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.partitioned {
-		n.log("probe %s refused (partitioned)", address)
-		return ErrRefused
-	}
-	l, ok := n.listeners[address]
-	if !ok || l.closed {
-		n.log("probe %s refused", address)
-		return ErrRefused
-	}
-	n.log("probe %s ok", address)
-	return nil
-}

@@ -379,47 +379,3 @@ func TestSameInstantActorsTakeTurns(t *testing.T) {
 		}
 	}
 }
-
-// TestProbeTracksReachabilityWithoutConnections pins Probe's contract:
-// it mirrors what Dial would do (ok / refused / partitioned) at every
-// point of a listener's lifecycle, never creates a connection, and
-// leaves exactly one transcript line per call.
-func TestProbeTracksReachabilityWithoutConnections(t *testing.T) {
-	n := New(1, Faults{})
-	if err := n.Probe("backend"); err != ErrRefused {
-		t.Fatalf("probe before listen = %v, want ErrRefused", err)
-	}
-	l, err := n.Listen("backend")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Probe("backend"); err != nil {
-		t.Fatalf("probe with live listener = %v, want nil", err)
-	}
-	n.SetPartitioned(true)
-	if err := n.Probe("backend"); err != ErrRefused {
-		t.Fatalf("probe while partitioned = %v, want ErrRefused", err)
-	}
-	n.SetPartitioned(false)
-	l.Close()
-	if err := n.Probe("backend"); err != ErrRefused {
-		t.Fatalf("probe after close = %v, want ErrRefused", err)
-	}
-	want := []string{
-		"probe backend refused",
-		"probe backend ok",
-		"network partition=true",
-		"probe backend refused (partitioned)",
-		"network partition=false",
-		"probe backend refused",
-	}
-	got := n.Transcript()
-	if len(got) != len(want) {
-		t.Fatalf("transcript has %d lines (%q), want %d — probes must not create connections", len(got), got, len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("transcript[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-}

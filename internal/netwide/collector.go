@@ -42,14 +42,12 @@ type Collector struct {
 	decoder report.Decoder[flowkey.FiveTuple]
 	// shards retains each agent's decoded stage per epoch instead of
 	// eagerly merging it away. Queries fold the shards in canonical
-	// agent-ID order (see FoldShards), which makes the decoded table a
-	// pure function of the shard SET: core.Merge's key survival draws
-	// from the aggregate's RNG, so merge ORDER matters, and canonical
-	// folding is what lets a sharded cluster's decode (internal/
-	// cluster) reproduce the single-collector result bit for bit no
-	// matter which backend each report landed on or in what order. An
-	// (epoch, agent) pair is present exactly when its report decoded,
-	// which is what deduplicates retries.
+	// agent-ID order (see fold), which makes the decoded table a pure
+	// function of the shard SET: core.Merge's key survival draws from
+	// the aggregate's RNG, so merge ORDER matters, and canonical
+	// folding is what makes an epoch independent of the order its
+	// reports arrived in. An (epoch, agent) pair is present exactly
+	// when its report decoded, which is what deduplicates retries.
 	shards map[uint32]map[uint16]*core.Basic[flowkey.FiveTuple]
 	agents map[uint16]AgentStatus
 }
@@ -295,71 +293,40 @@ func (c *Collector) AgentStatuses() map[uint16]AgentStatus {
 	return out
 }
 
-// fold returns a fresh canonical aggregate of the epoch's shards, the
-// caller's to keep. Caller holds c.mu.
+// fold merges the epoch's per-agent shards into one network-wide
+// aggregate in canonical (ascending agent-ID) order and returns it, the
+// caller's to keep; the shards themselves are never mutated. Canonical
+// ordering is what makes the result a pure function of the shard set:
+// core.Merge keeps values order-independent, but WHICH key survives a
+// bucket collision is drawn from the aggregate's RNG, so two different
+// merge orders produce tables that agree on every estimate yet differ
+// bit-for-bit. Folding in a fixed order removes the arrival-order
+// dependence, including for retried duplicates, which ingest drops
+// (TestEpochIndependentOfArrivalOrder pins this).
+//
+// All shards are mutually Compatible (ingest enforces that on
+// arrival); the fold seeds its RNG from the canonically first shard's
+// serialized state, so equal shard sets yield equal aggregates.
+// Caller holds c.mu.
 func (c *Collector) fold(epoch uint32) (*core.Basic[flowkey.FiveTuple], bool) {
 	epochShards, ok := c.shards[epoch]
 	if !ok {
 		return nil, false
 	}
-	return FoldShards(epochShards), true
-}
-
-// FoldShards merges per-agent epoch shards into one network-wide
-// aggregate in canonical (ascending agent-ID) order and returns it;
-// the shards themselves are never mutated. Canonical ordering is what
-// makes the result a pure function of the shard set: core.Merge keeps
-// values order-independent, but WHICH key survives a bucket collision
-// is drawn from the aggregate's RNG, so two different merge orders
-// produce tables that agree on every estimate yet differ bit-for-bit.
-// Folding in a fixed order removes the arrival-order dependence — and
-// it is the keystone of the cluster plane: a dispatcher may scatter an
-// epoch's reports across backends and a failover may duplicate some,
-// but as long as the union of retained shards is the same set, this
-// fold reproduces the single-collector table exactly (see
-// cluster.DecodeEpoch). Returns nil for an empty shard map.
-//
-// All shards must be mutually Compatible (Collector.ingest enforces
-// that on arrival); the fold seeds its RNG from the canonically first
-// shard's serialized state, so equal shard sets yield equal aggregates
-// across processes.
-func FoldShards(shards map[uint16]*core.Basic[flowkey.FiveTuple]) *core.Basic[flowkey.FiveTuple] {
-	if len(shards) == 0 {
-		return nil
-	}
-	ids := make([]int, 0, len(shards))
-	for id := range shards {
+	ids := make([]int, 0, len(epochShards))
+	for id := range epochShards {
 		ids = append(ids, int(id))
 	}
 	sort.Ints(ids)
-	agg := shards[uint16(ids[0])].Clone()
+	agg := epochShards[uint16(ids[0])].Clone()
 	for _, id := range ids[1:] {
 		// Compatibility was checked at ingest, so a failure here is a
 		// programming error; panicking would take the whole collector
 		// down, so the offending shard is skipped instead (it cannot
 		// happen through the public API).
-		_ = agg.Merge(shards[uint16(id)])
+		_ = agg.Merge(epochShards[uint16(id)])
 	}
-	return agg
-}
-
-// EpochShards returns deep copies of the per-agent shards retained for
-// an epoch (false if no agent reported it yet). This is the cluster
-// decode's raw material: each backend exposes its retained shard set,
-// and cluster.DecodeEpoch unions the sets across backends before the
-// canonical fold.
-func (c *Collector) EpochShards(epoch uint32) (map[uint16]*core.Basic[flowkey.FiveTuple], bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	epochShards, ok := c.shards[epoch]
-	if !ok {
-		return nil, false
-	}
-	out := make(map[uint16]*core.Basic[flowkey.FiveTuple], len(epochShards))
-	for id, s := range epochShards {
-		out[id] = s.Clone()
-	}
-	return out, true
+	return agg, true
 }
 
 // Epochs returns the sorted list of epochs this collector holds shards

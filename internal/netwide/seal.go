@@ -32,9 +32,9 @@ type EpochSink interface {
 // mismatch) otherwise.
 //
 // Because the fold is a pure function of the shard set, sealing the
-// same epoch from two collectors holding the same shards yields
-// bit-identical ring contents — the property the differential
-// consistency suite pins end to end.
+// same epoch from two collectors that received the same reports, in
+// any order and with any retried duplicates, yields bit-identical ring
+// contents (TestEpochIndependentOfArrivalOrder pins this).
 func (c *Collector) SealEpochInto(sink EpochSink, epoch uint32) error {
 	c.mu.Lock()
 	agg, ok := c.fold(epoch)

@@ -2,9 +2,11 @@ package netwide
 
 // Seal-path tests: SealEpochInto hands the query-serving tier the same
 // canonical fold Epoch serves, as a private clone, with ErrNoEpoch for
-// absent epochs and sink errors propagated.
+// absent epochs and sink errors propagated, and the fold does not depend
+// on the order reports arrive in.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -123,6 +125,70 @@ func TestSealEpochIntoRing(t *testing.T) {
 		}
 		if !reflect.DeepEqual(eng.FullTable(), ref.FullTable()) {
 			t.Fatalf("epoch %d: ring window differs from collector decode", epoch)
+		}
+	}
+}
+
+// TestEpochIndependentOfArrivalOrder pins that one collector's epoch is
+// a function of the reports it received, not of their arrival order:
+// three agents' reports for one epoch go into fresh collectors in all
+// six orders, and once more with a retried duplicate in the middle.
+// Every sealed sketch must marshal to the same bytes and every Epoch
+// table must be equal. The geometry is small enough that the agents'
+// keys collide in most buckets, so a fold in arrival order would keep
+// different keys.
+func TestEpochIndependentOfArrivalOrder(t *testing.T) {
+	cfg := core.Config{Arrays: 2, BucketsPerArray: 32, Seed: 9}
+	payloads := make(map[uint16][]byte)
+	for _, agent := range []uint16{1, 2, 3} {
+		sk := core.NewBasic[flowkey.FiveTuple](cfg)
+		for p := 0; p < 200; p++ {
+			sk.Insert(flowkey.FiveTuple{SrcPort: agent, DstPort: uint16(p), Proto: 6}, uint64(1+p%7))
+		}
+		blob, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads[agent] = blob
+	}
+
+	orders := [][]uint16{
+		{1, 2, 3}, {1, 3, 2}, {2, 1, 3}, {2, 3, 1}, {3, 1, 2}, {3, 2, 1},
+		{2, 3, 2, 1}, // agent 2 retries after a lost ack
+	}
+	var wantBytes []byte
+	var wantTable map[flowkey.FiveTuple]uint64
+	for _, order := range orders {
+		collector := NewCollector(cfg)
+		for _, agent := range order {
+			if err := collector.ingest(Message{Type: MsgSketch, Epoch: 0, AgentID: agent, Payload: payloads[agent]}); err != nil {
+				t.Fatalf("order %v: agent %d: %v", order, agent, err)
+			}
+		}
+		if n := collector.AgentsReported(0); n != 3 {
+			t.Fatalf("order %v: %d agents reported, want 3", order, n)
+		}
+		sink := &recordSink{}
+		if err := collector.SealEpochInto(sink, 0); err != nil {
+			t.Fatalf("order %v: %v", order, err)
+		}
+		got, err := sink.sketches[0].MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine, ok := collector.Epoch(0)
+		if !ok {
+			t.Fatalf("order %v: epoch 0 missing", order)
+		}
+		if wantBytes == nil {
+			wantBytes, wantTable = got, engine.FullTable()
+			continue
+		}
+		if !bytes.Equal(got, wantBytes) {
+			t.Errorf("order %v: sealed sketch bytes differ from order %v", order, orders[0])
+		}
+		if !reflect.DeepEqual(engine.FullTable(), wantTable) {
+			t.Errorf("order %v: Epoch table differs from order %v", order, orders[0])
 		}
 	}
 }
