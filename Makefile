@@ -93,10 +93,13 @@ bench-query:
 
 bench: bench-insert bench-ring bench-smoke bench-report bench-query
 
-# Short fuzz pass over the sketch hash: every key type's field-built
-# HashSeeds must equal the wide hash of its byte encoding.
+# Short fuzz passes: every key type's field-built HashSeeds must equal
+# the wide hash of its byte encoding, and a one-queue replay of fuzzed
+# frames must build the sketch trace.FromPCAP plus sequential inserts
+# builds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHashSeedsMatchesWide -fuzztime 30s ./internal/flowkey/
+	$(GO) test -run '^$$' -fuzz FuzzReplayMatchesSequential -fuzztime 15s ./internal/shard/
 
 # Statistical verification: the differential matrix (every sketch
 # implementation against the exact oracle, variance-bound CIs), the

@@ -3,7 +3,9 @@
 // keys, then answers partial-key queries — either a single query given
 // on the command line or an interactive REPL accepting the paper's SQL
 // form (SELECT <key>, SUM(Size) FROM table GROUP BY <key>) or a bare
-// mask expression like "SrcIP/24+DstIP".
+// mask expression like "SrcIP/24+DstIP". A -pcap capture is streamed
+// through a one-queue replay (shard.ReplayPCAP), so memory is bounded
+// by the sketch, not by the capture.
 //
 // Usage:
 //
@@ -22,6 +24,7 @@ import (
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/query"
+	"cocosketch/internal/shard"
 	"cocosketch/internal/trace"
 )
 
@@ -61,30 +64,39 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var tr *trace.Trace
+	newSketch := func(int) *core.Basic[flowkey.FiveTuple] {
+		return core.NewBasicForMemory[flowkey.FiveTuple](*d, *memKB*1024, *seed)
+	}
+	var (
+		sk       *core.Basic[flowkey.FiveTuple]
+		measured uint64
+	)
 	if *pcapPath != "" {
 		f, err := os.Open(*pcapPath)
 		if err != nil {
 			fmt.Fprintf(stderr, "cocoquery: %v\n", err)
 			return 1
 		}
-		tr, err = trace.FromPCAP(f)
+		var st shard.ReplayStats
+		sk, st, err = shard.ReplayPCAP(shard.ReplayConfig{}, newSketch, f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(stderr, "cocoquery: %v\n", err)
 			return 1
 		}
+		measured = st.Packets
 	} else {
-		tr = trace.CAIDALike(*packets, *seed)
+		tr := trace.CAIDALike(*packets, *seed)
+		sk = newSketch(0)
+		for i := range tr.Packets {
+			sk.Insert(tr.Packets[i].Key, 1)
+		}
+		measured = uint64(len(tr.Packets))
 	}
 
-	sk := core.NewBasicForMemory[flowkey.FiveTuple](*d, *memKB*1024, *seed)
-	for i := range tr.Packets {
-		sk.Insert(tr.Packets[i].Key, 1)
-	}
 	engine := query.NewEngine(sk.Decode())
 	fmt.Fprintf(stdout, "measured %d packets into a %dKB CocoSketch (d=%d); %d full-key flows recorded\n",
-		len(tr.Packets), *memKB, *d, len(engine.FullTable()))
+		measured, *memKB, *d, len(engine.FullTable()))
 
 	if *q != "" {
 		if err := runQuery(stdout, engine, *q, *top); err != nil {

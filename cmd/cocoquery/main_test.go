@@ -107,8 +107,9 @@ func TestBadSizesExitUsage(t *testing.T) {
 }
 
 // TestPcapMatchesSequentialSketch feeds a real capture through -pcap
-// (trace.FromPCAP and packet.Decoder): the printed rows must be
-// exactly those of one sketch fed the trace's packets in order.
+// (the one-queue replay and packet.ExtractFiveTuple): the printed rows
+// must be exactly those of one sketch fed the trace's packets in
+// order.
 func TestPcapMatchesSequentialSketch(t *testing.T) {
 	tr := trace.CAIDALike(20000, 5)
 	path := filepath.Join(t.TempDir(), "caida.pcap")

@@ -1,10 +1,9 @@
 // OVS-style pipeline: the paper's software-switch deployment (§6/§B).
 // Receive-side scaling spreads raw Ethernet frames over Rx queues; per
-// queue, a poller fills pooled frame slots and hands them over a
-// lock-free ring to a measurement thread that parses each frame and
-// updates its own CocoSketch, and the per-queue sketches are merged at
-// the end — the architecture that saturated a 40G NIC with two threads
-// in the paper.
+// queue, a datapath poller parses each frame and writes its key into a
+// lock-free ring, a measurement thread updates its own CocoSketch from
+// the ring, and the per-queue sketches are merged at the end — the
+// architecture that saturated a 40G NIC with two threads in the paper.
 //
 // Run: go run ./examples/ovspipeline
 package main

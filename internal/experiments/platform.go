@@ -61,11 +61,12 @@ func runTable2(RunConfig) (*TableResult, error) {
 // count, with and without CocoSketch measurement attached. Each thread
 // is one receive queue of the paper's OVS deployment (§6.1):
 // pcap.PartitionRSS splits the capture as NIC receive-side scaling
-// would, and shard.ReplayQueues runs a poller (pcap reader filling
-// pooled frame slots) and a measurement thread (parse, then insert)
-// per queue, each queue with its own full 500 KB sketch, merged at the
-// end. "w/o Ours" replays the same datapath into a sketch that keeps
-// nothing. Both runs must account for every packet of the trace.
+// would, and shard.ReplayQueues runs a datapath poller (pcap reader
+// that parses each frame and writes its key into the ring) and a
+// measurement thread (sketch insert only) per queue, each queue with
+// its own full 500 KB sketch, merged at the end. "w/o Ours" replays
+// the same datapath, parse included, into a sketch that keeps nothing.
+// Both runs must account for every packet of the trace.
 func runFig15a(cfg RunConfig) (*TableResult, error) {
 	tr := trace.CAIDALike(cfg.packets(), cfg.Seed)
 	var capture bytes.Buffer
@@ -76,7 +77,7 @@ func runFig15a(cfg RunConfig) (*TableResult, error) {
 	sketchCfg := core.ConfigForMemory[flowkey.FiveTuple](core.DefaultArrays, 500*1024, cfg.Seed+7)
 	out := &TableResult{
 		ID:      "fig15a",
-		Title:   "OVS-like datapath throughput vs threads (per-queue pcap poller → ring → parse + sketch)",
+		Title:   "OVS-like datapath throughput vs threads (per-queue pcap poller + parse → ring → sketch)",
 		Columns: []string{"threads", "Mpps(w/o Ours)", "Mpps(w/ Ours)"},
 		Notes: []string{
 			"paper: with >=2 threads CocoSketch saturates the 40G NIC at <1.8% CPU overhead",

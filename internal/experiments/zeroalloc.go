@@ -53,7 +53,7 @@ func runZeroAlloc(cfg RunConfig) (*TableResult, error) {
 		Title:   "Zero-allocation pcap ingest: legacy decode-then-ingest vs pooled pipeline",
 		Columns: []string{"path", "queues", "Mpps", "speedup"},
 		Notes: []string{
-			"pooled pipeline: per-queue slot arena owned in frame order + FrameRef rings + in-slot key extraction (DESIGN.md §13); zero heap allocations per packet in steady state",
+			"pooled pipeline: per-queue reader buffer + key extraction in the reader + keyed-record rings under an in-flight bound (DESIGN.md §13); zero heap allocations per packet in steady state",
 			fmt.Sprintf("host has GOMAXPROCS=%d; the multi-queue row needs physical cores to scale", runtime.GOMAXPROCS(0)),
 		},
 	}

@@ -14,8 +14,9 @@ import (
 // RingOf is a single-producer single-consumer lock-free ring buffer,
 // mirroring the DPDK rings between the OVS datapath and the
 // measurement process. The element type is anything small enough to
-// copy by value: trace.Packet records on the decoded path, pooled
-// frame references (packet.FrameRef) on the zero-allocation path.
+// copy by value: trace.Packet records on the Engine's path, the
+// replay readers' 20-byte keyed records (key plus wire length) on the
+// zero-allocation path.
 //
 // Each side keeps a private snapshot of the opposite index (headCache
 // for the producer, tailCache for the consumer) and refreshes it only

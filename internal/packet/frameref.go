@@ -1,18 +1,12 @@
 package packet
 
-// Slot names one fixed-capacity frame buffer in a replay queue's slot
-// arena (internal/shard).
-type Slot = uint32
-
-// FrameRef is the shallow handle to one frame that moves between a
-// queue reader and its worker over an SPSC ring
-// (ovs.RingOf[FrameRef]): the slot the reader filled, the number of
-// bytes it stored there, and the packet's original wire length (which
-// can exceed Len when the capture or the slot truncated it). Passing
-// 12-byte references instead of frames keeps the ring handoff free of
-// copies and the ring slots allocation-free.
+// FrameRef is a 12-byte handle to one stored frame: the buffer slot
+// holding it, the bytes stored there, and the packet's original wire
+// length. The replay ring carries keyed records (internal/shard), not
+// FrameRefs; FrameRef is kept as the element type of cocoperf's
+// ovs.ring probe until that probe times the keyed record.
 type FrameRef struct {
-	Slot Slot
+	Slot uint32
 	Len  uint32
 	Orig uint32
 }

@@ -30,9 +30,9 @@ func replayCapture(t testing.TB, n int, snapLen uint32) (*trace.Trace, []byte) {
 	return tr, buf.Bytes()
 }
 
-// sequentialDecode replays the capture through the legacy path — full
-// FromPCAP decode, then one sequential sketch — and returns its table.
-func sequentialDecode(t testing.TB, data []byte, bytesMode bool) map[flowkey.FiveTuple]uint64 {
+// sequentialSketch replays the capture through the legacy path — full
+// FromPCAP decode, then one sequential sketch — and returns the sketch.
+func sequentialSketch(t testing.TB, data []byte, bytesMode bool) *core.Basic[flowkey.FiveTuple] {
 	t.Helper()
 	tr, err := trace.FromPCAP(bytes.NewReader(data))
 	if err != nil {
@@ -50,7 +50,23 @@ func sequentialDecode(t testing.TB, data []byte, bytesMode bool) map[flowkey.Fiv
 	} else {
 		s.InsertBatchUnit(keys)
 	}
-	return s.Decode()
+	return s
+}
+
+// sequentialDecode returns the decode table of sequentialSketch.
+func sequentialDecode(t testing.TB, data []byte, bytesMode bool) map[flowkey.FiveTuple]uint64 {
+	t.Helper()
+	return sequentialSketch(t, data, bytesMode).Decode()
+}
+
+// marshal serializes s, RNG state included, failing the test on error.
+func marshal(t *testing.T, s *core.Basic[flowkey.FiveTuple]) []byte {
+	t.Helper()
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 // diffTables fails the test unless the two decode tables are identical.
@@ -66,18 +82,20 @@ func diffTables(t *testing.T, got, want map[flowkey.FiveTuple]uint64) {
 	}
 }
 
-// replaySlotCounts are the arena sizes the replay equivalence tests
-// run at: the default, and 100 slots — not a power of two and below
-// the handoff ring's 128 — so slot indices wrap many times over a
-// capture and the ring has spare capacity.
+// replaySlotCounts are the in-flight bounds the replay equivalence
+// tests run at: the default, and 100 — not a power of two and below
+// the handoff ring's 128 — so the bound, not the ring, stops the
+// reader, and the ring has spare capacity.
 var replaySlotCounts = []int{0, 100}
 
 // TestReplayOneQueueMatchesSequential pins the tentpole's correctness
-// anchor: a 1-queue pooled replay produces the bit-identical decode
-// table of the legacy FromPCAP + sequential-sketch path, in both
-// packet-count and byte-weight modes.
+// anchor: a 1-queue pooled replay returns a sketch that marshals byte
+// for byte, RNG state included, like the legacy FromPCAP +
+// sequential-sketch path's, in both packet-count and byte-weight
+// modes.
 func TestReplayOneQueueMatchesSequential(t *testing.T) {
-	_, data := replayCapture(t, 20000, 256)
+	const n = 20000
+	_, data := replayCapture(t, n, 256)
 	for _, slots := range replaySlotCounts {
 		for _, bytesMode := range []bool{false, true} {
 			merged, st, err := ReplayPCAPBasic(
@@ -86,12 +104,11 @@ func TestReplayOneQueueMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffTables(t, merged.Decode(), sequentialDecode(t, data, bytesMode))
-			if st.Skipped != 0 {
-				t.Fatalf("slots=%d bytes=%v: skipped %d packets of a fully decodable trace", slots, bytesMode, st.Skipped)
+			if !bytes.Equal(marshal(t, merged), marshal(t, sequentialSketch(t, data, bytesMode))) {
+				t.Fatalf("slots=%d bytes=%v: replayed sketch differs from the sequential sketch", slots, bytesMode)
 			}
-			if st.Packets == 0 || st.Recycled != st.Packets {
-				t.Fatalf("slots=%d bytes=%v: stats %+v: recycled must equal inserted", slots, bytesMode, st)
+			if st.Packets != n || st.Skipped != 0 {
+				t.Fatalf("slots=%d bytes=%v: stats %+v, want all %d frames inserted", slots, bytesMode, st, n)
 			}
 		}
 	}
@@ -137,8 +154,8 @@ func TestReplayQueuesMatchesEngine(t *testing.T) {
 }
 
 // TestReplaySkipsUndecodableFrames checks the FromPCAP-mirroring skip
-// convention: frames the extractor rejects are counted, released in
-// order with the rest, and excluded from the sketch, and the remaining
+// convention: frames the extractor rejects are counted and excluded
+// from the sketch, every frame is accounted for, and the remaining
 // packets still match the sequential path.
 func TestReplaySkipsUndecodableFrames(t *testing.T) {
 	tr := trace.CAIDALike(2000, 3)
@@ -181,8 +198,8 @@ func TestReplaySkipsUndecodableFrames(t *testing.T) {
 			if st.Packets != uint64(len(tr.Packets)) {
 				t.Fatalf("slots=%d queues=%d: inserted %d packets, want %d", slots, queues, st.Packets, len(tr.Packets))
 			}
-			if st.Recycled != st.Packets+st.Skipped {
-				t.Fatalf("slots=%d queues=%d: recycled %d slots, want %d", slots, queues, st.Recycled, st.Packets+st.Skipped)
+			if written := uint64(len(tr.Packets) + arpFrames); st.Packets+st.Skipped != written {
+				t.Fatalf("slots=%d queues=%d: accounted for %d frames, %d written", slots, queues, st.Packets+st.Skipped, written)
 			}
 			if queues == 1 {
 				diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
@@ -192,9 +209,9 @@ func TestReplaySkipsUndecodableFrames(t *testing.T) {
 }
 
 // TestReplayTruncatesToSlotCap checks NIC snapshot-length semantics: a
-// slot smaller than the captured frames stores a prefix, the header
-// bytes survive, and decode equality with the sequential path holds
-// (all headers fit in the first 96 bytes of these frames).
+// reader buffer smaller than the captured frames stores a prefix, the
+// header bytes survive, and decode equality with the sequential path
+// holds (all headers fit in the first 96 bytes of these frames).
 func TestReplayTruncatesToSlotCap(t *testing.T) {
 	_, data := replayCapture(t, 5000, 512)
 	merged, st, err := ReplayPCAPBasic(
@@ -204,7 +221,7 @@ func TestReplayTruncatesToSlotCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Truncated == 0 {
-		t.Fatal("no truncations recorded with a 96-byte slot cap")
+		t.Fatal("no truncations recorded with a 96-byte buffer")
 	}
 	if st.Skipped != 0 {
 		t.Fatalf("truncation to 96 bytes must keep headers decodable, skipped %d", st.Skipped)
@@ -216,7 +233,7 @@ func TestReplayTruncatesToSlotCap(t *testing.T) {
 // header stacks ExtractFiveTuple reads, which packet.Build cannot
 // produce: an 802.1Q tag, then IPv4 with IHL 15 or IPv6, then TCP
 // with data offset 15 or UDP. The frame is padded to a full 1514-byte
-// Ethernet frame, so at the default slot size the payload is dropped.
+// Ethernet frame, so at the default buffer size the payload is dropped.
 func deepHeaderFrame(i int) []byte {
 	f := make([]byte, 1514)
 	f[12], f[13] = byte(packet.EtherTypeVLAN>>8), byte(packet.EtherTypeVLAN&0xFF)
@@ -247,7 +264,7 @@ func deepHeaderFrame(i int) []byte {
 	return f
 }
 
-// TestReplayHeaderSlotsKeepKeys pins the default slot size: frames
+// TestReplayHeaderSlotsKeepKeys pins the default buffer size: frames
 // with the deepest accepted header stacks, padded to 1514 bytes,
 // replay at DefaultSlotCap to the sketch that trace.FromPCAP plus
 // sequential inserts builds from the whole frames, in packet-count and
@@ -286,11 +303,12 @@ func TestReplayHeaderSlotsKeepKeys(t *testing.T) {
 }
 
 // TestReplayBackpressureStarvation checks the backpressure-not-drop
-// contract: with a pool smaller than one burst the reader must stall on
-// slot exhaustion (Starved > 0), yet every packet is still delivered
+// contract: with an in-flight bound smaller than one burst the reader
+// must stall on it (Starved > 0), yet every packet is still delivered
 // and the decode table is unchanged.
 func TestReplayBackpressureStarvation(t *testing.T) {
-	_, data := replayCapture(t, 5000, 256)
+	const n = 5000
+	_, data := replayCapture(t, n, 256)
 	merged, st, err := ReplayPCAPBasic(
 		ReplayConfig{Queues: 1, Seed: 42, PoolSlots: 4},
 		replaySketchCfg(), bytes.NewReader(data))
@@ -298,17 +316,17 @@ func TestReplayBackpressureStarvation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Starved == 0 {
-		t.Fatal("4-slot pool replayed 5000 packets without a single starvation event")
+		t.Fatal("a 4-frame bound replayed 5000 packets without a single starvation event")
 	}
-	if st.Packets != st.Recycled {
-		t.Fatalf("stats %+v: packets and recycled diverge", st)
+	if st.Packets != n {
+		t.Fatalf("stats %+v: want all %d frames inserted", st, n)
 	}
 	diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
 }
 
 // slowSketch is a basic CocoSketch whose batched insert first spins
 // for slowInsert, so the worker is always the bottleneck and the
-// reader keeps finding the pool exhausted.
+// reader keeps finding the in-flight bound reached.
 type slowSketch struct {
 	*core.Basic[flowkey.FiveTuple]
 }
@@ -324,12 +342,13 @@ func (s slowSketch) InsertBatchUnit(keys []flowkey.FiveTuple) {
 func (s slowSketch) Merge(other slowSketch) error { return s.Basic.Merge(other.Basic) }
 
 // TestReplayReaderParksWhenStarved checks that a starved reader parks
-// instead of spinning: each park lasts until the worker has recycled a
-// quarter of the pool, so a 64-slot pool allows at most one park per
-// 16 packets — a reader that polled the pool would count a stall on
-// every poll. Parking must not change what the sketch sees.
+// instead of spinning: each park lasts until the worker has inserted a
+// quarter of the bound, so a 64-frame bound allows at most one park
+// per 16 packets — a reader that polled the bound would count a stall
+// on every poll. Parking must not change what the sketch sees.
 func TestReplayReaderParksWhenStarved(t *testing.T) {
-	_, data := replayCapture(t, 4000, 256)
+	const n = 4000
+	_, data := replayCapture(t, n, 256)
 	newSketch := func(int) slowSketch {
 		return slowSketch{core.NewBasic[flowkey.FiveTuple](replaySketchCfg())}
 	}
@@ -341,21 +360,21 @@ func TestReplayReaderParksWhenStarved(t *testing.T) {
 		t.Fatal("a reader feeding a slow worker never parked")
 	}
 	if limit := st.Packets/16 + 1; st.Starved > limit {
-		t.Fatalf("reader stalled %d times for %d packets, want at most %d (one park per quarter pool)",
+		t.Fatalf("reader stalled %d times for %d packets, want at most %d (one park per quarter bound)",
 			st.Starved, st.Packets, limit)
 	}
-	if st.Recycled != st.Packets {
-		t.Fatalf("stats %+v: packets and recycled diverge", st)
+	if st.Packets != n {
+		t.Fatalf("stats %+v: want all %d frames inserted", st, n)
 	}
 	diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
 }
 
 // TestReplaySteadyStateNoAllocs is the tentpole's gate: driving the
-// full replay→decode→InsertBatch loop — ReadInto into the next free
-// slots, ring handoff, key extraction, batch insert, release —
-// allocates nothing per burst in steady state. The queue's steppable readBurst and the
-// worker's drain let one goroutine alternate the two sides
-// deterministically.
+// full replay→decode→InsertBatch loop — ReadFrame into the reader's
+// buffer, key extraction, ring handoff, batch insert, release —
+// allocates nothing per burst in steady state. The queue's steppable
+// readBurst and the worker's drain let one goroutine alternate the two
+// sides deterministically.
 func TestReplaySteadyStateNoAllocs(t *testing.T) {
 	_, data := replayCapture(t, 30000, 256)
 	pr, err := pcap.NewReader(bytes.NewReader(data))
@@ -383,6 +402,40 @@ func TestReplaySteadyStateNoAllocs(t *testing.T) {
 	}
 }
 
+// TestReplayBoundsFramesInFlight pins what PoolSlots means: a reader
+// whose worker does not drain pushes exactly PoolSlots records, though
+// the ring rounds its capacity up to 128, and each drained burst lets
+// exactly one more burst in.
+func TestReplayBoundsFramesInFlight(t *testing.T) {
+	_, data := replayCapture(t, 1000, 256)
+	pr, err := pcap.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, w := newQueue(normalizeReplay(ReplayConfig{PoolSlots: 100}), 0, pr,
+		core.NewBasic[flowkey.FiveTuple](replaySketchCfg()))
+	pushed := 0
+	for {
+		n, err := q.readBurst()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		pushed += n
+	}
+	if pushed != 100 || q.ring.Len() != 100 || q.done {
+		t.Fatalf("pushed %d records (ring holds %d, done=%v), want the bound of 100", pushed, q.ring.Len(), q.done)
+	}
+	if got := w.drain(); got != DefaultBurst {
+		t.Fatalf("drained %d records, want one burst of %d", got, DefaultBurst)
+	}
+	if n, err := q.readBurst(); err != nil || n != DefaultBurst {
+		t.Fatalf("after one drained burst the reader pushed %d (err %v), want %d", n, err, DefaultBurst)
+	}
+}
+
 // TestReplayTelemetry checks the burst-level ingest instruments: the
 // registry's counters must agree with the returned stats, and the
 // per-queue occupancy gauge must exist.
@@ -394,9 +447,6 @@ func TestReplayTelemetry(t *testing.T) {
 		replaySketchCfg(), bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := reg.Counter("ingest.recycled").Value(); got != st.Recycled {
-		t.Fatalf("ingest.recycled = %d, stats say %d", got, st.Recycled)
 	}
 	if got := reg.Counter("ingest.skipped").Value(); got != st.Skipped {
 		t.Fatalf("ingest.skipped = %d, stats say %d", got, st.Skipped)

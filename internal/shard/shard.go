@@ -12,7 +12,8 @@
 //	│ Engine.Ingest: RSS split, │  ring w  │ TryPopN (64-entry burst) │
 //	│   trace.Packet bursts     │ ───────▶ │ fill → InsertBatch into  │
 //	│ replay: pcap reader per   │   SPSC   │ private sketch → release │
-//	│   queue, FrameRef bursts  │          └──────────────────────────┘
+//	│   queue extracts keys,    │          └──────────────────────────┘
+//	│   keyed-record bursts     │
 //	└───────────────────────────┘
 //	            Decode/Query/Snapshot: merge N sketches (core.Merge)
 //
@@ -156,7 +157,7 @@ type lane struct {
 // key and wire size, and nothing needs returning after the insert.
 type packets struct{}
 
-func (packets) fill(ps []trace.Packet, keys []flowkey.FiveTuple, ws []uint64) int {
+func (packets) fill(ps []trace.Packet, keys []flowkey.FiveTuple, ws []uint64) {
 	for j := range ps {
 		keys[j] = ps[j].Key
 	}
@@ -165,7 +166,6 @@ func (packets) fill(ps []trace.Packet, keys []flowkey.FiveTuple, ws []uint64) in
 			ws[j] = uint64(ps[j].Size)
 		}
 	}
-	return len(ps)
 }
 
 func (packets) release([]trace.Packet) {}

@@ -12,16 +12,15 @@ import (
 
 // source is the per-burst step that differs between the two ingest
 // sources: the Engine queues decoded trace.Packet records, a replay
-// queue's pcap reader queues packet.FrameRef handles to its arena
-// slots. A worker calls each method once per burst, never once per
+// queue's pcap reader queues the keyed records it extracted from its
+// frames. A worker calls each method once per burst, never once per
 // packet.
 type source[T any] interface {
-	// fill writes the keys of burst to keys — and, when ws is non-nil,
-	// their weights to ws — and returns how many it wrote. Elements it
-	// cannot key (undecodable frames) are left out.
-	fill(burst []T, keys []flowkey.FiveTuple, ws []uint64) int
-	// release runs after the insert has returned; from then on the
-	// burst's elements are no longer referenced (DESIGN.md §13).
+	// fill writes the keys of burst to keys and, when ws is non-nil,
+	// their weights to ws.
+	fill(burst []T, keys []flowkey.FiveTuple, ws []uint64)
+	// release runs after the insert has returned: a replay counts a
+	// frame in flight until its key is in the sketch (DESIGN.md §13).
 	release(burst []T)
 }
 
@@ -71,17 +70,15 @@ func (w *worker[S, T]) drain() int {
 	if n == 0 {
 		return 0
 	}
-	m := w.src.fill(w.buf[:n], w.keys, w.ws)
-	if m > 0 {
-		if w.ws != nil {
-			w.sketch.InsertBatch(w.keys[:m], w.ws[:m])
-		} else {
-			w.sketch.InsertBatchUnit(w.keys[:m])
-		}
+	w.src.fill(w.buf[:n], w.keys, w.ws)
+	if w.ws != nil {
+		w.sketch.InsertBatch(w.keys[:n], w.ws[:n])
+	} else {
+		w.sketch.InsertBatchUnit(w.keys[:n])
 	}
 	w.src.release(w.buf[:n])
-	w.consumed.Add(uint64(m))
-	w.telConsumed.Add(uint64(m))
+	w.consumed.Add(uint64(n))
+	w.telConsumed.Add(uint64(n))
 	w.telBatch.Observe(uint64(n))
 	return n
 }
