@@ -71,11 +71,11 @@ bench-alloc:
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayQueues/' -count 4 -benchtime 5x ./internal/shard/ \
 		| $(GO) run ./internal/tools/benchsmoke -off queues-1 -on queues-4 -max 0 -min 1.8 -need-cpus 4
 
-# Report compression gates (DESIGN.md §14): at the harness geometry the
-# compressed codec must undercut full snapshots by at least 5× on wire
-# bytes, and decoding a compressed report must not be slower than
-# decoding the full snapshot it replaces (measured ≈2× faster;
-# min-of-counts rejects CI host noise, see internal/tools/benchsmoke).
+# Report compression gates (DESIGN.md §14): at the harness geometry a
+# shrink-8 report must undercut full snapshots by at least 5× on wire
+# bytes, and decoding it must not be slower than decoding the full
+# snapshot it replaces (measured ≈4× faster; min-of-counts rejects CI
+# host noise, see internal/tools/benchsmoke).
 bench-report:
 	$(GO) test -run 'TestCompressionRatioFloor' -count=1 -v ./internal/report/
 	$(GO) test -run '^$$' -bench 'BenchmarkReportDecode/' -count 4 ./internal/report/ \
@@ -94,12 +94,14 @@ bench-query:
 bench: bench-insert bench-ring bench-smoke bench-report bench-query
 
 # Short fuzz passes: every key type's field-built HashSeeds must equal
-# the wide hash of its byte encoding, and a one-queue replay of fuzzed
+# the wide hash of its byte encoding, a one-queue replay of fuzzed
 # frames must build the sketch trace.FromPCAP plus sequential inserts
-# builds.
+# builds, and the report decoder must reject garbage with ErrCorrupt
+# and re-encode whatever it accepts to the same bytes.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHashSeedsMatchesWide -fuzztime 30s ./internal/flowkey/
 	$(GO) test -run '^$$' -fuzz FuzzReplayMatchesSequential -fuzztime 15s ./internal/shard/
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 15s ./internal/report/
 
 # Statistical verification: the differential matrix (every sketch
 # implementation against the exact oracle, variance-bound CIs), the

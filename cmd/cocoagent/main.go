@@ -3,11 +3,14 @@
 // CocoSketch, and at the end of each epoch seals the sketch into the
 // agent's spool and flushes the spool to a cococollector.
 //
-// With -workers > 1 the epoch is ingested through the sharded engine
-// (internal/shard): N workers each update a private sketch behind an
-// SPSC ring, and the merged snapshot is absorbed into the agent's
-// epoch sketch before it is sealed. Sketch memory is per worker
-// (merge compatibility requires all shards to share one geometry).
+// A -pcap capture is streamed through shard.ReplayPCAPBasic, one
+// reader steering its frames to one receive queue per -workers, so
+// memory stays bounded by the sketches, not the capture. A synthetic
+// trace at -workers > 1 is ingested through the sharded engine
+// (internal/shard). Either way N workers each update a private sketch,
+// and the merged sketch is absorbed into the agent's epoch sketch
+// before it is sealed. Sketch memory is per worker (merge
+// compatibility requires all shards to share one geometry).
 //
 // With -telemetry the agent serves its runtime counters as expvar-style
 // JSON on /debug/vars and mounts net/http/pprof under /debug/pprof/.
@@ -19,16 +22,21 @@
 // if epochs remain undelivered at the end). -write-timeout bounds each
 // report exchange.
 //
-// All agents and the collector must agree on -mem, -d, -seed and
-// -report-codec (the compressed codec rounds the memory-derived bucket
-// count down to a multiple of report.GeometryAlign on both ends so any
-// power-of-two -report-shrink divides the shared geometry).
+// -report-shrink N ships each epoch as a stage of 1/N of the buckets
+// per array (DESIGN.md §14); the default 1 ships the whole epoch
+// sketch, losslessly. All agents and the collector must agree on -mem,
+// -d and -seed; both round the memory-derived bucket count down to a
+// multiple of report.GeometryAlign, so any power-of-two -report-shrink
+// up to it divides the shared geometry. Agents may differ in
+// -report-shrink, but the collector merges only the reports of one
+// epoch that share a shrink.
 //
 // Usage:
 //
 //	cocoagent -id 1 -collector 127.0.0.1:7700 -pcap site1.pcap
 //	cocoagent -id 2 -collector 127.0.0.1:7700 -packets 500000 -epochs 3
 //	cocoagent -id 3 -collector 127.0.0.1:7700 -packets 5000000 -workers 4 -telemetry 127.0.0.1:7701
+//	cocoagent -id 4 -collector 127.0.0.1:7700 -packets 500000 -report-shrink 8
 package main
 
 import (
@@ -51,19 +59,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// reportCodec resolves the -report-codec / -report-shrink flags into a
-// report codec over the shared sketch configuration.
-func reportCodec(name string, shrink int, cfg core.Config) (report.Codec[flowkey.FiveTuple], error) {
-	switch name {
-	case "full":
-		return report.Full[flowkey.FiveTuple](flowkey.FiveTupleFromBytes), nil
-	case "compressed":
-		return report.Compressed[flowkey.FiveTuple](cfg, shrink, flowkey.FiveTupleFromBytes)
-	default:
-		return nil, fmt.Errorf("unknown -report-codec %q (want full or compressed)", name)
-	}
-}
-
 // run is the testable entry point: it parses args, measures the
 // configured epochs and reports them, writing progress to stdout and
 // failures to stderr. It returns the process exit code.
@@ -84,8 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		redials   = fs.Int("redials", 2, "redial attempts per epoch report")
 		spool     = fs.Int("spool", 0, "bound undelivered epochs in a coalescing spool and keep measuring through collector outages (0 = fail fast on report error)")
 		writeTO   = fs.Duration("write-timeout", 0, "deadline per report exchange, so a stalled collector cannot block the agent (0 = none)")
-		codecName = fs.String("report-codec", "full", "epoch report codec: full (complete snapshots, compatible default) or compressed (two-stage delta reports, DESIGN.md §14; the collector must run -report-codec=compressed too)")
-		shrink    = fs.Int("report-shrink", 8, "small-stage shrink factor for -report-codec=compressed: ship 1/N of the buckets per array (power of two dividing the geometry)")
+		shrink    = fs.Int("report-shrink", 1, "ship each epoch as a stage of 1/N of the buckets per array (a power of two up to 64; 1 = the whole sketch, lossless; DESIGN.md §14)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -114,22 +108,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "telemetry: listening on %s\n", addr)
 	}
 
-	cfg := core.ConfigForMemory[flowkey.FiveTuple](*d, *memKB*1024, *seed)
-	if *codecName == "compressed" {
-		// Memory-derived bucket counts rarely divide by the shrink
-		// factor; both ends round identically so geometries agree.
-		cfg = report.AlignConfig(cfg)
+	// Memory-derived bucket counts rarely divide by a shrink factor;
+	// the collector rounds identically, so the geometries agree.
+	cfg := report.AlignConfig(core.ConfigForMemory[flowkey.FiveTuple](*d, *memKB*1024, *seed))
+	codec, err := report.New[flowkey.FiveTuple](cfg, *shrink)
+	if err != nil {
+		fmt.Fprintf(stderr, "cocoagent: -report-shrink: %v\n", err)
+		return 2
 	}
-	agent := netwide.NewAgent(uint16(*id), cfg).SetTelemetry(reg).SetWriteTimeout(*writeTO)
+	agent := netwide.NewAgent(uint16(*id), cfg).SetTelemetry(reg).SetWriteTimeout(*writeTO).SetCodec(codec)
 	if *spool > 0 {
 		agent.SetSpool(*spool, netwide.SpoolCoalesce)
 	}
-	codec, err := reportCodec(*codecName, *shrink, cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "cocoagent: %v\n", err)
-		return 2
-	}
-	agent.SetCodec(codec)
 
 	dial := func() (net.Conn, error) { return net.Dial("tcp", *collector) }
 	conn, err := dial()
@@ -140,39 +130,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer func() { conn.Close() }()
 
 	for e := 0; e < *epochs; e++ {
-		var tr *trace.Trace
-		if *pcapPath != "" {
-			f, err := os.Open(*pcapPath)
-			if err != nil {
-				fmt.Fprintf(stderr, "cocoagent: %v\n", err)
-				return 1
-			}
-			tr, err = trace.FromPCAP(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(stderr, "cocoagent: %v\n", err)
-				return 1
-			}
-		} else {
-			tr = trace.CAIDALike(*packets, *seed+uint64(*id)*1000+uint64(e))
-		}
-		if *workers > 1 {
-			eng := shard.NewBasic(shard.Config{Workers: *workers, Seed: *seed, Telemetry: reg}, cfg)
-			eng.Ingest(tr.Packets)
-			eng.Close()
-			merged, err := eng.Snapshot()
-			if err != nil {
-				fmt.Fprintf(stderr, "cocoagent: sharded ingest: %v\n", err)
-				return 1
-			}
-			if err := agent.Absorb(merged); err != nil {
-				fmt.Fprintf(stderr, "cocoagent: absorb: %v\n", err)
-				return 1
-			}
-		} else {
-			for i := range tr.Packets {
-				agent.Observe(tr.Packets[i].Key, 1)
-			}
+		measured, err := measureEpoch(agent, cfg, reg, *pcapPath, *workers, *packets, *seed+uint64(*id)*1000+uint64(e))
+		if err != nil {
+			fmt.Fprintf(stderr, "cocoagent: %v\n", err)
+			return 1
 		}
 		agent.EndEpoch()
 		if conn, err = agent.FlushWithRedial(conn, dial, *redials); err != nil {
@@ -185,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "cocoagent: epoch %d spooled, delivery pending: %v\n", e, err)
 			continue
 		}
-		fmt.Fprintf(stdout, "agent %d: epoch %d reported (%d packets)\n", *id, e, len(tr.Packets))
+		fmt.Fprintf(stdout, "agent %d: epoch %d reported (%d packets)\n", *id, e, measured)
 	}
 	if agent.PendingEpochs() > 0 {
 		if conn, err = agent.FlushWithRedial(conn, dial, *redials); err != nil || agent.PendingEpochs() > 0 {
@@ -195,4 +156,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// measureEpoch measures one epoch's traffic into agent and returns the
+// packet count: the capture at pcapPath, replayed on one receive queue
+// per worker, or a synthetic trace drawn with traceSeed, ingested by
+// the sharded engine when workers > 1.
+func measureEpoch(agent *netwide.Agent, cfg core.Config, reg *telemetry.Registry, pcapPath string, workers, packets int, traceSeed uint64) (uint64, error) {
+	if pcapPath != "" {
+		f, err := os.Open(pcapPath)
+		if err != nil {
+			return 0, err
+		}
+		defer f.Close()
+		sk, st, err := shard.ReplayPCAPBasic(shard.ReplayConfig{Queues: max(workers, 1), Seed: cfg.Seed, Telemetry: reg}, cfg, f)
+		if err != nil {
+			return 0, err
+		}
+		if err := agent.Absorb(sk); err != nil {
+			return 0, fmt.Errorf("absorb: %w", err)
+		}
+		return st.Packets, nil
+	}
+	tr := trace.CAIDALike(packets, traceSeed)
+	if workers <= 1 {
+		for i := range tr.Packets {
+			agent.Observe(tr.Packets[i].Key, 1)
+		}
+		return uint64(len(tr.Packets)), nil
+	}
+	eng := shard.NewBasic(shard.Config{Workers: workers, Seed: cfg.Seed, Telemetry: reg}, cfg)
+	eng.Ingest(tr.Packets)
+	eng.Close()
+	merged, err := eng.Snapshot()
+	if err != nil {
+		return 0, fmt.Errorf("sharded ingest: %w", err)
+	}
+	if err := agent.Absorb(merged); err != nil {
+		return 0, fmt.Errorf("absorb: %w", err)
+	}
+	return uint64(len(tr.Packets)), nil
 }

@@ -16,15 +16,17 @@ import (
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/netwide"
+	"cocosketch/internal/report"
 	"cocosketch/internal/shard"
 	"cocosketch/internal/trace"
 )
 
 // startCollector runs an in-process collector on a loopback port and
-// returns it with its address.
+// returns it with its address. Its geometry is the one cocoagent
+// derives from the same -mem, -d and -seed.
 func startCollector(t *testing.T, memKB, d int, seed uint64) (*netwide.Collector, string) {
 	t.Helper()
-	cfg := core.ConfigForMemory[flowkey.FiveTuple](d, memKB*1024, seed)
+	cfg := report.AlignConfig(core.ConfigForMemory[flowkey.FiveTuple](d, memKB*1024, seed))
 	collector := netwide.NewCollector(cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -163,7 +165,7 @@ func TestRunNoTelemetryFlag(t *testing.T) {
 }
 
 // TestRunPcapMatchesReference feeds a real capture through -pcap
-// (trace.FromPCAP and packet.Decoder) and checks the collector's
+// (the shard replay pipeline) and checks the collector's
 // epoch-0 table: at -workers 1 it equals one sketch fed the trace's
 // packets in order, at -workers 2 a 2-worker shard engine fed the
 // same packets.
@@ -181,7 +183,7 @@ func TestRunPcapMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := core.ConfigForMemory[flowkey.FiveTuple](2, 64<<10, 5)
+	cfg := report.AlignConfig(core.ConfigForMemory[flowkey.FiveTuple](2, 64<<10, 5))
 	seq := core.NewBasic[flowkey.FiveTuple](cfg)
 	for i := range tr.Packets {
 		seq.Insert(tr.Packets[i].Key, 1)

@@ -3,10 +3,12 @@
 // each epoch's shards, and periodically prints network-wide top flows
 // for the requested partial keys.
 //
-// All agents and the collector must agree on -mem, -d, -seed and
-// -report-codec (the shared sketch configuration that makes shards
-// mergeable; the compressed codec rounds the memory-derived bucket
-// count down to a multiple of report.GeometryAlign on both ends).
+// All agents and the collector must agree on -mem, -d and -seed (the
+// shared sketch configuration that makes shards mergeable; both ends
+// round the memory-derived bucket count down to a multiple of
+// report.GeometryAlign). Each report names the shrink its agent ships
+// at (cocoagent -report-shrink), and the collector checks every stage
+// against that configuration.
 //
 // With -telemetry the collector serves its runtime counters as
 // expvar-style JSON on /debug/vars and mounts net/http/pprof under
@@ -16,9 +18,9 @@
 // With -window N the collector additionally retains the last N sealed
 // epochs in a sliding-window query ring (internal/window), and with
 // -serve-query it serves live windowed partial-key queries as JSON.
-// -window requires the full report codec: compressed reports decode at
-// the agents' shrunk geometry, which the collector cannot learn at
-// startup.
+// The ring holds the shared geometry, so -window needs agents at
+// -report-shrink 1: an epoch of shrunk stages cannot seal into it, and
+// each failed seal is reported on stderr.
 //
 //	GET /query?sql=SELECT+SrcIP,+SUM(Size)+FROM+table+GROUP+BY+SrcIP&range=last:4
 //	GET /epochs
@@ -29,6 +31,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -70,8 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		oneshot   = fs.Bool("oneshot", false, "print one report after the first epoch completes, then exit")
 		telAddr   = fs.String("telemetry", "", "serve /debug/vars and /debug/pprof on this address (off when empty)")
 		idleTO    = fs.Duration("idle-timeout", 0, "drop an agent connection after this much silence, freeing its handler (0 = never)")
-		codecName = fs.String("report-codec", "full", "report codec to accept: full (snapshots only, compatible default) or compressed (two-stage delta reports, DESIGN.md §14; also accepts full snapshots)")
-		windowN   = fs.Int("window", 0, "retain the last N sealed epochs in a sliding-window query ring (0 = off)")
+		windowN   = fs.Int("window", 0, "retain the last N sealed epochs in a sliding-window query ring (0 = off; needs agents at -report-shrink 1)")
 		queryAddr = fs.String("serve-query", "", "serve the windowed JSON query endpoint (/query, /epochs) on this address (requires -window)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -117,38 +119,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		masks = append(masks, m)
 	}
 
-	cfg := core.ConfigForMemory[flowkey.FiveTuple](*d, *memKB*1024, *seed)
-	if *codecName == "compressed" {
-		// Same deterministic rounding cocoagent applies: memory-derived
-		// bucket counts rarely divide by a shrink factor, and the two
-		// ends must agree on the fat geometry.
-		cfg = report.AlignConfig(cfg)
-	}
+	// Same deterministic rounding cocoagent applies: memory-derived
+	// bucket counts rarely divide by a shrink factor, and the two ends
+	// must agree on the fat geometry.
+	cfg := report.AlignConfig(core.ConfigForMemory[flowkey.FiveTuple](*d, *memKB*1024, *seed))
 	collector := netwide.NewCollector(cfg).SetTelemetry(reg).SetIdleTimeout(*idleTO)
-	switch *codecName {
-	case "full":
-		// NewCollector's default decoder.
-	case "compressed":
-		// Shrink 1 here only parameterizes the unused encode side; the
-		// decoder accepts any shrink factor the payload declares, as
-		// long as it expands back to the shared geometry.
-		codec, err := report.Compressed[flowkey.FiveTuple](cfg, 1, flowkey.FiveTupleFromBytes)
-		if err != nil {
-			fmt.Fprintf(stderr, "cococollector: %v\n", err)
-			return 2
-		}
-		collector.SetCodec(codec)
-	default:
-		fmt.Fprintf(stderr, "cococollector: unknown -report-codec %q (want full or compressed)\n", *codecName)
-		return 2
-	}
-	if *windowN > 0 && *codecName == "compressed" {
-		// Compressed reports decode at the agents' stage geometry
-		// (l/shrink), which the collector cannot learn at startup, so
-		// a ring built at the fat geometry would reject every seal.
-		fmt.Fprintln(stderr, "cococollector: -window cannot be combined with -report-codec compressed (reports decode at the agents' shrunk geometry, which the ring cannot learn at startup)")
-		return 2
-	}
 	var ring *window.Ring
 	if *queryAddr != "" && *windowN <= 0 {
 		fmt.Fprintln(stderr, "cococollector: -serve-query requires -window N (N >= 1)")
@@ -202,9 +177,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if ring != nil {
 			// Seal the epoch's canonical fold into the query ring: from
 			// here on the epoch is visible to windowed queries and the
-			// JSON endpoint.
+			// JSON endpoint. The ring holds the shared geometry, so an
+			// epoch of shrunk stages cannot seal.
 			if err := collector.SealEpochInto(ring, epoch); err != nil {
-				fmt.Fprintf(stderr, "cococollector: seal epoch %d: %v\n", epoch, err)
+				hint := ""
+				if errors.Is(err, core.ErrIncompatible) {
+					hint = " (-window needs agents at -report-shrink 1)"
+				}
+				fmt.Fprintf(stderr, "cococollector: seal epoch %d: %v%s\n", epoch, err, hint)
 			}
 		}
 		if *oneshot {

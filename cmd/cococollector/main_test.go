@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/netwide"
+	"cocosketch/internal/report"
 	"cocosketch/internal/window"
 )
 
@@ -118,30 +120,74 @@ func TestRunServeQueryRequiresWindow(t *testing.T) {
 	}
 }
 
-// TestRunWindowRejectsCompressedCodec pins the startup rejection of
-// -window with -report-codec compressed: the ring would be built at
-// the fat geometry and refuse every shrunk fold, so run must exit 2
-// with a message naming both flags instead of serving an empty ring.
+// TestRunWindowRejectsCompressedCodec: the window ring holds the
+// shared geometry, so an epoch an in-process agent ships at
+// -report-shrink 8 cannot seal into it. run must print one line for the
+// failed seal, naming the stage geometry it received and
+// -report-shrink 1, and /epochs must list no sealed epoch.
 func TestRunWindowRejectsCompressedCodec(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	done := make(chan int, 1)
-	go func() {
-		done <- run([]string{"-listen", "127.0.0.1:0", "-every", "20ms",
-			"-report-codec", "compressed", "-window", "4"}, &stdout, &stderr)
-	}()
-	select {
-	case code := <-done:
-		if code != 2 {
-			t.Fatalf("run = %d, want 2", code)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("run kept serving with -window and -report-codec compressed")
+	stdout := &syncBuffer{}
+	stderr := &syncBuffer{}
+	go run([]string{
+		"-listen", "127.0.0.1:0",
+		"-mem", "64", "-d", "2", "-seed", "5",
+		"-every", "20ms",
+		"-window", "4",
+		"-serve-query", "127.0.0.1:0",
+	}, stdout, stderr)
+	queryAddr, listenAddr := serveAddrs(t, stdout)
+
+	cfg := report.AlignConfig(core.ConfigForMemory[flowkey.FiveTuple](2, 64*1024, 5))
+	codec, err := report.New[flowkey.FiveTuple](cfg, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, flag := range []string{"-window", "-report-codec compressed"} {
-		if !strings.Contains(stderr.String(), flag) {
-			t.Fatalf("stderr does not name %s:\n%s", flag, stderr.String())
+	agent := netwide.NewAgent(1, cfg).SetCodec(codec)
+	conn, err := net.Dial("tcp", listenAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i := 0; i < 3000; i++ {
+		agent.Observe(flowkey.FiveTuple{SrcIP: [4]byte{10, 0, 0, byte(i % 4)}, Proto: 6}, 1)
+	}
+	agent.EndEpoch()
+	if err := agent.Flush(conn); err != nil {
+		t.Fatal(err)
+	}
+
+	out := waitFor(t, stderr, "seal epoch 0")
+	line := out[strings.Index(out, "seal epoch 0"):]
+	line = line[:strings.Index(line, "\n")]
+	for _, want := range []string{fmt.Sprintf("2×%d buckets", cfg.BucketsPerArray/8), "-report-shrink 1"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("seal failure line does not name %q:\n%s", want, line)
 		}
 	}
+	resp, err := http.Get("http://" + queryAddr + "/epochs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var epochs window.EpochsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&epochs); err != nil {
+		t.Fatal(err)
+	}
+	if len(epochs.Epochs) != 0 {
+		t.Fatalf("epochs = %+v, want none sealed", epochs)
+	}
+}
+
+// serveAddrs waits for run's query and collector listeners and returns
+// their addresses.
+func serveAddrs(t *testing.T, stdout *syncBuffer) (queryAddr, listenAddr string) {
+	t.Helper()
+	out := waitFor(t, stdout, "query: listening on ")
+	line := out[strings.Index(out, "query: listening on ")+len("query: listening on "):]
+	queryAddr = strings.Fields(line)[0]
+	out = waitFor(t, stdout, "collecting on ")
+	line = out[strings.Index(out, "collecting on ")+len("collecting on "):]
+	return queryAddr, strings.Fields(line)[0]
 }
 
 // TestRunWindowQueryEndToEnd boots the collector with the sliding
@@ -161,14 +207,9 @@ func TestRunWindowQueryEndToEnd(t *testing.T) {
 		"-serve-query", "127.0.0.1:0",
 	}, stdout, stderr)
 
-	out := waitFor(t, stdout, "query: listening on ")
-	line := out[strings.Index(out, "query: listening on ")+len("query: listening on "):]
-	queryAddr := strings.Fields(line)[0]
-	out = waitFor(t, stdout, "collecting on ")
-	line = out[strings.Index(out, "collecting on ")+len("collecting on "):]
-	listenAddr := strings.Fields(line)[0]
+	queryAddr, listenAddr := serveAddrs(t, stdout)
 
-	cfg := core.ConfigForMemory[flowkey.FiveTuple](2, 64*1024, 5)
+	cfg := report.AlignConfig(core.ConfigForMemory[flowkey.FiveTuple](2, 64*1024, 5))
 	agent := netwide.NewAgent(1, cfg)
 	conn, err := net.Dial("tcp", listenAddr)
 	if err != nil {
@@ -277,7 +318,7 @@ func oneshot(t *testing.T, agent *netwide.Agent) string {
 // port, reports one epoch from an in-process agent, and checks run
 // exits 0 after printing the epoch summary.
 func TestRunOneshotEndToEnd(t *testing.T) {
-	cfg := core.ConfigForMemory[flowkey.FiveTuple](2, 64*1024, 5)
+	cfg := report.AlignConfig(core.ConfigForMemory[flowkey.FiveTuple](2, 64*1024, 5))
 	agent := netwide.NewAgent(1, cfg)
 	for i := 0; i < 5000; i++ {
 		agent.Observe(flowkey.FiveTuple{SrcPort: uint16(i % 64), Proto: 6}, 1)
@@ -294,7 +335,7 @@ func TestRunOneshotEndToEnd(t *testing.T) {
 // only. The main loop must serve epoch 1 instead of waiting forever for
 // an epoch 0 that never arrives.
 func TestRunOneshotServesCoalescedEpoch(t *testing.T) {
-	cfg := core.ConfigForMemory[flowkey.FiveTuple](2, 64*1024, 5)
+	cfg := report.AlignConfig(core.ConfigForMemory[flowkey.FiveTuple](2, 64*1024, 5))
 	agent := netwide.NewAgent(1, cfg).SetSpool(1, netwide.SpoolCoalesce)
 	for e := 0; e < 2; e++ {
 		for i := 0; i < 2000; i++ {

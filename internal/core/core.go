@@ -84,19 +84,26 @@ type table[K flowkey.Key] struct {
 	telBase opCounts
 }
 
+// Seeds returns the d hash seeds a sketch of c places its keys with,
+// derived from c.Seed. A report stage names its own seeds, and a
+// receiver checks them against these.
+func (c Config) Seeds() []uint32 {
+	seeds := make([]uint32, c.Arrays)
+	sr := xrand.New(c.Seed ^ 0xc0c0c0c0)
+	for i := range seeds {
+		seeds[i] = uint32(sr.Uint64())
+	}
+	return seeds
+}
+
 func newTable[K flowkey.Key](cfg Config) table[K] {
 	if cfg.Arrays <= 0 || cfg.BucketsPerArray <= 0 {
 		panic("core: Arrays and BucketsPerArray must be positive")
 	}
-	seeds := make([]uint32, cfg.Arrays)
-	sr := xrand.New(cfg.Seed ^ 0xc0c0c0c0)
-	for i := range seeds {
-		seeds[i] = uint32(sr.Uint64())
-	}
 	return table[K]{
 		d:       cfg.Arrays,
 		l:       cfg.BucketsPerArray,
-		seeds:   seeds,
+		seeds:   cfg.Seeds(),
 		buckets: make([]Bucket[K], cfg.Arrays*cfg.BucketsPerArray),
 		rng:     xrand.New(cfg.Seed),
 		hbuf:    make([]uint32, cfg.Arrays),

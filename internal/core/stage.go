@@ -13,55 +13,48 @@ import (
 // one, bucket by bucket, on the collector. The paper's netwide story
 // (§5) ships whole sketches; SF-sketch's two-stage split keeps the fat
 // stage local and ships a shrunken stage instead, and an invertible
-// decode recovers the keys from a per-epoch dictionary by re-hashing —
-// both need positional access to bucket state, which the serialization
-// code keeps private. StageView is that access, deliberately read-
-// mostly: the only mutating hooks (SetRNGState, Buckets on a fresh
-// sketch) exist so a decoder can reconstruct a stage that is
-// bit-identical to the one the agent extracted.
+// decode places every reported key by re-hashing it — both need
+// positional access to bucket state, which the serialization code
+// keeps private. The hooks below are that access, deliberately
+// read-mostly: the only mutating ones (NewStage, SetRNGState, Buckets
+// on a fresh sketch) exist so a decoder can reconstruct a stage that
+// is bit-identical to the one the agent extracted.
 
-// StageView is the positional view of sketch state a report codec
-// encodes from and reconstructs into. Both sketch variants implement
-// it; internal/report is written against this interface so codecs
-// never reach into sketch internals.
-type StageView[K flowkey.Key] interface {
-	// Arrays returns d, the number of bucket arrays.
-	Arrays() int
-	// BucketsPerArray returns l for this stage's geometry.
-	BucketsPerArray() int
-	// Buckets returns the flat row-major d×l bucket slice (bucket
-	// (i,j) at i·l+j). Callers must treat the slice as read-only
-	// except when reconstructing a freshly constructed, never-inserted
-	// sketch on the decode path.
-	Buckets() []Bucket[K]
-	// RNGState returns the replacement-draw RNG state, so a
-	// reconstructed stage continues the exact deterministic sequence.
-	RNGState() uint64
-	// SetRNGState restores a previously captured RNG state.
-	SetRNGState(state uint64)
-	// BucketIndices returns the d bucket indices key hashes to in this
-	// geometry, one per array. The returned slice is a shared internal
-	// buffer, valid until the next call on the same sketch — the
-	// invertible-decode hook: a decoder re-hashes each dictionary key
-	// and verifies the bucket it claims is one of these candidates.
-	BucketIndices(key K) []uint32
-	// SumValues returns the total of all bucket counters.
-	SumValues() uint64
-}
-
-// Buckets returns the flat row-major bucket slice; see
-// StageView.Buckets for the read-only contract.
+// Buckets returns the flat row-major d×l bucket slice (bucket (i,j) at
+// i·l+j). Callers must treat it as read-only except when
+// reconstructing a freshly constructed, never-inserted sketch on the
+// decode path.
 func (t *table[K]) Buckets() []Bucket[K] { return t.buckets }
 
-// RNGState returns the replacement-draw RNG state.
+// RNGState returns the replacement-draw RNG state, so a reconstructed
+// stage continues the exact deterministic sequence.
 func (t *table[K]) RNGState() uint64 { return t.rng.State() }
 
-// SetRNGState restores a replacement-draw RNG state.
+// SetRNGState restores a previously captured replacement-draw RNG
+// state.
 func (t *table[K]) SetRNGState(state uint64) { t.rng.SetState(state) }
 
-// BucketIndices returns the d bucket indices key hashes to; the slice
-// is the sketch's shared hash buffer (valid until the next hashing
-// call on this sketch).
+// Seeds returns the d hash seeds that place keys in this sketch, so a
+// report can name them instead of the Config they came from. Callers
+// must not modify the slice.
+func (t *table[K]) Seeds() []uint32 { return t.seeds }
+
+// NewStage returns an empty basic sketch of len(seeds) arrays of l
+// buckets that places keys with the given hash seeds: the shell a
+// report decoder rebuilds a stage into when the payload names its
+// seeds rather than a Config. It panics if seeds is empty or l is not
+// positive, as NewBasic does.
+func NewStage[K flowkey.Key](l int, seeds []uint32) *Basic[K] {
+	s := NewBasic[K](Config{Arrays: len(seeds), BucketsPerArray: l})
+	copy(s.seeds, seeds)
+	return s
+}
+
+// BucketIndices returns the d bucket indices key hashes to in this
+// geometry, one per array — the invertible-decode hook: a decoder
+// re-hashes each reported key to find its buckets. The slice is the
+// sketch's shared hash buffer, valid until the next hashing call on
+// this sketch.
 func (t *table[K]) BucketIndices(key K) []uint32 { return t.hashIndices(key) }
 
 // cloneTable deep-copies the bucket array, seeds and RNG state. The

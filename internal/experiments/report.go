@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -12,10 +13,10 @@ import (
 
 // Report-compression experiment: the bandwidth/accuracy tradeoff of
 // the two-stage epoch reports (DESIGN.md §14). Each row ships the same
-// multi-epoch workload through one report codec — full snapshots or
-// delta-compressed small stages at increasing shrink factors — and
-// measures wire bytes against the full-snapshot baseline plus the
-// decoded tables' heavy-hitter error against exact per-epoch counts.
+// multi-epoch workload through the report codec at one shrink factor —
+// shrink 1 is the whole epoch sketch — and measures wire bytes against
+// the full-snapshot (MarshalBinary) baseline plus the decoded tables'
+// heavy-hitter error against exact per-epoch counts.
 
 func init() {
 	register("ext-report", runExtReport)
@@ -25,9 +26,10 @@ func init() {
 const reportEpochs = 4
 
 // runExtReport replays the trace through an agent-side fat sketch per
-// epoch, seals and encodes each epoch with the codec under test
-// (deltas acknowledged in order, as a healthy agent/collector pair
-// would), decodes at a simulated collector, and scores bytes and
+// epoch, seals and encodes each epoch at the shrink under test, decodes
+// it as a collector would, and scores bytes and accuracy. A decoded
+// stage that is not the sealed stage bit for bit is an error: the
+// channel is lossless at every shrink, so only the shrink costs
 // accuracy.
 func runExtReport(cfg RunConfig) (*TableResult, error) {
 	tr := trace.CAIDALike(cfg.packets(), cfg.Seed)
@@ -35,33 +37,20 @@ func runExtReport(cfg RunConfig) (*TableResult, error) {
 
 	out := &TableResult{
 		ID:      "ext-report",
-		Title:   "Epoch report compression: wire bytes and decoded accuracy vs codec",
-		Columns: []string{"codec", "wire KB", "raw KB", "ratio", "HH ARE"},
+		Title:   "Epoch report compression: wire bytes and decoded accuracy vs shrink",
+		Columns: []string{"stage", "wire KB", "raw KB", "ratio", "HH ARE"},
 		Notes: []string{
-			fmt.Sprintf("%d epochs of %d packets; raw = full-snapshot bytes; HH ARE = mean relative error of each epoch's top-16 exact flows in the decoded table", reportEpochs, len(tr.Packets)/reportEpochs),
-			"shrinking the shipped stage to l/k buckets trades the subset-sum variance ceiling f·V/l up to f·V/(l/k) for the byte ratio (paper Thm 2 / Lemma 5)",
+			fmt.Sprintf("%d epochs of %d packets; raw = full-snapshot (MarshalBinary) bytes; HH ARE = mean relative error of each epoch's top-16 exact flows in the decoded table", reportEpochs, len(tr.Packets)/reportEpochs),
+			"shrinking the shipped stage to l/k buckets trades the subset-sum variance ceiling f·V/l up to f·V/(l/k) for the byte ratio (paper Thm 2 / Lemma 5); every decoded stage is the sealed stage bit for bit",
 		},
 	}
 
-	type row struct {
-		name   string
-		shrink int // 0 = full codec
-	}
-	rows := []row{{"full", 0}, {"shrink-2", 2}, {"shrink-4", 4}, {"shrink-8", 8}, {"shrink-16", 16}}
 	per := len(tr.Packets) / reportEpochs
-	for _, r := range rows {
-		var codec report.Codec[flowkey.FiveTuple]
-		if r.shrink == 0 {
-			codec = report.Full[flowkey.FiveTuple](flowkey.FiveTupleFromBytes)
-		} else {
-			var err error
-			codec, err = report.Compressed[flowkey.FiveTuple](sketchCfg, r.shrink, flowkey.FiveTupleFromBytes)
-			if err != nil {
-				return nil, err
-			}
+	for _, shrink := range []int{1, 2, 4, 8, 16} {
+		codec, err := report.New[flowkey.FiveTuple](sketchCfg, shrink)
+		if err != nil {
+			return nil, err
 		}
-		enc := codec.NewEncoder()
-		dec := codec.NewDecoder()
 		var wire, raw uint64
 		var areSum float64
 		var areN int
@@ -76,15 +65,20 @@ func runExtReport(cfg RunConfig) (*TableResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			blob, err := enc.Encode(uint32(e), stage)
+			blob, err := codec.Encode(uint32(e), stage)
 			if err != nil {
 				return nil, err
 			}
-			decoded, err := dec.Decode(1, uint32(e), blob)
+			decoded, _, err := report.Decode(uint32(e), blob, sketchCfg.Arrays*sketchCfg.BucketsPerArray, flowkey.FiveTupleFromBytes)
 			if err != nil {
 				return nil, err
 			}
-			enc.Ack(uint32(e), stage)
+			// MarshalBinary of a core sketch never fails.
+			sealed, _ := stage.MarshalBinary()
+			got, _ := decoded.MarshalBinary()
+			if !bytes.Equal(got, sealed) {
+				return nil, fmt.Errorf("shrink %d epoch %d: decoded stage differs from the sealed stage", shrink, e)
+			}
 			wire += uint64(len(blob))
 			raw += uint64(fat.MarshaledSize())
 
@@ -100,7 +94,7 @@ func runExtReport(cfg RunConfig) (*TableResult, error) {
 				areN++
 			}
 		}
-		out.AddRow(r.name,
+		out.AddRow(fmt.Sprintf("shrink-%d", shrink),
 			float64(wire)/1024,
 			float64(raw)/1024,
 			float64(raw)/float64(wire),

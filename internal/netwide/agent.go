@@ -79,12 +79,10 @@ type Agent struct {
 	spoolLimit   int
 	spoolPolicy  SpoolPolicy
 
-	// codec seals every epoch; enc is its one encoder, whose delta base
-	// carries from flush to flush.
+	// codec seals and encodes every epoch.
 	codec report.Codec[flowkey.FiveTuple]
-	enc   report.Encoder[flowkey.FiveTuple]
-	// local is the fat stage of the most recently sealed epoch: with a
-	// compressed codec only the small stage ships, and this keeps
+	// local is the fat stage of the most recently sealed epoch: at a
+	// shrink above 1 only the small stage ships, and this keeps
 	// full-resolution local queries possible (SF-sketch's split).
 	local *core.Basic[flowkey.FiveTuple]
 }
@@ -98,9 +96,10 @@ type agentTel struct {
 	observed *telemetry.Counter
 	// reportsSent counts successfully acknowledged reports;
 	// reportBytes their on-the-wire payload bytes; reportRawBytes what
-	// the same reports would have cost as full snapshots (the codec
-	// compression baseline); reportRatio the per-report raw/wire ratio
-	// ×100; deliveredWeight the sketch weight those reports carried.
+	// the same reports would have cost as MarshalBinary snapshots of
+	// the fat sketch (the compression baseline); reportRatio the
+	// per-report raw/wire ratio ×100; deliveredWeight the sketch weight
+	// those reports carried.
 	reportsSent     *telemetry.Counter
 	reportBytes     *telemetry.Counter
 	reportRawBytes  *telemetry.Counter
@@ -155,10 +154,10 @@ func (a *Agent) SetTelemetry(r *telemetry.Registry) *Agent {
 }
 
 // NewAgent creates an agent with the shared sketch configuration, the
-// full report codec, the system clock, the default backoff policy
-// (seeded from the shared seed and the agent id, so co-failing agents
-// jitter apart), no write timeout, and a DefaultSpoolLimit-entry
-// coalescing spool.
+// shrink-1 report codec (the lossless stage), the system clock, the
+// default backoff policy (seeded from the shared seed and the agent id,
+// so co-failing agents jitter apart), no write timeout, and a
+// DefaultSpoolLimit-entry coalescing spool.
 func NewAgent(id uint16, cfg core.Config) *Agent {
 	a := &Agent{
 		id:         id,
@@ -168,18 +167,21 @@ func NewAgent(id uint16, cfg core.Config) *Agent {
 		backoff:    NewBackoff(DefaultBackoffBase, DefaultBackoffMax, cfg.Seed^(uint64(id)+1)*0x9e3779b97f4a7c15),
 		spoolLimit: DefaultSpoolLimit,
 	}
-	return a.SetCodec(report.Full[flowkey.FiveTuple](flowkey.FiveTupleFromBytes))
+	codec, err := report.New[flowkey.FiveTuple](cfg, 1)
+	if err != nil {
+		panic(fmt.Sprintf("netwide: NewAgent: %v", err))
+	}
+	return a.SetCodec(codec)
 }
 
 // SetCodec selects the one report codec that seals and encodes every
-// epoch of this agent (NewAgent installs report.Full, the pre-codec
-// wire format) and starts a fresh encoder for it. Call it at
-// construction: it panics if any epoch is spooled, because those
-// stages were sealed by the previous codec, and if the codec cannot
-// seal the agent's geometry, because no epoch could then be delivered.
-// The collector must run a decoder that understands the chosen codec
-// (Collector.SetCodec); DESIGN.md §14 has the compatibility matrix.
-// Returns the agent for chaining.
+// epoch of this agent (NewAgent installs the shrink-1 codec). Call it
+// at construction: it panics if any epoch is spooled, because those
+// stages were sealed by the previous codec and a spool must not mix
+// stage geometries, and if the codec cannot seal the agent's geometry,
+// because no epoch could then be delivered. Every report names its
+// shrink, so the collector needs no matching setting. Returns the
+// agent for chaining.
 func (a *Agent) SetCodec(c report.Codec[flowkey.FiveTuple]) *Agent {
 	if len(a.spool) > 0 {
 		panic("netwide: Agent.SetCodec with epochs spooled under the previous codec")
@@ -190,16 +192,15 @@ func (a *Agent) SetCodec(c report.Codec[flowkey.FiveTuple]) *Agent {
 		panic(fmt.Sprintf("netwide: Agent.SetCodec: %v", err))
 	}
 	a.codec = c
-	a.enc = c.NewEncoder()
 	return a
 }
 
 // LocalStage returns the fat stage of the most recently sealed epoch
-// (nil before the first EndEpoch). With a compressed codec
-// only the extracted small stage ships to the collector; the fat
-// sketch stays here at full resolution for local queries, per
-// SF-sketch's two-stage split. With the full codec the sealed sketch
-// itself is returned. Callers must treat it as read-only.
+// (nil before the first EndEpoch). At a shrink above 1 only the
+// extracted small stage ships to the collector; the fat sketch stays
+// here at full resolution for local queries, per SF-sketch's two-stage
+// split. At shrink 1 the fat sketch is the shipped stage. Callers must
+// treat it as read-only.
 func (a *Agent) LocalStage() *core.Basic[flowkey.FiveTuple] { return a.local }
 
 // seal converts the current epoch's fat sketch into its wire stage via
@@ -346,25 +347,21 @@ func (a *Agent) updateSpoolTel() {
 // Flush delivers spooled reports oldest-first over conn, stopping at
 // the first transport error (delivered entries are retired either
 // way). A coalesced entry ships as one report under its range's high
-// epoch. Payloads are encoded at flush time, delta-encoded against the
-// last acknowledged report, so coalescing a spooled stage never
-// invalidates a pre-computed delta. Any failed exchange resets the
-// delta base — the collector's receipt is then unknown, and the retry
-// must be self-contained; sealing is deterministic, so the retried
-// payload describes the identical stage. Each exchange runs under the
-// agent's write timeout. A nil return means the spool is empty.
+// epoch. Payloads are encoded at flush time from the spooled stage
+// alone, so a retry after any failed exchange re-sends the identical
+// payload, and the collector's duplicate detection makes it
+// idempotent. Each exchange runs under the agent's write timeout. A
+// nil return means the spool is empty.
 func (a *Agent) Flush(conn net.Conn) error {
 	for len(a.spool) > 0 {
 		e := &a.spool[0]
-		blob, err := a.enc.Encode(e.hi, e.stage)
+		blob, err := a.codec.Encode(e.hi, e.stage)
 		if err != nil {
 			return err
 		}
 		if err := a.exchange(conn, Message{Type: MsgSketch, Epoch: e.hi, AgentID: a.id, Payload: blob}); err != nil {
-			a.enc.Reset()
 			return err
 		}
-		a.enc.Ack(e.hi, e.stage)
 		a.tel.reportsSent.Inc()
 		a.tel.reportBytes.Add(uint64(len(blob)))
 		a.tel.reportRawBytes.Add(e.rawBytes)

@@ -22,13 +22,12 @@ import (
 
 	"cocosketch/internal/faultnet"
 	"cocosketch/internal/flowkey"
-	"cocosketch/internal/report"
 	"cocosketch/internal/telemetry"
 	"cocosketch/internal/xrand"
 )
 
-// chaosShrink is the stage shrink factor used when a chaos scenario
-// runs under the compressed report codec.
+// chaosShrink is the stage shrink factor of the matrix's "compressed"
+// half; its "full" half runs at shrink 1.
 const chaosShrink = 4
 
 // chaosKey derives a deterministic 5-tuple from a flow id.
@@ -73,10 +72,9 @@ type chaosOpts struct {
 	// fault.
 	finalDrain bool
 
-	// compressed runs the scenario under the delta-compressed report
-	// codec on both ends instead of the default full snapshots. Faults
-	// then also exercise the encoder/decoder base-resync protocol.
-	compressed bool
+	// shrink is the agent's report shrink factor (1 ships the whole
+	// epoch sketch).
+	shrink int
 }
 
 // chaosResult is everything a scenario run produced, for determinism
@@ -112,13 +110,6 @@ func runChaos(t *testing.T, seed uint64, o chaosOpts) chaosResult {
 		SetClock(n).
 		SetIdleTimeout(time.Minute).
 		SetSpawn(n.Go)
-	if o.compressed {
-		cc, err := report.Compressed[flowkey.FiveTuple](cfg, chaosShrink, flowkey.FiveTupleFromBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coll.SetCodec(cc)
-	}
 	n.Go(func() { _ = coll.Serve(l) })
 
 	regA := telemetry.New()
@@ -127,14 +118,8 @@ func runChaos(t *testing.T, seed uint64, o chaosOpts) chaosResult {
 		SetClock(n).
 		SetWriteTimeout(10*time.Second).
 		SetBackoff(NewBackoff(DefaultBackoffBase, DefaultBackoffMax, seed)).
-		SetSpool(o.spoolLimit, o.spoolPolicy)
-	if o.compressed {
-		ca, err := report.Compressed[flowkey.FiveTuple](cfg, chaosShrink, flowkey.FiveTupleFromBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agent.SetCodec(ca)
-	}
+		SetSpool(o.spoolLimit, o.spoolPolicy).
+		SetCodec(mustCodec(t, cfg, o.shrink))
 
 	n.Go(func() {
 		defer l.Close()
@@ -353,14 +338,14 @@ func TestChaosScenarios(t *testing.T) {
 	}
 
 	codecs := []struct {
-		name       string
-		compressed bool
-	}{{"full", false}, {"compressed", true}}
+		name   string
+		shrink int
+	}{{"full", 1}, {"compressed", chaosShrink}}
 	for _, codec := range codecs {
 		for _, sc := range scenarios {
 			for _, seed := range seeds {
 				opts := sc.opts
-				opts.compressed = codec.compressed
+				opts.shrink = codec.shrink
 				t.Run(fmt.Sprintf("%s/%s/seed=%d", codec.name, sc.name, seed), func(t *testing.T) {
 					a := runChaos(t, seed, opts)
 					b := runChaos(t, seed, opts)
@@ -402,6 +387,7 @@ func TestChaosBaselineBitIdenticalToTCP(t *testing.T) {
 		epochs: epochs, packets: packets,
 		spoolLimit: 8, spoolPolicy: SpoolCoalesce,
 		redials: 2, partitionAt: -1, healAt: -1, finalDrain: true,
+		shrink: 1,
 	})
 
 	cfg := telNetCfg()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -29,17 +30,15 @@ import (
 // cococollector does.
 type Collector struct {
 	cfg core.Config
-	tel collectorTel
+	// seeds are cfg's hash seeds, which every report's stage must name.
+	seeds []uint32
+	tel   collectorTel
 
 	clock       Clock
 	idleTimeout time.Duration
 	spawn       func(func())
 
 	mu sync.Mutex
-	// decoder reconstructs report payloads; it holds per-agent delta
-	// base state for the compressed codec and is therefore driven
-	// under mu (Decoder implementations are not concurrency-safe).
-	decoder report.Decoder[flowkey.FiveTuple]
 	// shards retains each agent's decoded stage per epoch instead of
 	// eagerly merging it away. Queries fold the shards in canonical
 	// agent-ID order (see fold), which makes the decoded table a pure
@@ -72,14 +71,12 @@ type collectorTel struct {
 	reportsRecv *telemetry.Counter
 	recvBytes   *telemetry.Counter
 	dupReports  *telemetry.Counter
-	// mergeErrors counts reports rejected by an incompatible merge.
+	// mergeErrors counts reports whose stage cannot merge: it does not
+	// fit the collector's Config, or its geometry differs from the
+	// epoch's first shard.
 	mergeErrors *telemetry.Counter
-	// decodeFailures counts report payloads the decoder rejected;
-	// baseMismatches the subset rejected because a compressed delta's
-	// base did not match the last acknowledged stage (the agent
-	// recovers with a self-contained retry — see internal/report).
+	// decodeFailures counts report payloads the decoder rejected.
 	decodeFailures *telemetry.Counter
-	baseMismatches *telemetry.Counter
 	// conns tracks live agent connections; epochsTracked the epochs
 	// held in memory; agentsSeen the distinct agents ever heard from.
 	conns         *telemetry.Gauge
@@ -97,7 +94,6 @@ func (c *Collector) SetTelemetry(r *telemetry.Registry) *Collector {
 		dupReports:     r.Counter("netwide.dup_reports"),
 		mergeErrors:    r.Counter("netwide.merge_errors"),
 		decodeFailures: r.Counter("netwide.decode_failures"),
-		baseMismatches: r.Counter("netwide.base_mismatches"),
 		conns:          r.Gauge("netwide.agent_conns"),
 		epochsTracked:  r.Gauge("netwide.epochs_tracked"),
 		agentsSeen:     r.Gauge("netwide.agents_seen"),
@@ -131,34 +127,26 @@ func (c *Collector) SetSpawn(spawn func(func())) *Collector {
 	return c
 }
 
-// NewCollector creates a collector expecting sketches of the given
-// shared configuration, on the system clock, with no idle timeout,
-// decoding reports with the full-snapshot codec (the compatible
-// default; see SetCodec).
+// NewCollector creates a collector expecting stages of sketches of the
+// given shared configuration, at any shrink factor, on the system
+// clock, with no idle timeout.
 func NewCollector(cfg core.Config) *Collector {
 	return &Collector{
-		cfg:     cfg,
-		clock:   SystemClock,
-		spawn:   func(fn func()) { go fn() },
-		decoder: report.Full[flowkey.FiveTuple](flowkey.FiveTupleFromBytes).NewDecoder(),
-		shards:  make(map[uint32]map[uint16]*core.Basic[flowkey.FiveTuple]),
-		agents:  make(map[uint16]AgentStatus),
+		cfg:    cfg,
+		seeds:  cfg.Seeds(),
+		clock:  SystemClock,
+		spawn:  func(fn func()) { go fn() },
+		shards: make(map[uint32]map[uint16]*core.Basic[flowkey.FiveTuple]),
+		agents: make(map[uint16]AgentStatus),
 	}
 }
 
-// SetCodec selects the codec whose decoder parses incoming report
-// payloads (default report.Full — exactly the pre-codec behavior, and
-// strict: compressed payloads are rejected). A report.Compressed
-// collector also accepts full snapshots, so it can serve a mixed
-// fleet; DESIGN.md §14 has the compatibility matrix. Call before
-// Serve: the decoder holds per-agent delta state and is replaced, not
-// merged. Returns the collector for chaining.
-func (c *Collector) SetCodec(codec report.Codec[flowkey.FiveTuple]) *Collector {
-	c.mu.Lock()
-	c.decoder = codec.NewDecoder()
-	c.mu.Unlock()
-	return c
-}
+// SetCodec does nothing: every report names its own shrink and hash
+// seeds, so the collector decodes any of them and checks each against
+// its Config. Returns the collector for chaining.
+//
+// Deprecated: drop the call (ROADMAP item 10).
+func (c *Collector) SetCodec(report.Codec[flowkey.FiveTuple]) *Collector { return c }
 
 // Serve accepts agent connections until the listener closes. Each
 // connection is handled on its own goroutine (via the configured
@@ -213,13 +201,13 @@ func (c *Collector) Handle(conn net.Conn) error {
 	}
 }
 
-// ingest retains one reported sketch as the (epoch, agent) shard.
+// ingest retains one reported stage as the (epoch, agent) shard.
 //
-// Ordering matters: the duplicate check runs before the decode. A
-// retry after a lost acknowledgement arrives when the decoder's delta
-// base has already advanced past the retried payload's base, so
-// decoding it would fail — acknowledging known (epoch, agent) pairs
-// without decoding is what makes retries idempotent under every codec.
+// The payload decodes on its own (report.Decode keeps no state), so it
+// is decoded and checked against the collector's Config outside c.mu;
+// the lock covers only the liveness update, the duplicate check and
+// the store. A retry after a lost acknowledgement decodes like the
+// original and is then dropped as a duplicate.
 //
 // The shard is validated (core.Basic.Compatible against the epoch's
 // first shard) but NOT merged here: merging is deferred to query time,
@@ -227,6 +215,7 @@ func (c *Collector) Handle(conn net.Conn) error {
 // arrival-order merging would make the decoded table depend on which
 // agent's report happened to land first.
 func (c *Collector) ingest(msg Message) error {
+	shard, err := c.decode(msg)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.agents[msg.AgentID]
@@ -237,18 +226,13 @@ func (c *Collector) ingest(msg Message) error {
 	}
 	c.agents[msg.AgentID] = st
 	c.tel.agentsSeen.Set(int64(len(c.agents)))
+	if err != nil {
+		return err
+	}
 	if c.shards[msg.Epoch][msg.AgentID] != nil {
 		// Duplicate report (agent retry after lost ack): ignore.
 		c.tel.dupReports.Inc()
 		return nil
-	}
-	shard, err := c.decoder.Decode(msg.AgentID, msg.Epoch, msg.Payload)
-	if err != nil {
-		if errors.Is(err, report.ErrBaseMismatch) {
-			c.tel.baseMismatches.Inc()
-		}
-		c.tel.decodeFailures.Inc()
-		return fmt.Errorf("netwide: agent %d epoch %d: %w", msg.AgentID, msg.Epoch, err)
 	}
 	epochShards, ok := c.shards[msg.Epoch]
 	if !ok {
@@ -256,10 +240,9 @@ func (c *Collector) ingest(msg Message) error {
 		c.shards[msg.Epoch] = epochShards
 		c.tel.epochsTracked.Add(1)
 	} else {
-		// The epoch's first shard fixes its geometry (full snapshots
-		// arrive at the shared Config, compressed stages at Config/
-		// shrink); every later shard must be mergeable with it, checked
-		// up front so fold can never fail.
+		// The epoch's first shard fixes its geometry (Config/shrink);
+		// every later shard must be mergeable with it, checked up front
+		// so fold can never fail.
 		for _, ref := range epochShards {
 			if !ref.Compatible(shard) {
 				c.tel.mergeErrors.Inc()
@@ -272,6 +255,25 @@ func (c *Collector) ingest(msg Message) error {
 	c.tel.reportsRecv.Inc()
 	c.tel.recvBytes.Add(uint64(len(msg.Payload)))
 	return nil
+}
+
+// decode rebuilds the stage of msg's report and checks that it is a
+// stage of a sketch of the collector's Config: the same arrays and hash
+// seeds, and l × shrink equal to the Config's l. A rejection is counted
+// in decodeFailures (corrupt payload) or mergeErrors (misfit stage).
+func (c *Collector) decode(msg Message) (*core.Basic[flowkey.FiveTuple], error) {
+	stage, shrink, err := report.Decode(msg.Epoch, msg.Payload, c.cfg.Arrays*c.cfg.BucketsPerArray, flowkey.FiveTupleFromBytes)
+	if err != nil {
+		c.tel.decodeFailures.Inc()
+		return nil, fmt.Errorf("netwide: agent %d epoch %d: %w", msg.AgentID, msg.Epoch, err)
+	}
+	if stage.Arrays() != c.cfg.Arrays || stage.BucketsPerArray()*shrink != c.cfg.BucketsPerArray ||
+		!slices.Equal(stage.Seeds(), c.seeds) {
+		c.tel.mergeErrors.Inc()
+		return nil, fmt.Errorf("netwide: agent %d epoch %d: stage of %d×%d buckets at shrink %d is not a stage of the %d×%d collector geometry: %w",
+			msg.AgentID, msg.Epoch, stage.Arrays(), stage.BucketsPerArray(), shrink, c.cfg.Arrays, c.cfg.BucketsPerArray, core.ErrIncompatible)
+	}
+	return stage, nil
 }
 
 // AgentsReported returns how many distinct agents contributed to an

@@ -75,26 +75,21 @@ func ExampleAgent_Absorb() {
 	// epoch: 0
 }
 
-// ExampleAgent_SetCodec switches both ends of a pipeline to the
-// compressed report codec — what `cocoagent -report-codec compressed
-// -report-shrink 8` and `cococollector -report-codec compressed` set
-// up. The agent keeps its fat sketch locally and ships shrunken
-// delta-encoded stages; telemetry shows the wire savings against the
-// full-snapshot baseline.
+// ExampleAgent_SetCodec ships shrink-8 stages — what `cocoagent
+// -report-shrink 8` sets up. The agent keeps its fat sketch locally and
+// ships 1/8-size stages; the collector needs no setting, because every
+// report names its shrink. Telemetry shows the wire savings against
+// the full-snapshot baseline.
 func ExampleAgent_SetCodec() {
 	cfg := core.Config{Arrays: 2, BucketsPerArray: 512, Seed: 7}
-	agentCodec, err := report.Compressed[flowkey.FiveTuple](cfg, 8, flowkey.FiveTupleFromBytes)
-	if err != nil {
-		panic(err)
-	}
-	collectorCodec, err := report.Compressed[flowkey.FiveTuple](cfg, 8, flowkey.FiveTupleFromBytes)
+	codec, err := report.New[flowkey.FiveTuple](cfg, 8)
 	if err != nil {
 		panic(err)
 	}
 
 	reg := telemetry.New()
-	collector := netwide.NewCollector(cfg).SetCodec(collectorCodec)
-	agent := netwide.NewAgent(1, cfg).SetTelemetry(reg).SetCodec(agentCodec)
+	collector := netwide.NewCollector(cfg)
+	agent := netwide.NewAgent(1, cfg).SetTelemetry(reg).SetCodec(codec)
 
 	agentConn, collectorConn := net.Pipe()
 	done := make(chan struct{})

@@ -340,11 +340,7 @@ func TestAgentStatusesTrackReports(t *testing.T) {
 
 	sk := core.NewBasic[flowkey.FiveTuple](cfg)
 	sk.Insert(flowkey.FiveTuple{Proto: 6, SrcPort: 80}, 9)
-	blob, err := sk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := collector.ingest(Message{Type: MsgSketch, Epoch: 0, AgentID: 1, Payload: blob}); err != nil {
+	if err := collector.ingest(Message{Type: MsgSketch, Epoch: 0, AgentID: 1, Payload: encode(t, 0, sk, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	st := collector.AgentStatuses()

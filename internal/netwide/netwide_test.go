@@ -2,6 +2,7 @@ package netwide
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -9,11 +10,24 @@ import (
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
+	"cocosketch/internal/report"
+	"cocosketch/internal/telemetry"
 	"cocosketch/internal/trace"
 )
 
 func sharedConfig() core.Config {
 	return core.Config{Arrays: 2, BucketsPerArray: 4096, Seed: 77}
+}
+
+// encode is the report payload an agent sends for stage sealed as
+// epoch at shrink.
+func encode(t testing.TB, epoch uint32, stage *core.Basic[flowkey.FiveTuple], shrink int) []byte {
+	t.Helper()
+	blob, err := report.Encode(epoch, stage, shrink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -172,8 +186,7 @@ func TestDuplicateReportIgnored(t *testing.T) {
 
 	sk := core.NewBasic[flowkey.FiveTuple](cfg)
 	sk.Insert(flowkey.FiveTuple{Proto: 6, SrcPort: 80}, 10)
-	blob, _ := sk.MarshalBinary()
-	msg := Message{Type: MsgSketch, Epoch: 0, AgentID: 1, Payload: blob}
+	msg := Message{Type: MsgSketch, Epoch: 0, AgentID: 1, Payload: encode(t, 0, sk, 1)}
 	if err := collector.ingest(msg); err != nil {
 		t.Fatal(err)
 	}
@@ -191,24 +204,55 @@ func TestDuplicateReportIgnored(t *testing.T) {
 }
 
 func TestIngestRejectsIncompatibleSketch(t *testing.T) {
-	collector := NewCollector(core.Config{Arrays: 2, BucketsPerArray: 64, Seed: 3})
-	// First shard fixes the epoch geometry; a different geometry must
-	// be rejected at merge.
-	a := core.NewBasic[flowkey.FiveTuple](core.Config{Arrays: 2, BucketsPerArray: 64, Seed: 3})
-	blobA, _ := a.MarshalBinary()
-	if err := collector.ingest(Message{Type: MsgSketch, AgentID: 1, Payload: blobA}); err != nil {
+	cfg := core.Config{Arrays: 2, BucketsPerArray: 64, Seed: 3}
+	collector := NewCollector(cfg)
+	// First shard fixes the epoch geometry; a shrink-2 stage fits the
+	// Config but not the epoch's full-geometry shard, and a stage of
+	// another Config fits neither: both must be rejected.
+	a := core.NewBasic[flowkey.FiveTuple](cfg)
+	if err := collector.ingest(Message{Type: MsgSketch, AgentID: 1, Payload: encode(t, 0, a, 1)}); err != nil {
 		t.Fatal(err)
 	}
+	half, err := a.ExtractStage(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := collector.ingest(Message{Type: MsgSketch, AgentID: 2, Payload: encode(t, 0, half, 2)}); err == nil {
+		t.Fatal("shard of another geometry than the epoch's accepted")
+	}
 	b := core.NewBasic[flowkey.FiveTuple](core.Config{Arrays: 2, BucketsPerArray: 128, Seed: 3})
-	blobB, _ := b.MarshalBinary()
-	if err := collector.ingest(Message{Type: MsgSketch, AgentID: 2, Payload: blobB}); err == nil {
-		t.Fatal("incompatible shard accepted")
+	if err := collector.ingest(Message{Type: MsgSketch, AgentID: 3, Payload: encode(t, 0, b, 1)}); err == nil {
+		t.Fatal("shard of another Config accepted")
 	}
 }
 
+// TestIngestRejectsGarbagePayload feeds the collector payloads that do
+// not decode: bytes that are no report, a report relabelled as wire
+// version 2, and a report cut short. Each must be refused as corrupt,
+// counted in netwide.decode_failures, and never counted as received
+// or stored.
 func TestIngestRejectsGarbagePayload(t *testing.T) {
-	collector := NewCollector(sharedConfig())
-	if err := collector.ingest(Message{Type: MsgSketch, Payload: []byte("junk")}); err == nil {
-		t.Fatal("garbage payload accepted")
+	reg := telemetry.New()
+	collector := NewCollector(sharedConfig()).SetTelemetry(reg)
+	sk := core.NewBasic[flowkey.FiveTuple](sharedConfig())
+	sk.Insert(flowkey.FiveTuple{Proto: 6, SrcPort: 80}, 10)
+	valid := encode(t, 0, sk, 1)
+	v2 := bytes.Clone(valid)
+	v2[4] = 2
+
+	for i, payload := range [][]byte{[]byte("junk"), v2, valid[:len(valid)-1]} {
+		err := collector.ingest(Message{Type: MsgSketch, AgentID: 1, Payload: payload})
+		if !errors.Is(err, report.ErrCorrupt) {
+			t.Fatalf("payload %d: ingest = %v, want report.ErrCorrupt", i, err)
+		}
+		if got, want := reg.Counter("netwide.decode_failures").Value(), uint64(i+1); got != want {
+			t.Errorf("payload %d: netwide.decode_failures = %d, want %d", i, got, want)
+		}
+	}
+	if got := reg.Counter("netwide.reports_received").Value(); got != 0 {
+		t.Errorf("netwide.reports_received = %d, want 0", got)
+	}
+	if n := collector.AgentsReported(0); n != 0 {
+		t.Errorf("epoch 0 holds %d shards after only corrupt reports", n)
 	}
 }

@@ -11,14 +11,15 @@
 // primitives: core serialization, core merging and a small
 // length-prefixed wire protocol.
 //
-// Epoch reports go through a pluggable codec (internal/report): the
-// default Full codec ships bit-identical sketch snapshots, while the
-// Compressed codec keeps the fat sketch on the agent and ships a
-// shrunken, delta-encoded stage per epoch — roughly an order of
-// magnitude fewer report bytes (wire format in DESIGN.md §14). Both
-// Agent and Collector select a codec with SetCodec; an agent picks one
-// at construction, and every epoch it spools, retries and accounts for
-// goes through that codec.
+// Epoch reports go through the one report codec (internal/report,
+// wire format in DESIGN.md §14): each distinct key of the sealed stage
+// once, with its counters, and the collector re-hashes every key into
+// its buckets. An agent picks its shrink factor at construction
+// (Agent.SetCodec; shrink 1, the default, ships the epoch sketch
+// itself, losslessly), and every epoch it spools, retries and accounts
+// for goes through that codec. Reports carry their shrink and hash
+// seeds, so the collector needs no codec setting: it checks each stage
+// against its Config.
 package netwide
 
 import (
@@ -32,10 +33,9 @@ import (
 //
 //	type u8 | epoch u32 | agentID u16 | length u32 | payload [length]byte
 //
-// little-endian. Payload of MsgSketch is an epoch report sealed by the
-// agent's codec: a core.(*Basic).MarshalBinary snapshot ("COCO" magic)
-// under the full codec, or a CRPT compressed report (internal/report,
-// DESIGN.md §14) under the compressed codec.
+// little-endian. Payload of MsgSketch is a CRPT v3 epoch report
+// (internal/report, DESIGN.md §14) of the stage the agent's codec
+// sealed.
 const (
 	// MsgSketch carries one agent's epoch sketch.
 	MsgSketch = 1

@@ -12,12 +12,12 @@ import (
 )
 
 // denseCfg is big enough that full snapshots dominate the wire and the
-// compressed codec has real work to do.
+// codec has real work to do.
 var denseCfg = core.Config{Arrays: 2, BucketsPerArray: 512, Seed: 0xBEEF}
 
-func mustCompressed(t *testing.T, cfg core.Config, shrink int) report.Codec[flowkey.FiveTuple] {
+func mustCodec(t *testing.T, cfg core.Config, shrink int) report.Codec[flowkey.FiveTuple] {
 	t.Helper()
-	codec, err := report.Compressed[flowkey.FiveTuple](cfg, shrink, flowkey.FiveTupleFromBytes)
+	codec, err := report.New[flowkey.FiveTuple](cfg, shrink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,21 +50,21 @@ func serveCollector(t *testing.T, c *Collector) (addr string, stop func()) {
 }
 
 // TestCompressedEndToEndConservesMassAtFiveXFewerBytes runs the whole
-// pipeline — agent seals with the compressed codec, collector decodes
-// and merges — across several epochs and checks (a) every epoch's
+// pipeline — agents seal shrink-8 stages, the collector decodes and
+// merges — across several epochs and checks (a) every epoch's
 // network-wide mass matches what the agents observed and (b) the
 // telemetry-measured wire bytes are at least 5× below the snapshot
 // baseline.
 func TestCompressedEndToEndConservesMassAtFiveXFewerBytes(t *testing.T) {
-	codec := mustCompressed(t, denseCfg, 8)
+	codec := mustCodec(t, denseCfg, 8)
 	reg := telemetry.New()
-	collector := NewCollector(denseCfg).SetCodec(codec)
+	collector := NewCollector(denseCfg)
 	addr, stop := serveCollector(t, collector)
 	defer stop()
 
 	agents := []*Agent{
 		NewAgent(1, denseCfg).SetTelemetry(reg).SetCodec(codec),
-		NewAgent(2, denseCfg).SetTelemetry(reg).SetCodec(mustCompressed(t, denseCfg, 8)),
+		NewAgent(2, denseCfg).SetTelemetry(reg).SetCodec(codec),
 	}
 	conns := make([]net.Conn, len(agents))
 	for i := range agents {
@@ -133,51 +133,6 @@ func TestCompressedEndToEndConservesMassAtFiveXFewerBytes(t *testing.T) {
 	}
 }
 
-// TestMixedFleetAtCompressedCollector serves a full-codec agent and a
-// compressed-codec agent from one compressed collector: snapshots pass
-// through, deltas decode, and every epoch's mass is conserved. The
-// compressed agent ships at shrink 1 because an epoch's shards must
-// share one geometry to merge.
-func TestMixedFleetAtCompressedCollector(t *testing.T) {
-	cfg := telNetCfg()
-	collector := NewCollector(cfg).SetCodec(mustCompressed(t, cfg, 1))
-	addr, stop := serveCollector(t, collector)
-	defer stop()
-
-	agents := []*Agent{NewAgent(1, cfg), NewAgent(2, cfg).SetCodec(mustCompressed(t, cfg, 1))}
-	conns := make([]net.Conn, len(agents))
-	for i := range agents {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		conns[i] = conn
-	}
-	for epoch := 0; epoch < 3; epoch++ {
-		var want uint64
-		for i, a := range agents {
-			observeEpoch(a, epoch, 2000, int64(10*epoch+i))
-			want += a.sketch.SumValues()
-			a.EndEpoch()
-			if err := a.Flush(conns[i]); err != nil {
-				t.Fatalf("agent %d epoch %d: %v", i, epoch, err)
-			}
-		}
-		eng, ok := collector.Epoch(uint32(epoch))
-		if !ok {
-			t.Fatalf("epoch %d missing at collector", epoch)
-		}
-		var total uint64
-		for _, v := range eng.FullTable() {
-			total += v
-		}
-		if total != want {
-			t.Errorf("epoch %d: collector mass %d, agents observed %d", epoch, total, want)
-		}
-	}
-}
-
 // TestSetCodecPanicsWithSpooledEpochs: an agent has one codec, so
 // switching it while stages sealed by the old one wait in the spool is
 // a programming error that must fail loudly.
@@ -191,7 +146,7 @@ func TestSetCodecPanicsWithSpooledEpochs(t *testing.T) {
 			t.Fatal("SetCodec with a spooled epoch did not panic")
 		}
 	}()
-	agent.SetCodec(mustCompressed(t, cfg, 4))
+	agent.SetCodec(mustCodec(t, cfg, 4))
 }
 
 // TestSetCodecPanicsOnUnsealableGeometry: a codec whose stage cannot
@@ -199,7 +154,7 @@ func TestSetCodecPanicsWithSpooledEpochs(t *testing.T) {
 // undeliverable, so SetCodec refuses it up front.
 func TestSetCodecPanicsOnUnsealableGeometry(t *testing.T) {
 	agent := NewAgent(1, core.Config{Arrays: 2, BucketsPerArray: 1000, Seed: 1})
-	codec := mustCompressed(t, core.Config{Arrays: 2, BucketsPerArray: 1024, Seed: 1}, 16)
+	codec := mustCodec(t, core.Config{Arrays: 2, BucketsPerArray: 1024, Seed: 1}, 16)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("SetCodec accepted a shrink-16 codec for 1000 buckets per array")
@@ -208,48 +163,16 @@ func TestSetCodecPanicsOnUnsealableGeometry(t *testing.T) {
 	agent.SetCodec(codec)
 }
 
-// TestFullCollectorRejectsCompressedReports pins the strict cell of
-// the compatibility matrix, with the decode failure counted.
-func TestFullCollectorRejectsCompressedReports(t *testing.T) {
-	cfg := telNetCfg()
-	reg := telemetry.New()
-	collector := NewCollector(cfg).SetTelemetry(reg)
-
-	codec := mustCompressed(t, cfg, 4)
-	sk := core.NewBasic[flowkey.FiveTuple](cfg)
-	sk.Insert(flowkey.FiveTuple{Proto: 6, SrcPort: 80}, 5)
-	stage, err := codec.Seal(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := codec.NewEncoder().Encode(0, stage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := collector.ingest(Message{Type: MsgSketch, Epoch: 0, AgentID: 1, Payload: payload}); err == nil {
-		t.Fatal("full-codec collector accepted a compressed payload")
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["netwide.decode_failures"]; got != 1 {
-		t.Errorf("decode_failures = %d, want 1", got)
-	}
-	if got := snap.Counters["netwide.reports_received"]; got != 0 {
-		t.Errorf("reports_received = %d after rejected report", got)
-	}
-}
-
-// TestCollectorRestartRecovery exercises the delta-base resync
-// protocol end to end: a collector that lost all decoder state (a
-// restart) rejects the next delta with a base mismatch, the connection
-// drops, and the agent's redial path — whose failed exchange reset the
-// encoder — delivers a self-contained report on retry. No state is
-// lost and no manual resync is needed.
+// TestCollectorRestartRecovery: a report decodes on its own, so a
+// collector that lost all state (a restart) accepts the agent's next
+// report on the first exchange — no redial, no decode failure — and
+// holds the epoch's exact mass.
 func TestCollectorRestartRecovery(t *testing.T) {
 	cfg := telNetCfg()
-	codec := mustCompressed(t, cfg, 4)
-	agent := NewAgent(7, cfg).SetTelemetry(telemetry.New()).SetCodec(codec).SetSpool(4, SpoolCoalesce)
+	regA := telemetry.New()
+	agent := NewAgent(7, cfg).SetTelemetry(regA).SetCodec(mustCodec(t, cfg, 4)).SetSpool(4, SpoolCoalesce)
 
-	first := NewCollector(cfg).SetCodec(mustCompressed(t, cfg, 4))
+	first := NewCollector(cfg)
 	addr1, stop1 := serveCollector(t, first)
 	conn, err := net.Dial("tcp", addr1)
 	if err != nil {
@@ -263,9 +186,9 @@ func TestCollectorRestartRecovery(t *testing.T) {
 	conn.Close()
 	stop1()
 
-	// The replacement collector has no decoder state for agent 7.
+	// The replacement collector has never heard from agent 7.
 	reg := telemetry.New()
-	second := NewCollector(cfg).SetCodec(mustCompressed(t, cfg, 4)).SetTelemetry(reg)
+	second := NewCollector(cfg).SetTelemetry(reg)
 	addr2, stop2 := serveCollector(t, second)
 	defer stop2()
 	dial := func() (net.Conn, error) { return net.Dial("tcp", addr2) }
@@ -279,22 +202,45 @@ func TestCollectorRestartRecovery(t *testing.T) {
 	}
 	conn2, err = agent.FlushWithRedial(conn2, dial, 3)
 	if err != nil {
-		t.Fatalf("flush never recovered: %v", err)
+		t.Fatalf("flush to the restarted collector failed: %v", err)
 	}
 	defer conn2.Close()
 
-	if got := reg.Snapshot().Counters["netwide.base_mismatches"]; got != 1 {
-		t.Errorf("base_mismatches = %d, want exactly 1 (then recovery)", got)
+	if got := regA.Snapshot().Counters["netwide.reconnects"]; got != 0 {
+		t.Errorf("reconnects = %d, want 0: the first exchange must succeed", got)
+	}
+	if got := reg.Snapshot().Counters["netwide.decode_failures"]; got != 0 {
+		t.Errorf("decode_failures = %d, want 0", got)
 	}
 	eng, ok := second.Epoch(1)
 	if !ok {
-		t.Fatal("epoch 1 missing after recovery")
+		t.Fatal("epoch 1 missing at the restarted collector")
 	}
 	var total uint64
 	for _, v := range eng.FullTable() {
 		total += v
 	}
 	if total != want {
-		t.Errorf("epoch 1 mass %d after recovery, want %d", total, want)
+		t.Errorf("epoch 1 mass %d at the restarted collector, want %d", total, want)
+	}
+}
+
+// TestDeprecatedSetCodecChangesNothing: Collector.SetCodec is a no-op
+// shim, so a collector "set" to the shrink-1 codec still accepts a
+// shrink-4 stage of its Config.
+func TestDeprecatedSetCodecChangesNothing(t *testing.T) {
+	cfg := telNetCfg()
+	collector := NewCollector(cfg)
+	if collector.SetCodec(report.Full[flowkey.FiveTuple](flowkey.FiveTupleFromBytes)) != collector {
+		t.Fatal("SetCodec did not return its collector")
+	}
+	sk := core.NewBasic[flowkey.FiveTuple](cfg)
+	sk.Insert(flowkey.FiveTuple{Proto: 6, SrcPort: 80}, 5)
+	stage, err := sk.ExtractStage(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := collector.ingest(Message{Type: MsgSketch, AgentID: 1, Payload: encode(t, 0, stage, 4)}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -41,11 +41,7 @@ func TestSealEpochIntoHandsCanonicalFoldClone(t *testing.T) {
 		for p := 0; p < 50; p++ {
 			sk.Insert(flowkey.FiveTuple{SrcPort: agent, DstPort: uint16(p), Proto: 6}, uint64(1+p%4))
 		}
-		blob, err := sk.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := collector.ingest(Message{Type: MsgSketch, Epoch: 0, AgentID: agent, Payload: blob}); err != nil {
+		if err := collector.ingest(Message{Type: MsgSketch, Epoch: 0, AgentID: agent, Payload: encode(t, 0, sk, 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,11 +98,7 @@ func TestSealEpochIntoRing(t *testing.T) {
 			for p := 0; p < 60; p++ {
 				sk.Insert(flowkey.FiveTuple{SrcPort: agent, DstPort: uint16(p), Proto: 17}, uint64(1+int(epoch)+p%3))
 			}
-			blob, err := sk.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := collector.ingest(Message{Type: MsgSketch, Epoch: epoch, AgentID: agent, Payload: blob}); err != nil {
+			if err := collector.ingest(Message{Type: MsgSketch, Epoch: epoch, AgentID: agent, Payload: encode(t, epoch, sk, 1)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -145,11 +137,7 @@ func TestEpochIndependentOfArrivalOrder(t *testing.T) {
 		for p := 0; p < 200; p++ {
 			sk.Insert(flowkey.FiveTuple{SrcPort: agent, DstPort: uint16(p), Proto: 6}, uint64(1+p%7))
 		}
-		blob, err := sk.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads[agent] = blob
+		payloads[agent] = encode(t, 0, sk, 1)
 	}
 
 	orders := [][]uint16{

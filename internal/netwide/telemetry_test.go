@@ -97,11 +97,7 @@ func TestCollectorTelemetryDupAndMergeError(t *testing.T) {
 
 	sk := core.NewBasic[flowkey.FiveTuple](cfg)
 	sk.Insert(flowkey.FiveTuple{Proto: 6, SrcPort: 80}, 10)
-	blob, err := sk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := Message{Type: MsgSketch, Epoch: 0, AgentID: 1, Payload: blob}
+	msg := Message{Type: MsgSketch, Epoch: 0, AgentID: 1, Payload: encode(t, 0, sk, 1)}
 	if err := collector.ingest(msg); err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +110,7 @@ func TestCollectorTelemetryDupAndMergeError(t *testing.T) {
 
 	// A sketch with a different geometry must fail the merge.
 	bad := core.NewBasic[flowkey.FiveTuple](core.Config{Arrays: 3, BucketsPerArray: 32, Seed: 21})
-	badBlob, err := bad.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := collector.ingest(Message{Type: MsgSketch, Epoch: 0, AgentID: 2, Payload: badBlob}); err == nil {
+	if err := collector.ingest(Message{Type: MsgSketch, Epoch: 0, AgentID: 2, Payload: encode(t, 0, bad, 1)}); err == nil {
 		t.Fatal("incompatible sketch ingested without error")
 	}
 	if got := reg.Counter("netwide.merge_errors").Value(); got != 1 {

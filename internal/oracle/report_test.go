@@ -10,11 +10,11 @@ import (
 	"cocosketch/internal/trace"
 )
 
-// Report-pipeline differential gates: the compressed epoch-report path
-// (seal a shrunk stage, encode, decode at the collector) must keep the
-// decoded tables inside the harness CI bounds in every traffic regime
-// while spending at least 5× fewer bytes than full snapshots, and the
-// full codec must remain a bit-identical pass-through.
+// Report-pipeline differential gates: the epoch-report path at a
+// shrink above 1 (seal a shrunk stage, encode, decode at the collector)
+// must keep the decoded tables inside the harness CI bounds in every
+// traffic regime while spending at least 5× fewer bytes than full
+// snapshots, and the channel must stay lossless epoch after epoch.
 
 // reportShrink is the stage shrink factor under test; at the harness
 // geometry (l = 512) it is the smallest power of two that clears the
@@ -22,16 +22,16 @@ import (
 const reportShrink = 8
 
 // cocoCompressedReportImpl replays each trial into a fat sketch, then
-// ships it through the compressed report codec — seal, encode
-// (self-contained), decode — and answers queries from the *decoded*
-// stage, exactly what a collector serves. Byte totals accumulate into
-// rawBytes/wireBytes across trials.
+// ships it through the report codec at reportShrink — seal, encode,
+// decode — and answers queries from the *decoded* stage, exactly what
+// a collector serves. Byte totals accumulate into rawBytes/wireBytes
+// across trials.
 func cocoCompressedReportImpl(rawBytes, wireBytes *uint64) Impl {
 	return Impl{
 		Name: "coco-compressed-report",
 		New: func(seed uint64) Instance {
 			cfg := cocoCfg(seed)
-			codec, err := report.Compressed[flowkey.FiveTuple](cfg, reportShrink, flowkey.FiveTupleFromBytes)
+			codec, err := report.New[flowkey.FiveTuple](cfg, reportShrink)
 			if err != nil {
 				panic(err)
 			}
@@ -44,11 +44,11 @@ func cocoCompressedReportImpl(rawBytes, wireBytes *uint64) Impl {
 					if err != nil {
 						panic(err)
 					}
-					blob, err := codec.NewEncoder().Encode(0, stage)
+					blob, err := codec.Encode(0, stage)
 					if err != nil {
 						panic(err)
 					}
-					decoded, err := codec.NewDecoder().Decode(1, 0, blob)
+					decoded, _, err := report.Decode(0, blob, cfg.Arrays*cfg.BucketsPerArray, flowkey.FiveTupleFromBytes)
 					if err != nil {
 						panic(err)
 					}
@@ -101,62 +101,18 @@ func TestReportCompressedPipelineMatrix(t *testing.T) {
 	}
 }
 
-// TestReportFullCodecBitIdentical is the regression gate for the
-// default codec: Seal must leave the sketch untouched and the payload
-// must be byte-for-byte MarshalBinary, in every regime, so switching
-// the report plumbing to the codec interface changed nothing for
-// deployments that keep -report-codec=full.
-func TestReportFullCodecBitIdentical(t *testing.T) {
-	codec := report.Full[flowkey.FiveTuple](flowkey.FiveTupleFromBytes)
-	for _, reg := range Regimes() {
-		tr := reg.Generate(6000, 0xF00D)
-		s := core.NewBasic[flowkey.FiveTuple](harnessCoreCfg(21))
-		for i := range tr.Packets {
-			s.Insert(tr.Packets[i].Key, 1)
-		}
-		want, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		stage, err := codec.Seal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := codec.NewEncoder().Encode(0, stage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(blob, want) {
-			t.Errorf("%s: full-codec payload is not bit-identical to MarshalBinary", reg.Name)
-		}
-		decoded, err := codec.NewDecoder().Decode(1, 0, blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := decoded.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: full-codec decode is not bit-identical to the source sketch", reg.Name)
-		}
-	}
-}
-
-// TestReportDeltaLosslessAcrossEpochs replays a multi-epoch stream
-// (fresh sketch per epoch, persistent flow population) through the
-// delta-encoded compressed channel and checks the collector's decoded
-// stages are bit-identical to the agent-side sealed stages in every
-// epoch — compression saves bytes by exploiting cross-epoch key
-// stability, never by approximating the delivered stage.
-func TestReportDeltaLosslessAcrossEpochs(t *testing.T) {
+// TestReportLosslessAcrossEpochs replays a multi-epoch stream (fresh
+// sketch per epoch, persistent flow population) through the report
+// channel at reportShrink and checks the collector's decoded stages are
+// bit-identical to the agent-side sealed stages in every epoch —
+// compression saves bytes by sending each key once, never by
+// approximating the delivered stage.
+func TestReportLosslessAcrossEpochs(t *testing.T) {
 	cfg := harnessCoreCfg(31)
-	codec, err := report.Compressed[flowkey.FiveTuple](cfg, reportShrink, flowkey.FiveTupleFromBytes)
+	codec, err := report.New[flowkey.FiveTuple](cfg, reportShrink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := codec.NewEncoder()
-	dec := codec.NewDecoder()
 	const epochs = 5
 	tr := trace.CAIDALike(epochs*8_000, 0xE11A)
 	per := len(tr.Packets) / epochs
@@ -169,11 +125,11 @@ func TestReportDeltaLosslessAcrossEpochs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := enc.Encode(uint32(e), stage)
+		blob, err := codec.Encode(uint32(e), stage)
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := dec.Decode(1, uint32(e), blob)
+		decoded, _, err := report.Decode(uint32(e), blob, cfg.Arrays*cfg.BucketsPerArray, flowkey.FiveTupleFromBytes)
 		if err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
@@ -188,6 +144,5 @@ func TestReportDeltaLosslessAcrossEpochs(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("epoch %d: decoded stage differs from sealed stage", e)
 		}
-		enc.Ack(uint32(e), stage)
 	}
 }

@@ -26,8 +26,8 @@ import (
 )
 
 // The ledger's geometry: two agents sample one flow population and
-// report ledgerWindow epochs of ledgerPackets packets each through the
-// compressed codec; the ring holds exactly those epochs.
+// report ledgerWindow epochs of ledgerPackets packets each at
+// ledgerShrink; the ring holds exactly those epochs.
 const (
 	ledgerAgents  = 2
 	ledgerWindow  = 8
@@ -79,20 +79,20 @@ func TestServedPathLedger(t *testing.T) {
 }
 
 // runServedPath drives one seeded run through the public APIs: agents
-// with the compressed codec at ledgerShrink, net.Pipe connections into
+// with the report codec at ledgerShrink, net.Pipe connections into
 // Collector.Handle, and SealEpochInto a ring at the stage geometry. It
 // returns the exact oracle over every packet fed and, per layer of
 // ledgerLayers, the estimated partial-key table for a mask.
 func runServedPath(t *testing.T, seed uint64) (*Oracle, []func(flowkey.Mask) map[flowkey.FiveTuple]uint64) {
 	t.Helper()
 	cfg := report.AlignConfig(core.ConfigForMemory[flowkey.FiveTuple](core.DefaultArrays, ledgerMem, seed))
-	codec, err := report.Compressed[flowkey.FiveTuple](cfg, ledgerShrink, flowkey.FiveTupleFromBytes)
+	codec, err := report.New[flowkey.FiveTuple](cfg, ledgerShrink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stageCfg := cfg
 	stageCfg.BucketsPerArray /= ledgerShrink
-	collector := netwide.NewCollector(cfg).SetCodec(codec)
+	collector := netwide.NewCollector(cfg)
 	ring := window.NewRing(ledgerWindow, stageCfg)
 
 	pop := trace.NewPopulation(trace.CAIDAConfig(ledgerWindow*ledgerPackets, seed))

@@ -36,15 +36,15 @@ func raceKey(id uint64) flowkey.FiveTuple {
 }
 
 // TestConcurrentQueriesAgainstLiveSealing runs one producer that
-// keeps inserting traffic into a sketch, sealing it through the
-// compressed codec and publishing a fresh engine, while several
+// keeps inserting traffic into a sketch, sealing a shrink-4 stage of it
+// and publishing a fresh engine, while several
 // readers concurrently exercise every query entry point (Query,
 // GroupBy, Top, SQL) on whatever engine is current. Each reader also
 // checks the aggregation invariant on its snapshot: grouped mass
 // equals full-table mass under any mask.
 func TestConcurrentQueriesAgainstLiveSealing(t *testing.T) {
 	cfg := core.Config{Arrays: 2, BucketsPerArray: 128, Seed: 5}
-	codec, err := report.Compressed[flowkey.FiveTuple](cfg, 4, flowkey.FiveTupleFromBytes)
+	codec, err := report.New[flowkey.FiveTuple](cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

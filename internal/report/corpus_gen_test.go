@@ -3,134 +3,167 @@ package report
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
 )
 
-// reportFuzzSeeds builds the adversarial seed payloads shared by the
-// inline FuzzCompressedDecode corpus and the committed on-disk one:
-// valid self-contained and delta payloads (so mutations start from
-// parseable state), a truncated header, a corrupt dictionary count,
-// and a delta whose counter arithmetic wraps.
-func reportFuzzSeeds(tb testing.TB) map[string][]byte {
+// fuzzStage is the seed corpus's stage: a shrink-2 stage of fuzzCfg
+// (2 arrays of 4 buckets) over 20 flows.
+func fuzzStage(tb testing.TB) *core.Basic[flowkey.FiveTuple] {
 	tb.Helper()
-	codec, base := fuzzBasePayload(tb)
-	dec := codec.NewDecoder()
-	stage0, err := dec.Decode(1, 0, base)
-	if err != nil {
-		tb.Fatal(err)
-	}
-
-	fat1 := core.NewBasic[flowkey.FiveTuple](fuzzCfg)
+	fat := core.NewBasic[flowkey.FiveTuple](fuzzCfg)
 	for i := 0; i < 500; i++ {
-		fat1.Insert(key(uint32(i%20), 80), uint64(1+i%2))
+		fat.Insert(key(uint32(i%20), 80), uint64(1+i%3))
 	}
-	stage1, err := codec.Seal(fat1)
+	stage, err := fat.ExtractStage(2)
 	if err != nil {
 		tb.Fatal(err)
 	}
-
-	selfContained, err := codec.NewEncoder().Encode(1, stage1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	enc := codec.NewEncoder()
-	enc.Ack(0, stage0)
-	delta, err := enc.Encode(1, stage1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-
-	corrupt := append([]byte{}, selfContained...)
-	corrupt[crptHeaderSize] = 0xFF // dictionary count varint continues...
-	corrupt[crptHeaderSize+1] = 0x7F
-
-	return map[string][]byte{
-		"valid-self-contained": selfContained,
-		"valid-delta":          delta,
-		"truncated-header":     selfContained[:12],
-		"corrupt-dictionary":   corrupt,
-		"counter-overflow":     overflowDelta(tb, stage0),
-	}
+	return stage
 }
 
-// overflowDelta hand-assembles a CRPT delta against stage0 whose one
-// entry applies a MinInt64 counter delta — valid framing, wrapping
-// arithmetic — to pin the decoder's overflow guard.
-func overflowDelta(tb testing.TB, stage0 *core.Basic[flowkey.FiveTuple]) []byte {
-	tb.Helper()
-	l := stage0.BucketsPerArray()
-	buckets := stage0.Buckets()
-	j := -1
-	for idx := 0; idx < l; idx++ {
-		if buckets[idx].Val != 0 {
-			j = idx
-			break
-		}
-	}
-	if j < 0 {
-		tb.Fatal("base stage has an empty first array")
-	}
+// seedKey is one hand-assembled key entry: the shared-prefix byte, the
+// whole key (its first prefix bytes are dropped on the wire), the mask
+// and the counters' raw bytes.
+type seedKey struct {
+	prefix   int
+	key      flowkey.FiveTuple
+	mask     byte
+	counters []byte
+}
+
+// handPayload assembles a payload with the fuzz stage's header (shrink
+// 2, epoch 1) but the given mass and key entries, so a seed can break a
+// rule Encode never breaks.
+func handPayload(stage *core.Basic[flowkey.FiveTuple], mass uint64, keys ...seedKey) []byte {
 	out := []byte(crptMagic)
-	out = append(out, crptVersion, flagDelta, 1, flowkey.FiveTupleLen)
-	out = binary.LittleEndian.AppendUint16(out, uint16(stage0.Arrays()))
-	out = binary.LittleEndian.AppendUint32(out, uint32(l))
-	out = binary.LittleEndian.AppendUint32(out, 1)                // epoch
-	out = binary.LittleEndian.AppendUint32(out, 0)                // base epoch
-	out = binary.LittleEndian.AppendUint64(out, stageSum(stage0)) // base checksum
-	out = binary.LittleEndian.AppendUint64(out, 0)                // rng state
-	out = binary.LittleEndian.AppendUint64(out, 0)                // claimed mass
-	out = binary.AppendUvarint(out, 0)                            // empty dictionary
-	out = binary.AppendUvarint(out, 1)                            // array 0: one entry
-	out = binary.AppendUvarint(out, uint64(j))
-	out = binary.AppendUvarint(out, 0) // ref 0: base key
-	out = binary.AppendVarint(out, math.MinInt64)
-	for i := 1; i < stage0.Arrays(); i++ {
-		out = binary.AppendUvarint(out, 0)
+	out = append(out, crptVersion, flowkey.FiveTupleLen)
+	out = binary.LittleEndian.AppendUint16(out, uint16(stage.Arrays()))
+	out = binary.LittleEndian.AppendUint32(out, uint32(stage.BucketsPerArray()))
+	out = append(out, 1)
+	for _, s := range stage.Seeds() {
+		out = binary.LittleEndian.AppendUint32(out, s)
+	}
+	out = binary.LittleEndian.AppendUint32(out, 1)
+	out = binary.LittleEndian.AppendUint64(out, stage.RNGState())
+	out = binary.LittleEndian.AppendUint64(out, mass)
+	out = binary.AppendUvarint(out, uint64(len(keys)))
+	for _, k := range keys {
+		out = append(out, byte(k.prefix))
+		out = append(out, k.key.AppendBytes(nil)[k.prefix:]...)
+		out = append(out, k.mask)
+		out = append(out, k.counters...)
 	}
 	return out
 }
 
+// sharedPrefix is the length of the common prefix of a's and b's
+// canonical encodings.
+func sharedPrefix(a, b flowkey.FiveTuple) int {
+	ab, bb := a.AppendBytes(nil), b.AppendBytes(nil)
+	n := 0
+	for n < len(ab) && ab[n] == bb[n] {
+		n++
+	}
+	return n
+}
+
+// collidingKeys returns two keys, in increasing byte order, that share
+// their array-0 bucket of stage but not their array-1 bucket.
+func collidingKeys(tb testing.TB, stage *core.Basic[flowkey.FiveTuple]) (flowkey.FiveTuple, flowkey.FiveTuple) {
+	tb.Helper()
+	first := key(5000, 80)
+	idx := stage.BucketIndices(first)
+	b0, b1 := idx[0], idx[1]
+	for a := uint32(5001); a < 6000; a++ {
+		k := key(a, 80)
+		if idx := stage.BucketIndices(k); idx[0] == b0 && idx[1] != b1 {
+			return first, k
+		}
+	}
+	tb.Fatal("no colliding key found")
+	return first, first
+}
+
+// reportFuzzSeeds builds the adversarial seed payloads shared by the
+// inline FuzzDecode corpus and the committed on-disk one: two valid
+// payloads (so mutations start from parseable state) and one payload
+// per reject class, each breaking exactly one rule.
+func reportFuzzSeeds(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	stage := fuzzStage(tb)
+	valid, err := Encode(1, stage, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	massOff := crptFixed + 4*stage.Arrays() + 12
+	one := []byte{1}
+	lo, hi := collidingKeys(tb, stage)
+	p := sharedPrefix(lo, hi)
+	overflow := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	return map[string][]byte{
+		"valid":            valid,
+		"valid-two-arrays": handPayload(stage, 5, seedKey{0, lo, 0b11, []byte{2, 3}}),
+		"truncated-header": valid[:12],
+		"two-keys-one-bucket": handPayload(stage, 2,
+			seedKey{0, lo, 0b01, one}, seedKey{p, hi, 0b01, one}),
+		"mask-bit-out-of-range": handPayload(stage, 1, seedKey{0, lo, 0b100, one}),
+		"unsorted-key": handPayload(stage, 2,
+			seedKey{0, hi, 0b10, one}, seedKey{p, lo, 0b01, one}),
+		"duplicate-key": handPayload(stage, 2,
+			seedKey{0, lo, 0b01, one}, seedKey{flowkey.FiveTupleLen, lo, 0b10, one}),
+		"counter-overflow": handPayload(stage, 1, seedKey{0, lo, 0b01, overflow}),
+		"mass-mismatch":    patch(valid, massOff, valid[massOff]+1),
+		"version-2":        patch(valid, 4, 2),
+	}
+}
+
 // TestReportFuzzSeedsClassified pins each seed to its intended decoder
-// verdict, so a format change that silently legalizes an adversarial
-// seed fails loudly.
+// verdict — accepted, or rejected for the rule it was built to break —
+// so a format change that silently legalizes an adversarial seed, or
+// rejects it for another reason, fails loudly.
 func TestReportFuzzSeedsClassified(t *testing.T) {
-	codec, base := fuzzBasePayload(t)
 	seeds := reportFuzzSeeds(t)
-	for name, want := range map[string]bool{
-		"valid-self-contained": true,
-		"valid-delta":          true,
-		"truncated-header":     false,
-		"corrupt-dictionary":   false,
-		"counter-overflow":     false,
+	for name, want := range map[string]string{
+		"valid":                 "",
+		"valid-two-arrays":      "",
+		"truncated-header":      "truncated header",
+		"two-keys-one-bucket":   "another key holds",
+		"mask-bit-out-of-range": "mask names an array",
+		"unsorted-key":          "does not sort above",
+		"duplicate-key":         "duplicates its predecessor",
+		"counter-overflow":      "overflows 64 bits",
+		"mass-mismatch":         "mass mismatch",
+		"version-2":             "unsupported version 2",
 	} {
-		dec := codec.NewDecoder()
-		if _, err := dec.Decode(1, 0, base); err != nil {
-			t.Fatal(err)
+		_, _, err := Decode(1, seeds[name], fuzzMaxBuckets, flowkey.FiveTupleFromBytes)
+		switch {
+		case want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", name, err)
+		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Errorf("%s: decode error %v, want one containing %q", name, err, want)
 		}
-		_, err := dec.Decode(1, 1, seeds[name])
-		if ok := err == nil; ok != want {
-			t.Errorf("%s: decode error %v, want accepted=%v", name, err, want)
-		}
+	}
+	if len(seeds) != 10 {
+		t.Errorf("%d seeds, the table above classifies 10", len(seeds))
 	}
 }
 
 // TestRegenReportFuzzCorpus rewrites the committed seed corpus under
-// testdata/fuzz/FuzzCompressedDecode from reportFuzzSeeds. It is a
-// generator, not a check: it only runs when REGEN_FUZZ_CORPUS=1 is
-// set, so the committed corpus stays stable unless regenerated
-// deliberately.
+// testdata/fuzz/FuzzDecode from reportFuzzSeeds. It is a generator,
+// not a check: it only runs when REGEN_FUZZ_CORPUS=1 is set, so the
+// committed corpus stays stable unless regenerated deliberately.
 func TestRegenReportFuzzCorpus(t *testing.T) {
 	if os.Getenv("REGEN_FUZZ_CORPUS") != "1" {
-		t.Skip("set REGEN_FUZZ_CORPUS=1 to rewrite testdata/fuzz/FuzzCompressedDecode")
+		t.Skip("set REGEN_FUZZ_CORPUS=1 to rewrite testdata/fuzz/FuzzDecode")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzCompressedDecode")
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -9,50 +9,38 @@ import (
 	"cocosketch/internal/report"
 )
 
-// Example walks the compressed round trip by hand: seal a fat sketch
-// into a 1/8-size stage, ship epoch 0 self-contained, acknowledge it,
-// and watch epoch 1 — same flow population — go out as a small delta
-// that still decodes bit-identically. This is the exchange
-// `cocoagent -report-codec compressed -report-shrink 8` performs per
-// epoch.
+// Example walks one report by hand: seal a fat epoch sketch into a
+// 1/8-size stage, encode it, and decode it at a collector that knows
+// nothing but the payload, getting the sealed stage back bit for bit
+// with the shrink it was cut at. This is the exchange
+// `cocoagent -report-shrink 8` performs per epoch.
 func Example() {
 	cfg := core.Config{Arrays: 2, BucketsPerArray: 256, Seed: 9}
-	codec, err := report.Compressed[flowkey.FiveTuple](cfg, 8, flowkey.FiveTupleFromBytes)
+	codec, err := report.New[flowkey.FiveTuple](cfg, 8)
 	if err != nil {
 		panic(err)
 	}
-	enc := codec.NewEncoder()
-	dec := codec.NewDecoder()
-
-	epoch := func(e uint32) []byte {
-		fat := core.NewBasic[flowkey.FiveTuple](cfg)
-		for i := 0; i < 20_000; i++ {
-			fat.Insert(flowkey.FiveTuple{SrcPort: uint16(i % 300), DstPort: 443, Proto: 6}, 1)
-		}
-		stage, err := codec.Seal(fat)
-		if err != nil {
-			panic(err)
-		}
-		blob, err := enc.Encode(e, stage)
-		if err != nil {
-			panic(err)
-		}
-		decoded, err := dec.Decode(1, e, blob)
-		if err != nil {
-			panic(err)
-		}
-		want, _ := stage.MarshalBinary()
-		got, _ := decoded.MarshalBinary()
-		fmt.Printf("epoch %d: lossless=%v mass=%d\n", e, bytes.Equal(got, want), decoded.SumValues())
-		enc.Ack(e, stage) // a real agent acks only after the collector confirms
-		return blob
+	fat := core.NewBasic[flowkey.FiveTuple](cfg)
+	for i := 0; i < 20_000; i++ {
+		fat.Insert(flowkey.FiveTuple{SrcPort: uint16(i % 300), DstPort: 443, Proto: 6}, 1)
 	}
-
-	first := epoch(0)
-	second := epoch(1) // delta against the acked epoch 0
-	fmt.Println("delta is smaller:", len(second) < len(first)/4)
+	stage, err := codec.Seal(fat)
+	if err != nil {
+		panic(err)
+	}
+	blob, err := codec.Encode(0, stage)
+	if err != nil {
+		panic(err)
+	}
+	decoded, shrink, err := report.Decode(0, blob, cfg.Arrays*cfg.BucketsPerArray, flowkey.FiveTupleFromBytes)
+	if err != nil {
+		panic(err)
+	}
+	want, _ := stage.MarshalBinary()
+	got, _ := decoded.MarshalBinary()
+	fmt.Printf("lossless=%v shrink=%d mass=%d\n", bytes.Equal(got, want), shrink, decoded.SumValues())
+	fmt.Println("5× smaller than a snapshot:", 5*len(blob) < fat.MarshaledSize())
 	// Output:
-	// epoch 0: lossless=true mass=20000
-	// epoch 1: lossless=true mass=20000
-	// delta is smaller: true
+	// lossless=true shrink=8 mass=20000
+	// 5× smaller than a snapshot: true
 }

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"cocosketch/internal/core"
@@ -11,77 +12,34 @@ import (
 // fuzzCfg keeps the fuzz geometry tiny so each iteration is cheap.
 var fuzzCfg = core.Config{Arrays: 2, BucketsPerArray: 8, Seed: 9}
 
-// fuzzBasePayload returns a deterministic self-contained payload used
-// to prime the decoder's delta base, so fuzzed inputs can reach the
-// ref-0 (base-referencing) decode paths.
-func fuzzBasePayload(tb testing.TB) (Codec[flowkey.FiveTuple], []byte) {
-	tb.Helper()
-	codec, err := Compressed[flowkey.FiveTuple](fuzzCfg, 2, flowkey.FiveTupleFromBytes)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	fat := core.NewBasic[flowkey.FiveTuple](fuzzCfg)
-	for i := 0; i < 500; i++ {
-		fat.Insert(key(uint32(i%20), 80), uint64(1+i%3))
-	}
-	stage, err := codec.Seal(fat)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	payload, err := codec.NewEncoder().Encode(0, stage)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return codec, payload
-}
+// fuzzMaxBuckets is the receiver bound the fuzz target decodes with:
+// fuzzCfg's d × l, as a collector of that geometry would pass.
+var fuzzMaxBuckets = fuzzCfg.Arrays * fuzzCfg.BucketsPerArray
 
-// FuzzCompressedDecode feeds arbitrary bytes to the report decoder
-// primed with a known base: it must reject garbage with an error,
-// never panic, and anything it accepts must re-encode and re-decode to
-// a bit-identical stage. Seed entries (also committed on disk under
-// testdata/fuzz, regenerated by TestRegenReportFuzzCorpus) cover the
-// adversarial classes: truncated header, corrupt dictionary, counter
-// overflow on a delta entry.
-func FuzzCompressedDecode(f *testing.F) {
-	codec, base := fuzzBasePayload(f)
+// FuzzDecode feeds arbitrary bytes to the CRPT v3 decoder: it must
+// reject garbage with ErrCorrupt, never panic, and anything it accepts
+// must re-encode to exactly the same bytes (the encoding is canonical,
+// so one stage has one payload). Seed entries (also committed on disk
+// under testdata/fuzz, regenerated by TestRegenReportFuzzCorpus) cover
+// the adversarial classes listed in reportFuzzSeeds.
+func FuzzDecode(f *testing.F) {
 	for _, seed := range reportFuzzSeeds(f) {
 		f.Add(seed)
 	}
-
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := codec.NewDecoder()
-		if _, err := dec.Decode(1, 0, base); err != nil {
-			t.Fatalf("priming base rejected: %v", err)
-		}
-		stage, err := dec.Decode(1, 1, data)
+		stage, shrink, err := Decode(1, data, fuzzMaxBuckets, flowkey.FiveTupleFromBytes)
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejection is not ErrCorrupt: %v", err)
+			}
 			return
 		}
-		// Accepted payloads must round-trip losslessly through a fresh
-		// self-contained encode.
-		enc := codec.NewEncoder()
-		blob, err := enc.Encode(1, stage)
+		again, err := Encode(1, stage, shrink)
 		if err != nil {
-			// A full-snapshot passthrough may carry a geometry this
-			// codec cannot re-stage; that is the caller's merge
-			// compatibility problem, not a decoder defect.
-			return
+			t.Fatalf("accepted stage does not re-encode: %v", err)
 		}
-		dec2 := codec.NewDecoder()
-		again, err := dec2.Decode(1, 1, blob)
-		if err != nil {
-			t.Fatalf("own re-encoding rejected: %v", err)
-		}
-		b1, err := stage.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := again.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b1, b2) {
-			t.Fatal("re-encode round trip changed the stage")
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted payload re-encodes to other bytes:\n got %x\nwant %x", again, data)
 		}
 	})
 }

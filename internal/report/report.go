@@ -1,55 +1,41 @@
-// Package report implements the epoch-report codecs of the bandwidth-
-// frugal network-wide plane: the pluggable encoding layer between a
-// netwide.Agent sealing measurement epochs and the collector merging
-// them (DESIGN.md §14 specifies the wire format byte by byte).
+// Package report implements the epoch-report codec of the bandwidth-
+// frugal network-wide plane: the encoding between a netwide.Agent
+// sealing measurement epochs and the collector merging them (DESIGN.md
+// §14 specifies the CRPT v3 wire format byte by byte).
 //
-// Two codecs are provided:
+// There is one codec, parameterized by a shrink factor. It combines two
+// ideas from the sketch literature:
 //
-//   - Full ships the whole epoch sketch as a core MarshalBinary
-//     snapshot — today's compatible default, bit-identical to the
-//     pre-codec wire format.
-//   - Compressed is the bandwidth-frugal path, combining three ideas
-//     from the sketch literature: an SF-sketch-style two-stage split
-//     (the fat stage stays on the agent, only a shrunken small stage
-//     ships), delta encoding against the previous acknowledged epoch
-//     (stable bucket keys are referenced, not re-sent, and their
-//     counters are zigzag-varint deltas), and an invertible decode (a
-//     per-epoch key dictionary plus re-hashing lets the collector
-//     rebuild the stage positionally and verify every key lands in a
-//     bucket it actually hashes to).
+//   - an SF-sketch-style two-stage split: the fat epoch sketch stays on
+//     the agent, and only a stage shrunk to 1/shrink of its buckets per
+//     array ships (shrink 1 ships the fat sketch itself, losslessly);
+//   - an invertible decode: every occupied bucket of a CocoSketch stage
+//     holds a key that hashes to it, so a payload lists each distinct
+//     key once, sorted and shared-prefix coded, with a mask of the
+//     arrays it occupies and one counter per occupied array, and the
+//     decoder re-hashes each key to find its buckets. No bucket
+//     position goes on the wire.
 //
-// Codecs are deliberately stateful at the edges: an Encoder tracks the
-// last stage the collector acknowledged (the delta base), a Decoder
-// tracks the same per agent. The two stay in lockstep because an agent
-// only advances its base on a clean acknowledgement and falls back to
-// a self-contained report after any transport error (Encoder.Reset) —
-// so a lost acknowledgement, a retry, or a collector that lost state
-// can never make a delta undecodable for more than one exchange. A
-// base checksum in every delta header turns any residual divergence
-// into an explicit ErrBaseMismatch instead of silent corruption.
-//
-// Neither Encoder nor Decoder is safe for concurrent use; netwide
-// drives the Encoder from the agent's single reporting goroutine and
-// the Decoder under the collector's ingest lock.
+// Encode and Decode are pure functions of (epoch, stage) and of the
+// payload: neither end keeps state between reports, so a retry, a lost
+// acknowledgement or a restarted collector needs no resynchronization.
+// The decoded stage is the sealed stage bit for bit (MarshalBinary of
+// both is identical, RNG state included).
 package report
 
 import (
 	"errors"
+	"fmt"
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
+	"cocosketch/internal/sketch"
 )
 
-// ErrBaseMismatch reports a delta payload whose base epoch or base
-// checksum does not match the decoder's last acknowledged stage for
-// that agent. The sender recovers by resetting its encoder (the next
-// report is self-contained); the collector surfaces the error so the
-// connection is torn down and retried.
-var ErrBaseMismatch = errors.New("report: delta base does not match last acknowledged stage")
-
 // ErrCorrupt reports a payload that fails structural validation:
-// truncated header, malformed varint, out-of-range bucket index or
-// dictionary reference, counter overflow, checksum or mass mismatch.
+// truncated or unknown header, malformed varint, an unsorted,
+// duplicate or colliding key, a bad occupancy mask, a zero or
+// overflowing counter, trailing bytes or a mass mismatch.
 var ErrCorrupt = errors.New("report: corrupt payload")
 
 // GeometryAlign is the bucket-count alignment AlignConfig rounds to.
@@ -58,14 +44,13 @@ var ErrCorrupt = errors.New("report: corrupt payload")
 const GeometryAlign = 64
 
 // AlignConfig rounds cfg.BucketsPerArray down to a multiple of
-// GeometryAlign so the compressed codec's stage extraction (repeated
-// halvings) works for any power-of-two shrink ≤ GeometryAlign.
-// Memory-derived geometries (core.ConfigForMemory) land on arbitrary
-// bucket counts; both the agent and the collector must apply the same
-// rounding for their fat geometries to agree, which is why the
-// cocoagent and cococollector binaries call this whenever
-// -report-codec=compressed. Geometries smaller than GeometryAlign
-// buckets per array are returned unchanged (Compressed rejects them
+// GeometryAlign so stage extraction (repeated halvings) works for any
+// power-of-two shrink ≤ GeometryAlign. Memory-derived geometries
+// (core.ConfigForMemory) land on arbitrary bucket counts; the agents
+// and the collector must apply the same rounding for their fat
+// geometries to agree, which is why the cocoagent and cococollector
+// binaries always call this. Geometries smaller than GeometryAlign
+// buckets per array are returned unchanged (New rejects them
 // explicitly if the shrink factor does not divide them).
 func AlignConfig(cfg core.Config) core.Config {
 	if cfg.BucketsPerArray >= GeometryAlign {
@@ -74,57 +59,46 @@ func AlignConfig(cfg core.Config) core.Config {
 	return cfg
 }
 
-// Codec builds the per-session encoder and decoder pair for one report
-// format. Implementations are immutable and safe to share; all mutable
-// state lives in the Encoder/Decoder instances they hand out.
-type Codec[K flowkey.Key] interface {
-	// Name identifies the codec ("full", "compressed") in flags and
-	// telemetry.
-	Name() string
-	// Seal converts the fat epoch sketch into the stage that will go
-	// on the wire: the identity for Full, a compressed deep copy
-	// (core.ExtractStage) for Compressed. The fat sketch is never
-	// mutated, so the agent can keep it for local full-resolution
-	// queries. An error means the sketch's geometry cannot produce
-	// the configured stage; it depends on the geometry alone, so one
-	// trial seal vets a codec for every epoch (netwide.Agent.SetCodec).
-	Seal(fat *core.Basic[K]) (*core.Basic[K], error)
-	// NewEncoder returns fresh agent-side encoder state.
-	NewEncoder() Encoder[K]
-	// NewDecoder returns fresh collector-side decoder state.
-	NewDecoder() Decoder[K]
+// Codec is the report codec at one shrink factor: Seal cuts the stage
+// an agent ships from its fat epoch sketch, and Encode writes it as a
+// CRPT v3 payload. A Codec is an immutable value, safe to share.
+type Codec[K flowkey.Key] struct {
+	shrink int
+	// decode parses keys for the deprecated NewDecoder; only Full and
+	// Compressed set it.
+	decode core.KeyDecoder[K]
 }
 
-// Encoder serializes sealed stages for the wire, one report exchange
-// at a time. Call Encode to produce a payload, then exactly one of Ack
-// (the collector acknowledged it — the stage becomes the next delta
-// base) or Reset (the exchange failed in any way — the next Encode is
-// self-contained). Not safe for concurrent use.
-type Encoder[K flowkey.Key] interface {
-	// Encode returns the wire payload for stage, sealed as the given
-	// epoch, delta-encoded against the last acknowledged stage when
-	// one is available.
-	Encode(epoch uint32, stage *core.Basic[K]) ([]byte, error)
-	// Ack commits stage as the delta base after the collector
-	// acknowledged epoch. The encoder retains the stage; callers must
-	// not mutate it afterwards.
-	Ack(epoch uint32, stage *core.Basic[K])
-	// Reset drops the delta base so the next Encode is
-	// self-contained. Called after any failed exchange: it is the
-	// invariant that keeps encoder and decoder bases in lockstep
-	// without a resynchronization protocol.
-	Reset()
+// New returns the codec that ships stages of sketches of geometry cfg
+// at 1/shrink of their buckets per array. shrink must be a power of
+// two dividing cfg.BucketsPerArray (AlignConfig makes every shrink up
+// to GeometryAlign divide); shrink 1 ships the epoch sketch itself.
+func New[K flowkey.Key](cfg core.Config, shrink int) (Codec[K], error) {
+	if shrink >= 1 && cfg.BucketsPerArray%shrink != 0 {
+		return Codec[K]{}, fmt.Errorf("report: shrink factor %d does not divide %d buckets per array", shrink, cfg.BucketsPerArray)
+	}
+	if _, err := headerShrink(sketch.KeySize[K](), cfg.Arrays, cfg.BucketsPerArray/max(shrink, 1), shrink); err != nil {
+		return Codec[K]{}, err
+	}
+	return Codec[K]{shrink: shrink}, nil
 }
 
-// Decoder reconstructs reported stages on the collector, tracking the
-// per-agent delta base. Not safe for concurrent use; netwide calls it
-// under the collector's ingest lock.
-type Decoder[K flowkey.Key] interface {
-	// Decode parses one report payload from the given agent, sealed
-	// as the given epoch, and returns the reconstructed stage — ready
-	// to merge into the epoch aggregate with core.Merge. On success
-	// the decoder retains its own private copy of the stage as the
-	// agent's next delta base, so the caller may freely mutate the
-	// returned sketch.
-	Decode(agent uint16, epoch uint32, payload []byte) (*core.Basic[K], error)
+// Seal converts the fat epoch sketch into the stage that goes on the
+// wire: fat itself at shrink 1, otherwise a deep copy compressed to
+// 1/shrink of the buckets per array (core.ExtractStage), which leaves
+// fat untouched so the agent can keep it for local full-resolution
+// queries. An error means fat's geometry cannot produce the stage; it
+// depends on the geometry alone, so one trial seal vets a codec for
+// every epoch (netwide.Agent.SetCodec).
+func (c Codec[K]) Seal(fat *core.Basic[K]) (*core.Basic[K], error) {
+	if c.shrink == 1 {
+		return fat, nil
+	}
+	return fat.ExtractStage(c.shrink)
+}
+
+// Encode returns the CRPT v3 payload of a stage this codec sealed, as
+// epoch: Encode(epoch, stage, shrink) at the codec's shrink.
+func (c Codec[K]) Encode(epoch uint32, stage *core.Basic[K]) ([]byte, error) {
+	return Encode(epoch, stage, c.shrink)
 }

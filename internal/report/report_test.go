@@ -3,15 +3,21 @@ package report
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
+	"cocosketch/internal/oracle"
 )
 
 var testCfg = core.Config{Arrays: 2, BucketsPerArray: 64, Seed: 42}
+
+// testBuckets is testCfg's d × l, the bound a receiver of testCfg
+// decodes with.
+var testBuckets = testCfg.Arrays * testCfg.BucketsPerArray
 
 func key(a uint32, p uint16) flowkey.FiveTuple {
 	var k flowkey.FiveTuple
@@ -29,7 +35,7 @@ func key(a uint32, p uint16) flowkey.FiveTuple {
 // epochSketch builds one epoch's fat sketch: n packets from a key
 // population shared across epochs (flows persist, counts differ), plus
 // some per-epoch churn keys.
-func epochSketch(t *testing.T, cfg core.Config, epoch int, n int, seed int64) *core.Basic[flowkey.FiveTuple] {
+func epochSketch(t testing.TB, cfg core.Config, epoch int, n int, seed int64) *core.Basic[flowkey.FiveTuple] {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	s := core.NewBasic[flowkey.FiveTuple](cfg)
@@ -43,7 +49,7 @@ func epochSketch(t *testing.T, cfg core.Config, epoch int, n int, seed int64) *c
 	return s
 }
 
-func marshal(t *testing.T, s *core.Basic[flowkey.FiveTuple]) []byte {
+func marshal(t testing.TB, s *core.Basic[flowkey.FiveTuple]) []byte {
 	t.Helper()
 	blob, err := s.MarshalBinary()
 	if err != nil {
@@ -52,280 +58,212 @@ func marshal(t *testing.T, s *core.Basic[flowkey.FiveTuple]) []byte {
 	return blob
 }
 
-func compressed(t *testing.T, shrink int) Codec[flowkey.FiveTuple] {
+func codec(t testing.TB, cfg core.Config, shrink int) Codec[flowkey.FiveTuple] {
 	t.Helper()
-	c, err := Compressed[flowkey.FiveTuple](testCfg, shrink, flowkey.FiveTupleFromBytes)
+	c, err := New[flowkey.FiveTuple](cfg, shrink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
+// roundTrip encodes stage at shrink as epoch, decodes the payload and
+// fails unless the decoded stage marshals to exactly the stage's bytes
+// (buckets, keys, counters, seeds and RNG state) and the header's
+// shrink is shrink. It returns the payload.
+func roundTrip(t testing.TB, epoch uint32, stage *core.Basic[flowkey.FiveTuple], shrink int) []byte {
+	t.Helper()
+	payload, err := Encode(epoch, stage, shrink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, gotShrink, err := Decode(epoch, payload, stage.Arrays()*stage.BucketsPerArray(), flowkey.FiveTupleFromBytes)
+	if err != nil {
+		t.Fatalf("decoding its own payload: %v", err)
+	}
+	if gotShrink != shrink {
+		t.Fatalf("header shrink %d, encoded at %d", gotShrink, shrink)
+	}
+	if !bytes.Equal(marshal(t, stage), marshal(t, back)) {
+		t.Fatal("decoded stage does not marshal to the sealed stage's bytes")
+	}
+	return payload
+}
+
+// TestFullCodecIsBitIdenticalToMarshalBinary pins the shrink-1 codec,
+// which replaced full snapshots: Seal is the identity and the decoded
+// stage marshals to exactly the fat sketch's MarshalBinary bytes, so a
+// collector of shrink-1 reports holds what a snapshot carried.
 func TestFullCodecIsBitIdenticalToMarshalBinary(t *testing.T) {
-	codec := Full[flowkey.FiveTuple](flowkey.FiveTupleFromBytes)
+	c := codec(t, testCfg, 1)
 	fat := epochSketch(t, testCfg, 0, 20000, 1)
-	stage, err := codec.Seal(fat)
+	stage, err := c.Seal(fat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stage != fat {
-		t.Fatal("full Seal is not the identity")
+		t.Fatal("shrink-1 Seal is not the identity")
 	}
-	payload, err := codec.NewEncoder().Encode(3, stage)
+	payload, err := c.Encode(3, stage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(payload, marshal(t, fat)) {
-		t.Fatal("full payload differs from MarshalBinary — the pre-codec wire format changed")
-	}
-	back, err := codec.NewDecoder().Decode(1, 3, payload)
+	back, shrink, err := Decode(3, payload, testBuckets, flowkey.FiveTupleFromBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(marshal(t, back), payload) {
-		t.Fatal("full decode round trip is not bit-identical")
+	if shrink != 1 {
+		t.Fatalf("header shrink %d, encoded at 1", shrink)
+	}
+	if !bytes.Equal(marshal(t, back), marshal(t, fat)) {
+		t.Fatal("shrink-1 decode is not bit-identical to the sketch's MarshalBinary")
 	}
 }
 
-func TestFullDecoderRejectsCompressedPayload(t *testing.T) {
-	codec := compressed(t, 8)
-	fat := epochSketch(t, testCfg, 0, 5000, 2)
-	stage, _ := codec.Seal(fat)
-	payload, err := codec.NewEncoder().Encode(0, stage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Full[flowkey.FiveTuple](flowkey.FiveTupleFromBytes).NewDecoder().Decode(1, 0, payload); err == nil {
-		t.Fatal("full decoder accepted a compressed payload")
-	}
-}
-
-// TestCompressedRoundTripLossless is the core property: for every
-// shrink factor, encode→decode of a sealed stage reproduces it
-// bit-identically (buckets, keys, counters, RNG state), both for
-// self-contained and delta payloads.
+// TestCompressedRoundTripLossless is the codec's core property: the
+// decoded stage marshals to exactly the sealed stage's bytes — seeds
+// and RNG state included, so the decoder needs no Config — at every
+// shrink of an aligned geometry (Seal is the identity at shrink 1 and
+// core.ExtractStage above it), with three arrays, after a Merge of two
+// agents' stages, with the all-zero key holding a bucket, on an empty
+// stage, and at shrink 1 on every oracle traffic regime.
 func TestCompressedRoundTripLossless(t *testing.T) {
+	aligned := AlignConfig(core.ConfigForMemory[flowkey.FiveTuple](2, 64<<10, 7))
 	for _, shrink := range []int{1, 2, 8, 64} {
-		codec := compressed(t, shrink)
-		enc := codec.NewEncoder()
-		dec := codec.NewDecoder()
-		for epoch := uint32(0); epoch < 4; epoch++ {
-			fat := epochSketch(t, testCfg, int(epoch), 20000, 100+int64(epoch))
-			stage, err := codec.Seal(fat)
+		t.Run(fmt.Sprintf("shrink=%d", shrink), func(t *testing.T) {
+			c := codec(t, aligned, shrink)
+			for epoch := uint32(0); epoch < 3; epoch++ {
+				fat := epochSketch(t, aligned, int(epoch), 20000, 100+int64(epoch))
+				stage, err := c.Seal(fat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if shrink == 1 && stage != fat {
+					t.Fatal("shrink-1 Seal is not the identity")
+				}
+				if got := stage.BucketsPerArray(); got*shrink != aligned.BucketsPerArray {
+					t.Fatalf("stage has %d buckets per array, want %d/%d", got, aligned.BucketsPerArray, shrink)
+				}
+				roundTrip(t, epoch, stage, shrink)
+				if got, want := stage.SumValues(), fat.SumValues(); got != want {
+					t.Fatalf("epoch %d: stage mass %d, epoch had %d", epoch, got, want)
+				}
+			}
+		})
+	}
+
+	t.Run("d=3", func(t *testing.T) {
+		cfg := core.Config{Arrays: 3, BucketsPerArray: 128, Seed: 0xFEED}
+		stage, err := codec(t, cfg, 16).Seal(epochSketch(t, cfg, 0, 3000, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		roundTrip(t, 9, stage, 16)
+	})
+
+	t.Run("merged", func(t *testing.T) {
+		// Two agents see the same 24 flows in different orders, so
+		// their tie-breaks place some flow in array 0 at one agent and
+		// in array 1 at the other, and the merge keeps it in both.
+		agentStage := func(seed int64) *core.Basic[flowkey.FiveTuple] {
+			rng := rand.New(rand.NewSource(seed))
+			fat := core.NewBasic[flowkey.FiveTuple](testCfg)
+			for _, f := range rng.Perm(24) {
+				fat.Insert(key(uint32(f), 80), uint64(1+rng.Intn(5)))
+			}
+			stage, err := codec(t, testCfg, 2).Seal(fat)
 			if err != nil {
 				t.Fatal(err)
 			}
-			payload, err := enc.Encode(epoch, stage)
+			return stage
+		}
+		agg, peer := agentStage(1), agentStage(2)
+		if err := agg.Merge(peer); err != nil {
+			t.Fatal(err)
+		}
+		if keysInEveryArray(agg) == 0 {
+			t.Fatal("no key sits in both arrays of the merged stage; the case tests nothing")
+		}
+		roundTrip(t, 0, agg, 2)
+	})
+
+	t.Run("zero-key", func(t *testing.T) {
+		s := epochSketch(t, testCfg, 0, 2000, 3)
+		s.Insert(flowkey.FiveTuple{}, 500)
+		if s.Query(flowkey.FiveTuple{}) == 0 {
+			t.Fatal("the all-zero key holds no bucket; the case tests nothing")
+		}
+		roundTrip(t, 0, s, 1)
+	})
+
+	t.Run("empty", func(t *testing.T) {
+		for _, shrink := range []int{1, 8} {
+			stage, err := codec(t, testCfg, shrink).Seal(core.NewBasic[flowkey.FiveTuple](testCfg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := dec.Decode(7, epoch, payload)
+			payload := roundTrip(t, 5, stage, shrink)
+			if want := crptFixed + 4*testCfg.Arrays + crptTail + 1; len(payload) != want {
+				t.Errorf("shrink %d: empty stage payload is %d bytes, want the %d-byte header", shrink, len(payload), want)
+			}
+		}
+	})
+
+	t.Run("regimes", func(t *testing.T) {
+		c := codec(t, core.Config{Arrays: 2, BucketsPerArray: 512, Seed: 21}, 1)
+		for _, reg := range oracle.Regimes() {
+			tr := reg.Generate(6000, 0xF00D)
+			fat := core.NewBasic[flowkey.FiveTuple](core.Config{Arrays: 2, BucketsPerArray: 512, Seed: 21})
+			for i := range tr.Packets {
+				fat.Insert(tr.Packets[i].Key, 1)
+			}
+			want := marshal(t, fat)
+			stage, err := c.Seal(fat)
 			if err != nil {
-				t.Fatalf("shrink %d epoch %d: %v", shrink, epoch, err)
+				t.Fatal(err)
 			}
-			if !bytes.Equal(marshal(t, stage), marshal(t, back)) {
-				t.Fatalf("shrink %d epoch %d: decode is not bit-identical", shrink, epoch)
+			roundTrip(t, 0, stage, 1)
+			if !bytes.Equal(marshal(t, fat), want) {
+				t.Errorf("%s: sealing or encoding changed the fat sketch", reg.Name)
 			}
-			if got, want := back.SumValues(), fat.SumValues(); got != want {
-				t.Fatalf("shrink %d epoch %d: mass %d, epoch had %d", shrink, epoch, got, want)
-			}
-			enc.Ack(epoch, stage)
 		}
-	}
+	})
 }
 
-// stableEpochSketch builds one epoch's fat sketch whose traffic is 8
-// stable heavy flows, present in every epoch and fewer than the 2 × 8
-// buckets of a shrink-8 stage of testCfg, plus 5% light churn unique
-// to the epoch. Every epoch opens with one packet of each
-// stable flow in the same order, as long-lived flows would: the
-// sketch seed is the same each epoch, so their first placements (a
-// random tie-break between empty buckets) repeat, and the flows keep
-// their buckets from epoch to epoch.
-func stableEpochSketch(cfg core.Config, epoch int) *core.Basic[flowkey.FiveTuple] {
-	const heavy = 8
-	rng := rand.New(rand.NewSource(int64(cfg.Seed)*1000 + int64(epoch)))
-	s := core.NewBasic[flowkey.FiveTuple](cfg)
-	for f := 0; f < heavy; f++ {
-		s.Insert(key(uint32(f), 80), 1)
-	}
-	for i := 0; i < 5000; i++ {
-		if i%20 == 0 {
-			s.Insert(key(uint32(1_000_000+epoch*1000+rng.Intn(500)), 80), 1)
-			continue
-		}
-		s.Insert(key(uint32(rng.Intn(heavy)), 80), 1)
-	}
-	return s
-}
-
-// TestCompressedDeltaShrinksPayload: when the stage's flows are stable
-// across epochs, a delta payload must be smaller than the
-// self-contained encoding of the same stage. The stable flows fit in
-// the stage, so they keep their buckets from one epoch to the next;
-// the property must hold under every sketch seed of the sweep, not
-// under one seed that happens to pass.
-func TestCompressedDeltaShrinksPayload(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
-		cfg := testCfg
-		cfg.Seed = seed
-		codec, err := Compressed[flowkey.FiveTuple](cfg, 8, flowkey.FiveTupleFromBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := codec.NewEncoder()
-		dec := codec.NewDecoder()
-
-		s0, _ := codec.Seal(stableEpochSketch(cfg, 0))
-		p0, err := enc.Encode(0, s0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dec.Decode(1, 0, p0); err != nil {
-			t.Fatal(err)
-		}
-		enc.Ack(0, s0)
-
-		s1, _ := codec.Seal(stableEpochSketch(cfg, 1))
-		delta, err := enc.Encode(1, s1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if delta[5]&0x01 == 0 {
-			t.Fatalf("seed %d: second payload is not delta-encoded", seed)
-		}
-		selfContained, err := codec.NewEncoder().Encode(1, s1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(delta) >= len(selfContained) {
-			t.Errorf("seed %d: delta payload (%d bytes) is not smaller than self-contained (%d bytes)", seed, len(delta), len(selfContained))
-		}
-		back, err := dec.Decode(1, 1, delta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(marshal(t, s1), marshal(t, back)) {
-			t.Fatalf("seed %d: delta decode is not bit-identical", seed)
+// keysInEveryArray counts the keys that hold a bucket in every array
+// of s.
+func keysInEveryArray(s *core.Basic[flowkey.FiveTuple]) int {
+	seen := make(map[flowkey.FiveTuple]int)
+	for _, b := range s.Buckets() {
+		if b.Val != 0 {
+			seen[b.Key]++
 		}
 	}
-}
-
-// TestResetRecoversFromLostAck models the failure protocol: a delta
-// was delivered but its acknowledgement lost. The encoder resets (it
-// cannot know the collector's state); the next payload is
-// self-contained and must decode cleanly on a decoder whose base
-// already advanced.
-func TestResetRecoversFromLostAck(t *testing.T) {
-	codec := compressed(t, 4)
-	enc := codec.NewEncoder()
-	dec := codec.NewDecoder()
-
-	s0, _ := codec.Seal(epochSketch(t, testCfg, 0, 10000, 300))
-	p0, _ := enc.Encode(0, s0)
-	if _, err := dec.Decode(9, 0, p0); err != nil {
-		t.Fatal(err)
+	n := 0
+	for _, c := range seen {
+		if c == s.Arrays() {
+			n++
+		}
 	}
-	enc.Ack(0, s0)
-
-	s1, _ := codec.Seal(epochSketch(t, testCfg, 1, 10000, 301))
-	p1, _ := enc.Encode(1, s1)
-	if _, err := dec.Decode(9, 1, p1); err != nil { // delivered...
-		t.Fatal(err)
-	}
-	enc.Reset() // ...but the ack was lost: encoder must go self-contained
-
-	p1retry, err := enc.Encode(1, s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1retry[5]&0x01 != 0 {
-		t.Fatal("post-Reset payload still delta-encoded")
-	}
-	back, err := dec.Decode(9, 1, p1retry)
-	if err != nil {
-		t.Fatalf("self-contained retry rejected: %v", err)
-	}
-	if !bytes.Equal(marshal(t, s1), marshal(t, back)) {
-		t.Fatal("retry decode is not bit-identical")
-	}
-
-	// And the pipeline continues with deltas from the re-agreed base.
-	enc.Ack(1, s1)
-	s2, _ := codec.Seal(epochSketch(t, testCfg, 2, 10000, 302))
-	p2, _ := enc.Encode(2, s2)
-	if p2[5]&0x01 == 0 {
-		t.Fatal("expected a delta after recovery")
-	}
-	if back, err = dec.Decode(9, 2, p2); err != nil {
-		t.Fatal(err)
-	} else if !bytes.Equal(marshal(t, s2), marshal(t, back)) {
-		t.Fatal("post-recovery delta decode is not bit-identical")
-	}
-}
-
-func TestDeltaAgainstUnknownBaseIsBaseMismatch(t *testing.T) {
-	codec := compressed(t, 4)
-	enc := codec.NewEncoder()
-	dec := codec.NewDecoder()
-
-	s0, _ := codec.Seal(epochSketch(t, testCfg, 0, 10000, 400))
-	if _, err := enc.Encode(0, s0); err != nil {
-		t.Fatal(err)
-	}
-	enc.Ack(0, s0) // encoder believes epoch 0 was delivered; decoder never saw it
-
-	s1, _ := codec.Seal(epochSketch(t, testCfg, 1, 10000, 401))
-	delta, _ := enc.Encode(1, s1)
-	if _, err := dec.Decode(3, 1, delta); !errors.Is(err, ErrBaseMismatch) {
-		t.Fatalf("got %v, want ErrBaseMismatch", err)
-	}
-
-	// Per-agent isolation: a matching base for agent 3 must not serve
-	// agent 4.
-	p0, _ := codec.NewEncoder().Encode(0, s0)
-	if _, err := dec.Decode(3, 0, p0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dec.Decode(3, 1, delta); err != nil {
-		t.Fatalf("delta rejected after base caught up: %v", err)
-	}
-	if _, err := dec.Decode(4, 1, delta); !errors.Is(err, ErrBaseMismatch) {
-		t.Fatalf("agent 4 got %v, want ErrBaseMismatch", err)
-	}
-}
-
-// TestCompressedDecoderAcceptsFullSnapshots covers the mixed-fleet
-// cell of the compatibility matrix.
-func TestCompressedDecoderAcceptsFullSnapshots(t *testing.T) {
-	dec := compressed(t, 8).NewDecoder()
-	fat := epochSketch(t, testCfg, 0, 10000, 500)
-	back, err := dec.Decode(1, 0, marshal(t, fat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshal(t, fat), marshal(t, back)) {
-		t.Fatal("snapshot passthrough is not bit-identical")
-	}
+	return n
 }
 
 // TestDecodedStageMergesWithPeers: stages decoded from different
 // agents must merge through core.Merge (same geometry and seeds) —
 // the collector's aggregation path.
 func TestDecodedStageMergesWithPeers(t *testing.T) {
-	codec := compressed(t, 8)
-	dec := codec.NewDecoder()
+	c := codec(t, testCfg, 8)
 	var agg *core.Basic[flowkey.FiveTuple]
 	var want uint64
-	for agentID := uint16(1); agentID <= 3; agentID++ {
+	for agentID := 1; agentID <= 3; agentID++ {
 		fat := epochSketch(t, testCfg, 0, 10000, 600+int64(agentID))
 		want += fat.SumValues()
-		stage, _ := codec.Seal(fat)
-		payload, err := codec.NewEncoder().Encode(0, stage)
+		stage, _ := c.Seal(fat)
+		payload, err := c.Encode(0, stage)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shard, err := dec.Decode(agentID, 0, payload)
+		shard, _, err := Decode(0, payload, testBuckets, flowkey.FiveTupleFromBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,68 +280,40 @@ func TestDecodedStageMergesWithPeers(t *testing.T) {
 	}
 }
 
-// TestDecoderBaseSurvivesCallerMutation: the collector mutates the
-// first decoded shard (it becomes the epoch aggregate). The decoder's
-// retained base must be a private copy, or the next delta breaks.
-func TestDecoderBaseSurvivesCallerMutation(t *testing.T) {
-	codec := compressed(t, 4)
-	enc := codec.NewEncoder()
-	dec := codec.NewDecoder()
-
-	s0, _ := codec.Seal(epochSketch(t, testCfg, 0, 10000, 700))
-	p0, _ := enc.Encode(0, s0)
-	shard, err := dec.Decode(1, 0, p0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc.Ack(0, s0)
-
-	// The collector merges a peer's stage into the returned shard.
-	peer, _ := codec.Seal(epochSketch(t, testCfg, 0, 10000, 701))
-	if err := shard.Merge(peer); err != nil {
-		t.Fatal(err)
-	}
-
-	s1, _ := codec.Seal(epochSketch(t, testCfg, 1, 10000, 702))
-	p1, _ := enc.Encode(1, s1)
-	back, err := dec.Decode(1, 1, p1)
-	if err != nil {
-		t.Fatalf("delta after caller mutation: %v", err)
-	}
-	if !bytes.Equal(marshal(t, s1), marshal(t, back)) {
-		t.Fatal("decode diverged after caller mutated the previous shard")
-	}
-}
-
+// TestCompressedRejectsCorruptPayloads damages a valid payload field by
+// field; every variant must fail with ErrCorrupt, never decode.
 func TestCompressedRejectsCorruptPayloads(t *testing.T) {
-	codec := compressed(t, 8)
-	stage, _ := codec.Seal(epochSketch(t, testCfg, 0, 10000, 800))
-	valid, err := codec.NewEncoder().Encode(0, stage)
+	stage, _ := codec(t, testCfg, 8).Seal(epochSketch(t, testCfg, 0, 10000, 800))
+	valid, err := Encode(0, stage, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-
+	tail := crptFixed + 4*testCfg.Arrays // epoch, RNG state, mass
+	massOff := tail + 12
 	cases := map[string][]byte{
 		"empty":             {},
 		"truncated header":  valid[:20],
 		"truncated body":    valid[:len(valid)-3],
 		"trailing bytes":    append(append([]byte{}, valid...), 0),
 		"bad magic":         append([]byte("CRPX"), valid[4:]...),
-		"bad version":       append([]byte("CRPT\x09"), valid[5:]...),
-		"unknown flags":     patch(valid, 5, 0x80),
-		"bad shrink":        patch(valid, 5, 0x00, 0x1f),
-		"bad key size":      patch(valid, 5, 0x00, 0x03, 0x07),
+		"bad version":       patch(valid, 4, 9),
+		"bad key size":      patch(valid, 5, 7),
+		"zero arrays":       patch(valid, 6, 0, 0),
+		"zero buckets":      patch(valid, 8, 0, 0, 0, 0),
+		"huge stage":        patch(valid, 8, 0, 0, 0, 0x7f),
+		"stage above bound": patch(valid, 8, 65),
+		"shrink overflow":   patch(valid, 12, 40),
 		"epoch mismatch":    valid, // decoded with the wrong framing epoch below
-		"corrupt body byte": flip(valid, len(valid)-1),
-		"corrupt sum":       flip(valid, 40),
+		"corrupt mass":      flip(valid, massOff),
+		"corrupt counter":   flip(valid, len(valid)-1),
+		"key count":         patch(valid, tail+crptTail, 0xff, 0xff, 0xff, 0x7f),
 	}
 	for name, payload := range cases {
-		dec := codec.NewDecoder()
 		epoch := uint32(0)
 		if name == "epoch mismatch" {
 			epoch = 5
 		}
-		if _, err := dec.Decode(1, epoch, payload); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := Decode(epoch, payload, testBuckets, flowkey.FiveTupleFromBytes); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -423,20 +333,22 @@ func patch(b []byte, off int, v ...byte) []byte {
 	return out
 }
 
-// TestCompressedRejectsVersion1 pins the version bump that came with
-// the wide hash: a CRPT v1 stage was placed by d Bob hashes, and the
-// payload names the seeds but not the hash function, so the decoder
-// must refuse it instead of decoding it into the wrong buckets.
+// TestCompressedRejectsVersion1 pins the version rule: a decoder
+// accepts version 3 only. A CRPT v1 stage was placed by d Bob hashes
+// and v2 by the wide hash, both in the delta-coded positional layout,
+// so each must be refused rather than decoded as v3.
 func TestCompressedRejectsVersion1(t *testing.T) {
-	codec := compressed(t, 8)
-	stage, _ := codec.Seal(epochSketch(t, testCfg, 0, 10000, 900))
-	valid, err := codec.NewEncoder().Encode(0, stage)
+	stage, _ := codec(t, testCfg, 8).Seal(epochSketch(t, testCfg, 0, 10000, 900))
+	valid, err := Encode(0, stage, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = codec.NewDecoder().Decode(1, 0, patch(valid, 4, 1))
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("v1 payload: got %v, want ErrCorrupt with \"unsupported version 1\"", err)
+	for _, v := range []byte{1, 2} {
+		_, _, err = Decode(0, patch(valid, 4, v), testBuckets, flowkey.FiveTupleFromBytes)
+		want := fmt.Sprintf("unsupported version %d", v)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("v%d payload: got %v, want ErrCorrupt with %q", v, err, want)
+		}
 	}
 }
 
@@ -445,51 +357,40 @@ func TestCompressedConstructorValidation(t *testing.T) {
 		name   string
 		cfg    core.Config
 		shrink int
-		dec    core.KeyDecoder[flowkey.FiveTuple]
 	}{
-		{"shrink zero", testCfg, 0, flowkey.FiveTupleFromBytes},
-		{"shrink not a power of two", testCfg, 3, flowkey.FiveTupleFromBytes},
-		{"shrink exceeds geometry", testCfg, 128, flowkey.FiveTupleFromBytes},
-		{"nil decoder", testCfg, 4, nil},
-		{"bad geometry", core.Config{Arrays: 0, BucketsPerArray: 64}, 4, flowkey.FiveTupleFromBytes},
+		{"shrink zero", testCfg, 0},
+		{"shrink not a power of two", testCfg, 3},
+		{"shrink exceeds geometry", testCfg, 128},
+		{"shrink does not divide", core.Config{Arrays: 2, BucketsPerArray: 100, Seed: 1}, 8},
+		{"bad geometry", core.Config{Arrays: 0, BucketsPerArray: 64}, 4},
+		{"too many arrays", core.Config{Arrays: 1 << 16, BucketsPerArray: 64}, 4},
 	} {
-		if _, err := Compressed[flowkey.FiveTuple](tc.cfg, tc.shrink, tc.dec); err == nil {
+		if _, err := New[flowkey.FiveTuple](tc.cfg, tc.shrink); err == nil {
 			t.Errorf("%s: constructor accepted invalid input", tc.name)
 		}
 	}
 }
 
 // TestCompressionRatioFloor gates the headline claim: on dense
-// realistic sketches with persistent flows, shrink-8 compressed
-// reports are at least 5× smaller than full snapshots, epoch after
-// epoch. `make bench-report` runs this alongside the decode-throughput
-// benchmark gate.
+// realistic sketches with persistent flows, shrink-8 reports are at
+// least 5× smaller than full snapshots, epoch after epoch, with no
+// state carried between reports. `make bench-report` runs this
+// alongside the decode-throughput benchmark gate.
 func TestCompressionRatioFloor(t *testing.T) {
 	cfg := core.Config{Arrays: 2, BucketsPerArray: 512, Seed: 0xC0C0}
-	codec, err := Compressed[flowkey.FiveTuple](cfg, 8, flowkey.FiveTupleFromBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := codec.NewEncoder()
-	dec := codec.NewDecoder()
+	c := codec(t, cfg, 8)
 	var raw, wire int
 	for epoch := uint32(0); epoch < 5; epoch++ {
 		fat := epochSketch(t, cfg, int(epoch), 50000, 900+int64(epoch))
-		stage, err := codec.Seal(fat)
+		stage, err := c.Seal(fat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := enc.Encode(epoch, stage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dec.Decode(1, epoch, payload); err != nil {
-			t.Fatal(err)
-		}
-		enc.Ack(epoch, stage)
+		payload := roundTrip(t, epoch, stage, 8)
 		raw += fat.MarshaledSize()
 		wire += len(payload)
 	}
+	t.Logf("compression ratio %.2f× (%d raw, %d wire bytes)", float64(raw)/float64(wire), raw, wire)
 	if raw < 5*wire {
 		t.Fatalf("compression ratio %.2f× below the 5× floor (%d raw, %d wire bytes)",
 			float64(raw)/float64(wire), raw, wire)
@@ -518,11 +419,23 @@ func TestAlignConfigMakesMemoryGeometriesShrinkable(t *testing.T) {
 	}
 
 	// Every shrink the flag can reasonably ask for divides an aligned
-	// memory-derived geometry, so Compressed construction succeeds.
+	// memory-derived geometry, so codec construction succeeds.
 	aligned := AlignConfig(core.Config{Arrays: 2, BucketsPerArray: 12190, Seed: 1})
 	for shrink := 1; shrink <= GeometryAlign; shrink *= 2 {
-		if _, err := Compressed[flowkey.FiveTuple](aligned, shrink, flowkey.FiveTupleFromBytes); err != nil {
-			t.Errorf("Compressed(aligned, shrink=%d): %v", shrink, err)
+		if _, err := New[flowkey.FiveTuple](aligned, shrink); err != nil {
+			t.Errorf("New(aligned, shrink=%d): %v", shrink, err)
 		}
+	}
+}
+
+// TestEncodeRejectsKeyInEmptyBucket: a stage whose empty bucket holds a
+// key could not be rebuilt bit for bit (the payload names occupied
+// buckets only), so Encode refuses it rather than ship a stage the
+// collector would rebuild differently.
+func TestEncodeRejectsKeyInEmptyBucket(t *testing.T) {
+	s := core.NewBasic[flowkey.FiveTuple](testCfg)
+	s.Buckets()[3].Key = key(7, 80)
+	if _, err := Encode(0, s, 1); err == nil {
+		t.Fatal("Encode accepted an empty bucket holding a key")
 	}
 }

@@ -18,15 +18,19 @@ import (
 // receive queue runs a reader goroutine, the datapath (pcap record →
 // one header-sized buffer, filled in place by ReadFrame → 5-tuple via
 // packet.ExtractFiveTuple), and a worker (keys → InsertBatch →
-// release) joined by a ring of 20-byte keyed records. At most
-// PoolSlots records are in flight; when that many are, the reader
-// parks until the worker has inserted a quarter of them, instead of
-// allocating or dropping — the protocol of DESIGN.md §13.
+// release) joined by a ring of 20-byte keyed records; a single capture
+// replayed on several queues has one reader, which steers each record
+// to its queue (split). At most PoolSlots records are in flight per
+// queue; when that many are, the reader parks until the worker has
+// inserted a quarter of them, instead of allocating or dropping — the
+// protocol of DESIGN.md §13.
 
 // ReplayConfig parameterizes a pooled replay run.
 type ReplayConfig struct {
 	// Queues is the number of simulated NIC receive queues, each with a
-	// dedicated reader/worker goroutine pair (default 1).
+	// worker goroutine (default 1). ReplayPCAP feeds them all from one
+	// reader; ReplayQueues, which takes its queue count from its
+	// queues, gives each its own.
 	Queues int
 	// PoolSlots bounds the frames in flight per queue: records the
 	// reader has pushed whose keys the worker has not yet inserted
@@ -73,8 +77,8 @@ type ReplayStats struct {
 	// Packets counts frames decoded and inserted into the sketches.
 	Packets uint64
 	// Skipped counts frames the extractor rejected (non-IP, truncated
-	// headers) — routed to queue 0 by PartitionRSS and dropped by the
-	// reader, mirroring how trace.FromPCAP skips them.
+	// headers) — steered to queue 0, as PartitionRSS does, and dropped
+	// by the reader, mirroring how trace.FromPCAP skips them.
 	Skipped uint64
 	// Truncated counts records longer than the reader's buffer, read as
 	// a SlotCap-byte prefix. At the default SlotCap that is every frame
@@ -190,10 +194,17 @@ func (q *frames) readBurst() (int, error) {
 	q.skipped += skipped
 	q.telSkipped.Add(skipped)
 	q.recs = recs
-	q.read.Add(uint64(len(recs)))
-	push(q.ring, recs, false, nil)
-	q.telOcc.Set(int64(q.inFlight()))
+	q.send()
 	return len(recs), nil
+}
+
+// send pushes the gathered records into the ring, where they count as
+// in flight, and empties the gather buffer.
+func (q *frames) send() {
+	q.read.Add(uint64(len(q.recs)))
+	push(q.ring, q.recs, false, nil)
+	q.recs = q.recs[:0]
+	q.telOcc.Set(int64(q.inFlight()))
 }
 
 // readAll feeds the ring until the capture is exhausted, parking while
@@ -209,6 +220,56 @@ func (q *frames) readAll() error {
 		if n == 0 && !q.done {
 			q.park()
 		}
+	}
+	return nil
+}
+
+// split feeds every queue from the one capture qs[0] reads: each frame
+// is keyed once and its record goes to the queue flowkey.RSSIndex
+// picks, the steering pcap.PartitionRSS applies, so queue i's worker
+// inserts exactly the keys it would after a partition pass, in capture
+// order, and the capture is never held in memory. A queue sends its
+// records a burst at a time, or sooner when they would fill its
+// in-flight bound, and the reader parks on a queue whose bound is
+// full. Frames the extractor rejects count on queue 0. split closes
+// every ring on every path.
+func split(qs []*frames, seed uint64) error {
+	src := qs[0]
+	defer func() {
+		src.telTruncated.Add(src.truncated)
+		src.telSkipped.Add(src.skipped)
+		for _, q := range qs {
+			q.ring.Close()
+		}
+	}()
+	for {
+		n, capLen, origLen, err := src.reader.ReadFrame(src.buf)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if capLen > n {
+			src.truncated++
+		}
+		key, ok := packet.ExtractFiveTuple(src.buf[:n])
+		if !ok {
+			src.skipped++
+			continue
+		}
+		q := qs[flowkey.RSSIndex(key, seed, len(qs))]
+		q.recs = append(q.recs, record{key: key, orig: uint32(origLen)})
+		if len(q.recs) < DefaultBurst && q.inFlight()+len(q.recs) < q.slots {
+			continue
+		}
+		q.send()
+		if q.inFlight() >= q.slots {
+			q.park()
+		}
+	}
+	for _, q := range qs {
+		q.send()
 	}
 	return nil
 }
@@ -268,26 +329,41 @@ func normalizeReplay(cfg ReplayConfig) ReplayConfig {
 	return cfg
 }
 
-// replay runs one reader goroutine and one worker goroutine per
-// reader to completion. One queue's sketch is the result; more are
-// merged (newSketch follows the New contract). cfg must be normalized.
-func replay[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, readers []*pcap.Reader) (S, ReplayStats, error) {
-	qs := make([]*frames, len(readers))
-	workers := make([]*worker[S, record], len(readers))
-	for i, r := range readers {
+// replay runs queues worker goroutines to completion, fed by one
+// reader goroutine per queue when readers holds one per queue, or by
+// one that splits readers[0] across the queues. One queue's sketch is
+// the result; more are merged (newSketch follows the New contract).
+// cfg must be normalized.
+func replay[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, readers []*pcap.Reader, queues int) (S, ReplayStats, error) {
+	qs := make([]*frames, queues)
+	workers := make([]*worker[S, record], queues)
+	for i := range qs {
+		var r *pcap.Reader
+		if i < len(readers) {
+			r = readers[i]
+		}
 		qs[i], workers[i] = newQueue(cfg, i, r, newSketch(i))
 	}
+	feeds := make([]func() error, len(readers))
+	for i := range feeds {
+		feeds[i] = qs[i].readAll
+	}
+	if len(readers) < queues {
+		feeds[0] = func() error { return split(qs, cfg.Seed) }
+	}
 	var wg sync.WaitGroup
-	errs := make([]error, len(qs))
-	wg.Add(2 * len(qs))
-	for i := range qs {
+	errs := make([]error, len(feeds))
+	wg.Add(len(feeds) + len(workers))
+	for i, feed := range feeds {
 		go func() {
 			defer wg.Done()
-			errs[i] = qs[i].readAll()
+			errs[i] = feed()
 		}()
+	}
+	for _, w := range workers {
 		go func() {
 			defer wg.Done()
-			workers[i].run()
+			w.run()
 		}()
 	}
 	wg.Wait()
@@ -333,32 +409,25 @@ func ReplayQueues[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, queues
 		}
 		readers[i] = r
 	}
-	return replay(normalizeReplay(cfg), newSketch, readers)
+	return replay(normalizeReplay(cfg), newSketch, readers, len(readers))
 }
 
 // ReplayPCAP replays one raw pcap stream through the pooled pipeline.
-// With Queues ≤ 1 the stream feeds a single reader/worker pair
-// directly — no partition pass, no extra copy of the capture. With
-// Queues > 1 the stream is first split with pcap.PartitionRSS (a
-// one-time allocating setup pass) and then replayed concurrently.
+// One reader reads the stream once; with Queues > 1 it steers each
+// keyed frame to the queue pcap.PartitionRSS would put it in, so the
+// queues' workers insert what they would after a partition pass, while
+// memory stays bounded by the queues, not the capture.
 func ReplayPCAP[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, r io.Reader) (S, ReplayStats, error) {
 	cfg = normalizeReplay(cfg)
 	var zero S
-	if cfg.Queues <= 1 {
-		pr, err := pcap.NewReader(r)
-		if err != nil {
-			return zero, ReplayStats{}, err
-		}
-		if lt := pr.LinkType(); lt != pcap.LinkTypeEthernet {
-			return zero, ReplayStats{}, fmt.Errorf("shard: replay supports only Ethernet captures, got link type %d", lt)
-		}
-		return replay(cfg, newSketch, []*pcap.Reader{pr})
-	}
-	queues, err := pcap.PartitionRSS(r, cfg.Queues, cfg.Seed)
+	pr, err := pcap.NewReader(r)
 	if err != nil {
 		return zero, ReplayStats{}, err
 	}
-	return ReplayQueues(cfg, newSketch, queues)
+	if lt := pr.LinkType(); lt != pcap.LinkTypeEthernet {
+		return zero, ReplayStats{}, fmt.Errorf("shard: replay supports only Ethernet captures, got link type %d", lt)
+	}
+	return replay(cfg, newSketch, []*pcap.Reader{pr}, max(cfg.Queues, 1))
 }
 
 // ReplayPCAPBasic is ReplayPCAP specialized to basic CocoSketch

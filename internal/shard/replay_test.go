@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -150,6 +151,82 @@ func TestReplayQueuesMatchesEngine(t *testing.T) {
 			t.Fatalf("replayed %d packets, trace has %d", st.Packets, len(tr.Packets))
 		}
 		diffTables(t, merged.Decode(), want)
+	}
+}
+
+// TestReplayPCAPSplitMatchesPartition pins the one-reader split: an
+// N-queue ReplayPCAP of one stream marshals byte for byte like
+// ReplayQueues over the pcap.PartitionRSS split of the same capture,
+// with the same frame accounting. The stream holds undecodable (ARP)
+// frames and frames longer than the reader's buffer, and the in-flight
+// bounds include 4, so the reader parks on one queue while the others
+// hold records it has not sent.
+func TestReplayPCAPSplitMatchesPartition(t *testing.T) {
+	tr := trace.CAIDALike(20000, 9)
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf, pcap.LinkTypeEthernet, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arp := make([]byte, 42)
+	arp[12], arp[13] = 0x08, 0x06
+	base := time.Unix(1600000000, 0)
+	for i := range tr.Packets {
+		frame := packet.Build(tr.Packets[i].Key, packet.BuildOptions{PayloadLen: i % 300})
+		if err := w.WritePacket(base, frame, len(frame)); err != nil {
+			t.Fatal(err)
+		}
+		if i%1000 == 0 {
+			if err := w.WritePacket(base, arp, len(arp)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+
+	for _, queues := range []int{2, 3} {
+		for _, slots := range []int{0, 100, 4} {
+			cfg := ReplayConfig{Queues: queues, Seed: 7, PoolSlots: slots, SlotCap: 96, Bytes: true}
+			got, gotSt, err := ReplayPCAPBasic(cfg, replaySketchCfg(), bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts, err := pcap.PartitionRSS(bytes.NewReader(data), queues, cfg.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantSt, err := ReplayQueues(cfg, NewBasicFactory(replaySketchCfg(), nil), parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(marshal(t, got), marshal(t, want)) {
+				t.Fatalf("queues=%d slots=%d: split replay differs from the partitioned replay", queues, slots)
+			}
+			gotSt.Starved, wantSt.Starved = 0, 0 // scheduling, not content
+			if gotSt != wantSt || gotSt.Skipped == 0 || gotSt.Truncated == 0 {
+				t.Fatalf("queues=%d slots=%d: split stats %+v, partitioned %+v (want equal, with skips and truncations)",
+					queues, slots, gotSt, wantSt)
+			}
+		}
+	}
+}
+
+// TestReplayPCAPSplitHoldsNoCapture checks that a multi-queue
+// ReplayPCAP streams its capture: it allocates a small fraction of the
+// bytes it replays, where a partition pass would copy all of them.
+func TestReplayPCAPSplitHoldsNoCapture(t *testing.T) {
+	_, data := replayCapture(t, 50000, 256)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := ReplayPCAPBasic(ReplayConfig{Queues: 4, Seed: 7}, replaySketchCfg(), bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(len(data))/4 {
+		t.Fatalf("4-queue replay of a %d-byte capture allocated %d bytes", len(data), alloc)
 	}
 }
 

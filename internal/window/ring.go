@@ -281,7 +281,8 @@ func (r *Ring) Seal(epoch uint64, sk *core.Basic[flowkey.FiveTuple]) error {
 	}
 	if !r.probe.Compatible(sk) {
 		r.mu.Unlock()
-		return fmt.Errorf("window: seal epoch %d: %w", epoch, core.ErrIncompatible)
+		return fmt.Errorf("window: seal epoch %d: sketch of %d×%d buckets, ring holds %d×%d: %w",
+			epoch, sk.Arrays(), sk.BucketsPerArray(), r.probe.Arrays(), r.probe.BucketsPerArray(), core.ErrIncompatible)
 	}
 
 	table := sk.Decode()
