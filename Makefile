@@ -94,12 +94,15 @@ bench-query:
 bench: bench-insert bench-ring bench-smoke bench-report bench-query
 
 # Short fuzz passes: every key type's field-built HashSeeds must equal
-# the wide hash of its byte encoding, a one-queue replay of fuzzed
+# the wide hash of its byte encoding, the pcap reader's views and
+# copies must match an io.ReadFull reference over short and
+# final-error reads, errors included, a one-queue replay of fuzzed
 # frames must build the sketch trace.FromPCAP plus sequential inserts
 # builds, and the report decoder must reject garbage with ErrCorrupt
 # and re-encode whatever it accepts to the same bytes.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHashSeedsMatchesWide -fuzztime 30s ./internal/flowkey/
+	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 15s ./internal/pcap/
 	$(GO) test -run '^$$' -fuzz FuzzReplayMatchesSequential -fuzztime 15s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 15s ./internal/report/
 

@@ -33,15 +33,19 @@ func BenchmarkInsertCoco(b *testing.B) {
 
 // BenchmarkInsertCocoBatch measures the batched insert path (ns/op is
 // still per packet). Compare against BenchmarkInsertCoco for the
-// batching speedup.
+// batching speedup. The 500 KB arms fit in L2; the 16 MB arm takes a
+// MAWI-like trace with 100k flows into a sketch several times L2, so
+// its cost is bucket cache misses (cocoperf's ingest-mawi-16mb shape).
 func BenchmarkInsertCocoBatch(b *testing.B) {
-	tr := trace.CAIDALike(1<<17, 3)
 	const batch = 256
-	keys := make([]flowkey.FiveTuple, len(tr.Packets))
-	for i := range tr.Packets {
-		keys[i] = tr.Packets[i].Key
+	keysOf := func(tr *trace.Trace) []flowkey.FiveTuple {
+		keys := make([]flowkey.FiveTuple, len(tr.Packets))
+		for i := range tr.Packets {
+			keys[i] = tr.Packets[i].Key
+		}
+		return keys
 	}
-	run := func(b *testing.B, insert func([]flowkey.FiveTuple)) {
+	run := func(b *testing.B, keys []flowkey.FiveTuple, insert func([]flowkey.FiveTuple)) {
 		b.ResetTimer()
 		done := 0
 		for done < b.N {
@@ -57,13 +61,18 @@ func BenchmarkInsertCocoBatch(b *testing.B) {
 			done += n
 		}
 	}
+	caida, mawi := keysOf(trace.CAIDALike(1<<17, 3)), keysOf(trace.MAWILike(1<<20, 3))
 	b.Run("basic", func(b *testing.B) {
 		s := core.NewBasicForMemory[flowkey.FiveTuple](2, 500*1024, 7)
-		run(b, s.InsertBatchUnit)
+		run(b, caida, s.InsertBatchUnit)
 	})
 	b.Run("hardware", func(b *testing.B) {
 		s := core.NewHardwareForMemory[flowkey.FiveTuple](2, 500*1024, 7)
-		run(b, s.InsertBatchUnit)
+		run(b, caida, s.InsertBatchUnit)
+	})
+	b.Run("basic-16mb", func(b *testing.B) {
+		s := core.NewBasicForMemory[flowkey.FiveTuple](2, 16<<20, 7)
+		run(b, mawi, s.InsertBatchUnit)
 	})
 }
 

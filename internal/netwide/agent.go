@@ -3,6 +3,7 @@ package netwide
 import (
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"cocosketch/internal/core"
@@ -41,7 +42,11 @@ const (
 type spoolEntry struct {
 	lo, hi uint32
 	stage  *core.Basic[flowkey.FiveTuple]
-	weight uint64
+	// payload is the stage's encoded report, set by the first Flush
+	// that tries to send it and reused by every retry; coalescing
+	// another stage into this one clears it.
+	payload []byte
+	weight  uint64
 	// rawBytes is what a full snapshot of the sealed epoch would have
 	// cost on the wire — the numerator of the compression ratio.
 	rawBytes uint64
@@ -312,7 +317,7 @@ func (a *Agent) shedOverflow() {
 	switch a.spoolPolicy {
 	case SpoolDropOldest:
 		head := a.spool[0]
-		a.spool = append(a.spool[:0], a.spool[1:]...)
+		a.spool = slices.Delete(a.spool, 0, 1)
 		a.tel.droppedWeight.Add(head.weight)
 		a.tel.droppedEpochs.Add(uint64(head.hi-head.lo) + 1)
 	default: // SpoolCoalesce
@@ -327,6 +332,7 @@ func (a *Agent) shedOverflow() {
 			panic(fmt.Sprintf("netwide: coalescing spooled epochs: %v", err))
 		}
 		a.spool[i].hi = a.spool[j].hi
+		a.spool[i].payload = nil
 		a.spool[i].weight += a.spool[j].weight
 		// The merged range's snapshot baseline is one snapshot, not
 		// two: keep the larger of the pair.
@@ -347,18 +353,23 @@ func (a *Agent) updateSpoolTel() {
 // Flush delivers spooled reports oldest-first over conn, stopping at
 // the first transport error (delivered entries are retired either
 // way). A coalesced entry ships as one report under its range's high
-// epoch. Payloads are encoded at flush time from the spooled stage
-// alone, so a retry after any failed exchange re-sends the identical
-// payload, and the collector's duplicate detection makes it
-// idempotent. Each exchange runs under the agent's write timeout. A
-// nil return means the spool is empty.
+// epoch. A payload is encoded from the spooled stage alone, at the
+// first flush that tries to send it, and kept on the spool entry, so
+// a retry after any failed exchange re-sends the identical payload
+// without encoding it again, and the collector's duplicate detection
+// makes it idempotent. Each exchange runs under the agent's write
+// timeout. A nil return means the spool is empty.
 func (a *Agent) Flush(conn net.Conn) error {
 	for len(a.spool) > 0 {
 		e := &a.spool[0]
-		blob, err := a.codec.Encode(e.hi, e.stage)
-		if err != nil {
-			return err
+		if e.payload == nil {
+			blob, err := a.codec.Encode(e.hi, e.stage)
+			if err != nil {
+				return err
+			}
+			e.payload = blob
 		}
+		blob := e.payload
 		if err := a.exchange(conn, Message{Type: MsgSketch, Epoch: e.hi, AgentID: a.id, Payload: blob}); err != nil {
 			return err
 		}
@@ -369,7 +380,7 @@ func (a *Agent) Flush(conn net.Conn) error {
 			a.tel.reportRatio.Observe(e.rawBytes * 100 / uint64(len(blob)))
 		}
 		a.tel.deliveredWeight.Add(e.weight)
-		a.spool = append(a.spool[:0], a.spool[1:]...)
+		a.spool = slices.Delete(a.spool, 0, 1)
 		a.updateSpoolTel()
 	}
 	return nil

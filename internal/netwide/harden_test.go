@@ -1,6 +1,7 @@
 package netwide
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
@@ -299,6 +300,50 @@ func TestSpoolCoalesceBoundsAndConserves(t *testing.T) {
 		if _, ok := collector.Epoch(e); !ok {
 			t.Errorf("epoch %d missing at collector", e)
 		}
+	}
+}
+
+// TestFlushEncodesEachSpoolEntryOnce pins the payload a spool entry
+// keeps: a retry after a failed exchange sends the slice the first
+// attempt encoded, and coalescing an epoch into the entry makes the
+// next flush encode the merged stage.
+func TestFlushEncodesEachSpoolEntryOnce(t *testing.T) {
+	agent := NewAgent(3, telNetCfg()).SetSpool(1, SpoolCoalesce)
+	encoded := func() []byte {
+		t.Helper()
+		e := agent.spool[0]
+		blob, err := agent.codec.Encode(e.hi, e.stage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	agent.Observe(flowkey.FiveTuple{Proto: 6, SrcPort: 1}, 10)
+	agent.EndEpoch()
+	if err := agent.Flush(deadConn{}); err == nil {
+		t.Fatal("flush over a dead connection succeeded")
+	}
+	first := agent.spool[0].payload
+	if !bytes.Equal(first, encoded()) {
+		t.Fatal("a failed flush did not keep the entry's encoded payload")
+	}
+	if err := agent.Flush(deadConn{}); err == nil {
+		t.Fatal("flush over a dead connection succeeded")
+	}
+	if got := agent.spool[0].payload; len(got) == 0 || &got[0] != &first[0] {
+		t.Fatal("the retry encoded the entry again")
+	}
+
+	agent.Observe(flowkey.FiveTuple{Proto: 6, SrcPort: 2}, 20)
+	agent.EndEpoch() // coalesced into the head: the spool holds one entry
+	if e := agent.spool[0]; len(agent.spool) != 1 || e.hi != 1 || e.payload != nil {
+		t.Fatalf("coalesced spool: %d entries, head [%d,%d] with a %d-byte payload", len(agent.spool), e.lo, e.hi, len(e.payload))
+	}
+	if err := agent.Flush(deadConn{}); err == nil {
+		t.Fatal("flush over a dead connection succeeded")
+	}
+	if got := agent.spool[0].payload; !bytes.Equal(got, encoded()) || bytes.Equal(got, first) {
+		t.Fatal("the flush after a coalesce did not encode the merged stage")
 	}
 }
 

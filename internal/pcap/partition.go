@@ -1,7 +1,6 @@
 package pcap
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -16,20 +15,65 @@ import (
 // reader goroutine per queue feeding one shard worker directly, which
 // removes the single-reader bottleneck of whole-trace replay.
 type Queue struct {
-	data    []byte
+	data    blocks
 	packets int
 }
 
 // Open returns a fresh Reader over the queue's stream. Each call
 // replays from the beginning, so a queue can be replayed many times
 // (benchmark loops, differential tests).
-func (q *Queue) Open() (*Reader, error) { return NewReader(bytes.NewReader(q.data)) }
+func (q *Queue) Open() (*Reader, error) { return NewReader(&blockReader{blocks: q.data}) }
 
 // Packets returns the number of records in the queue.
 func (q *Queue) Packets() int { return q.packets }
 
 // Bytes returns the encoded size of the queue's pcap stream.
-func (q *Queue) Bytes() int { return len(q.data) }
+func (q *Queue) Bytes() int {
+	n := 0
+	for _, b := range q.data {
+		n += len(b)
+	}
+	return n
+}
+
+// blocks is a byte stream kept in blockSize pieces, so it grows
+// without copying what it holds and holds its bytes plus less than one
+// block: a partition of a capture costs about one copy of it.
+type blocks [][]byte
+
+// Write appends p to the stream.
+func (b *blocks) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		if len(*b) == 0 || len((*b)[len(*b)-1]) == blockSize {
+			*b = append(*b, make([]byte, 0, blockSize))
+		}
+		last := &(*b)[len(*b)-1]
+		k := min(len(p), blockSize-len(*last))
+		*last = append(*last, p[:k]...)
+		p = p[k:]
+	}
+	return n, nil
+}
+
+// blockReader reads a blocks stream from its start.
+type blockReader struct {
+	blocks blocks
+	i, off int // the next byte is blocks[i][off]
+}
+
+// Read implements io.Reader.
+func (r *blockReader) Read(p []byte) (int, error) {
+	for r.i < len(r.blocks) && r.off == len(r.blocks[r.i]) {
+		r.i, r.off = r.i+1, 0
+	}
+	if r.i == len(r.blocks) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.blocks[r.i][r.off:])
+	r.off += n
+	return n, nil
+}
 
 // PartitionRSS splits an Ethernet pcap stream into queues receive
 // queues, the way a NIC's receive-side scaling spreads flows across
@@ -43,8 +87,9 @@ func (q *Queue) Bytes() int { return len(q.data) }
 // classic-writer format); key extraction and replay order are
 // unaffected.
 //
-// Partitioning is a one-time setup pass and allocates freely; only
-// replay of the returned queues is on the zero-allocation path.
+// Partitioning is a one-time setup pass. It holds about one copy of
+// the capture, as every queue's stream grows in blocks; only replay of
+// the returned queues is on the zero-allocation path.
 func PartitionRSS(r io.Reader, queues int, seed uint64) ([]*Queue, error) {
 	if queues <= 0 {
 		return nil, fmt.Errorf("pcap: PartitionRSS needs at least one queue, got %d", queues)
@@ -56,17 +101,15 @@ func PartitionRSS(r io.Reader, queues int, seed uint64) ([]*Queue, error) {
 	if lt := pr.LinkType(); lt != LinkTypeEthernet {
 		return nil, fmt.Errorf("pcap: PartitionRSS supports only Ethernet captures, got link type %d", lt)
 	}
-	bufs := make([]*bytes.Buffer, queues)
 	ws := make([]*Writer, queues)
 	out := make([]*Queue, queues)
 	for i := range ws {
-		bufs[i] = &bytes.Buffer{}
-		w, err := NewWriter(bufs[i], LinkTypeEthernet, pr.SnapLen())
+		out[i] = &Queue{}
+		w, err := NewWriter(&out[i].data, LinkTypeEthernet, pr.SnapLen())
 		if err != nil {
 			return nil, err
 		}
 		ws[i] = w
-		out[i] = &Queue{}
 	}
 	for {
 		hdr, data, err := pr.Next()
@@ -85,11 +128,10 @@ func PartitionRSS(r io.Reader, queues int, seed uint64) ([]*Queue, error) {
 		}
 		out[q].packets++
 	}
-	for i, w := range ws {
+	for _, w := range ws {
 		if err := w.Flush(); err != nil {
 			return nil, err
 		}
-		out[i].data = bufs[i].Bytes()
 	}
 	return out, nil
 }

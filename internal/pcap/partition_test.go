@@ -3,6 +3,7 @@ package pcap_test
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"cocosketch/internal/flowkey"
@@ -227,4 +228,39 @@ func TestReadIntoNoAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("ReadInto allocates %.1f times per run, want 0", n)
 	}
+}
+
+// TestReadFrameNoAllocs pins the replay's view read at zero
+// allocations per packet.
+func TestReadFrameNoAllocs(t *testing.T) {
+	data := partitionTrace(t, 2000)
+	r, err := pcap.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, _, _, err := r.ReadFrame(192); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ReadFrame allocates %.1f times per run, want 0", n)
+	}
+}
+
+// TestPartitionRSSHoldsOneCopy checks that a partition costs about one
+// copy of the capture: queue streams that grew by doubling would
+// allocate several.
+func TestPartitionRSSHoldsOneCopy(t *testing.T) {
+	data := partitionTrace(t, 50000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	qs, err := pcap.PartitionRSS(bytes.NewReader(data), 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(len(data))*5/4 {
+		t.Fatalf("4-queue partition of a %d-byte capture allocated %d bytes", len(data), alloc)
+	}
+	runtime.KeepAlive(qs)
 }

@@ -43,45 +43,74 @@ type Header struct {
 	OriginalLength int
 }
 
-// Reader decodes a pcap stream.
+// blockSize is the Reader's block buffer: the source is read a block at
+// a time, and every record that fits in the block is parsed where it
+// lies.
+const blockSize = 1 << 16
+
+// recLen is the size of a record header.
+const recLen = 16
+
+// maxEmptyReads bounds the consecutive (0, nil) reads a Reader accepts
+// from its source before it fails with io.ErrNoProgress, as
+// bufio.Reader does.
+const maxEmptyReads = 100
+
+// Reader decodes a pcap stream. It reads its source into its own block
+// buffer and parses each record where it lies: Next and ReadFrame hand
+// out views of that buffer, so a record reaches its caller without a
+// copy. Only a record longer than the buffer is assembled in a scratch
+// slice.
 type Reader struct {
-	r        *bufio.Reader
-	order    binary.ByteOrder
-	nanos    bool
+	src io.Reader
+	// buf[off:end] holds the bytes read from src and not yet consumed.
+	buf      []byte
+	off, end int
+	// err is the error src returned, reported once the buffered bytes
+	// run out, and again on every later read.
+	err error
+	// skip counts the bytes of the last record that the caller's limit
+	// left unread. The next call discards them, so a refill never
+	// overwrites a view the previous call returned.
+	skip     int
+	big      bool // big-endian capture
+	nanos    bool // nanosecond timestamps
 	linkType uint32
 	snapLen  uint32
-	buf      []byte
-	rec      [16]byte // the last record header ReadFrame consumed; a local would escape through io.ReadFull
+	// long holds a record whose stored bytes do not fit in buf.
+	long []byte
 }
 
 // NewReader parses the global header and returns a reader positioned at
 // the first record.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [24]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("pcap: reading global header: %w", err)
+	const globalLen = 24
+	pr := &Reader{src: r, buf: make([]byte, blockSize)}
+	if err := pr.fill(globalLen); err != nil {
+		return nil, fmt.Errorf("pcap: reading global header: %w", short(err, pr.end))
 	}
-	pr := &Reader{r: br}
-	magicLE := binary.LittleEndian.Uint32(hdr[0:4])
-	magicBE := binary.BigEndian.Uint32(hdr[0:4])
-	switch {
-	case magicLE == MagicMicroseconds:
-		pr.order = binary.LittleEndian
-	case magicLE == MagicNanoseconds:
-		pr.order, pr.nanos = binary.LittleEndian, true
-	case magicBE == MagicMicroseconds:
-		pr.order = binary.BigEndian
-	case magicBE == MagicNanoseconds:
-		pr.order, pr.nanos = binary.BigEndian, true
+	hdr := pr.buf[:globalLen]
+	pr.off = globalLen
+	switch magic := binary.LittleEndian.Uint32(hdr[0:4]); {
+	case magic == MagicMicroseconds:
+	case magic == MagicNanoseconds:
+		pr.nanos = true
+	case binary.BigEndian.Uint32(hdr[0:4]) == MagicMicroseconds:
+		pr.big = true
+	case binary.BigEndian.Uint32(hdr[0:4]) == MagicNanoseconds:
+		pr.big, pr.nanos = true, true
 	default:
-		return nil, fmt.Errorf("%w: %#08x", ErrBadMagic, magicLE)
+		return nil, fmt.Errorf("%w: %#08x", ErrBadMagic, magic)
 	}
-	if major := pr.order.Uint16(hdr[4:6]); major != 2 {
+	major := binary.LittleEndian.Uint16(hdr[4:6])
+	if pr.big {
+		major = binary.BigEndian.Uint16(hdr[4:6])
+	}
+	if major != 2 {
 		return nil, fmt.Errorf("pcap: unsupported version %d", major)
 	}
-	pr.snapLen = pr.order.Uint32(hdr[16:20])
-	pr.linkType = pr.order.Uint32(hdr[20:24])
+	pr.snapLen = pr.u32(hdr[16:20])
+	pr.linkType = pr.u32(hdr[20:24])
 	return pr, nil
 }
 
@@ -92,35 +121,29 @@ func (r *Reader) LinkType() uint32 { return r.linkType }
 // SnapLen returns the capture's snapshot length.
 func (r *Reader) SnapLen() uint32 { return r.snapLen }
 
+// u32 decodes a header field in the capture's byte order.
+func (r *Reader) u32(b []byte) uint32 {
+	if r.big {
+		return binary.BigEndian.Uint32(b)
+	}
+	return binary.LittleEndian.Uint32(b)
+}
+
 // Next returns the next record. The returned data slice is reused by
 // subsequent calls; copy it to retain. io.EOF signals a clean end of
 // file.
 func (r *Reader) Next() (Header, []byte, error) {
-	var rec [16]byte
-	if _, err := io.ReadFull(r.r, rec[:]); err != nil {
-		if err == io.EOF {
-			return Header{}, nil, io.EOF
-		}
-		return Header{}, nil, fmt.Errorf("pcap: reading record header: %w", err)
+	rec, data, err := r.record(MaxSnapLen)
+	if err != nil {
+		return Header{}, nil, err
 	}
-	h := r.record(rec[:])
-	if uint(h.CaptureLength) > MaxSnapLen {
-		return Header{}, nil, fmt.Errorf("pcap: capture length %d exceeds limit", h.CaptureLength)
-	}
-	if cap(r.buf) < h.CaptureLength {
-		r.buf = make([]byte, h.CaptureLength)
-	}
-	data := r.buf[:h.CaptureLength]
-	if _, err := io.ReadFull(r.r, data); err != nil {
-		return Header{}, nil, fmt.Errorf("pcap: reading record body: %w", err)
-	}
-	return h, data, nil
+	return r.header(rec), data, nil
 }
 
-// record decodes a 16-byte record header.
-func (r *Reader) record(rec []byte) Header {
-	ts := time.Unix(int64(r.order.Uint32(rec[0:4])), 0)
-	frac := time.Duration(r.order.Uint32(rec[4:8]))
+// header decodes a 16-byte record header.
+func (r *Reader) header(rec []byte) Header {
+	ts := time.Unix(int64(r.u32(rec[0:4])), 0)
+	frac := time.Duration(r.u32(rec[4:8]))
 	if r.nanos {
 		ts = ts.Add(frac * time.Nanosecond)
 	} else {
@@ -128,8 +151,8 @@ func (r *Reader) record(rec []byte) Header {
 	}
 	return Header{
 		Timestamp:      ts,
-		CaptureLength:  int(r.order.Uint32(rec[8:12])),
-		OriginalLength: int(r.order.Uint32(rec[12:16])),
+		CaptureLength:  int(r.u32(rec[8:12])),
+		OriginalLength: int(r.u32(rec[12:16])),
 	}
 }
 
@@ -142,60 +165,154 @@ func (r *Reader) record(rec []byte) Header {
 // the number of bytes stored in dst. io.EOF signals a clean end of
 // file.
 func (r *Reader) ReadInto(dst []byte) (Header, int, error) {
-	n, _, _, err := r.ReadFrame(dst)
+	rec, frame, err := r.record(len(dst))
 	if err != nil {
 		return Header{}, 0, err
 	}
-	return r.record(r.rec[:]), n, nil
+	h, n := r.header(rec), copy(dst, frame)
+	if err := r.discard(); err != nil {
+		return Header{}, 0, err
+	}
+	return h, n, nil
 }
 
-// ReadFrame is ReadInto without the timestamp, for the pooled replay's
-// per-packet loop, where dst is a replay queue's frame slot: it
-// returns the stored byte count n and the record's captured and
-// original lengths as plain integers. A caller of ReadInto spills the
-// 40-byte Header result with 8-byte stores and copies it with 16-byte
-// loads, which stalls store-to-load forwarding once per record
-// (DESIGN.md §13); three integers stay in registers. Errors and io.EOF
-// are ReadInto's.
-func (r *Reader) ReadFrame(dst []byte) (n, capLen, origLen int, err error) {
-	// When the buffer holds the record header and the bytes to store —
-	// every record but about one per buffer refill — parse the record
-	// in place: one Peek, one copy, one Discard, instead of two
-	// io.ReadFull calls. Anything else takes the reading path below,
-	// whose errors are the same as Next's.
-	if buf, _ := r.r.Peek(r.r.Buffered()); len(buf) >= len(r.rec) {
-		capLen = int(r.order.Uint32(buf[8:12]))
-		n = min(capLen, len(dst))
-		if uint(capLen) <= MaxSnapLen && len(r.rec)+n <= len(buf) {
-			origLen = int(r.order.Uint32(buf[12:16]))
-			r.rec = [16]byte(buf)
-			copy(dst[:n], buf[len(r.rec):])
-			if _, err := r.r.Discard(len(r.rec) + capLen); err != nil {
-				return 0, 0, 0, fmt.Errorf("pcap: discarding truncated record body: %w", err)
+// ReadFrame is the pooled replay's per-packet read: it returns the
+// next record's stored bytes, at most limit (≥ 0) of them, as a view
+// into the Reader's block buffer, with the record's captured and
+// original lengths as plain integers. The view is valid until the next
+// call on the Reader. A record longer than limit is cut NIC
+// snapshot-length style (capLen > len(frame) tells the caller so); the
+// rest of it is skipped at the next call, which reports any error that
+// skip meets. Other errors and io.EOF are Next's.
+//
+// A Header result is spilled with 8-byte stores and copied with
+// 16-byte loads, which stalls store-to-load forwarding once per record
+// (DESIGN.md §13); a slice and two integers stay in registers.
+func (r *Reader) ReadFrame(limit int) (frame []byte, capLen, origLen int, err error) {
+	rec, frame, err := r.record(limit)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return frame, int(r.u32(rec[8:12])), int(r.u32(rec[12:16])), nil
+}
+
+// record skips what the last call left of its record, then returns
+// views of the next record's header and of its first min(capture
+// length, limit) stored bytes.
+func (r *Reader) record(limit int) (rec, frame []byte, err error) {
+	// Every record but about one per block is buffered whole: parse it
+	// in place.
+	if off := r.off + r.skip; off+recLen <= r.end {
+		rec = r.buf[off : off+recLen]
+		capLen := r.u32(rec[8:12])
+		body := off + recLen
+		if n := min(int(capLen), limit); capLen <= MaxSnapLen && body+n <= r.end {
+			r.off, r.skip = body+n, int(capLen)-n
+			return rec, r.buf[body : body+n], nil
+		}
+	}
+	return r.readRecord(limit)
+}
+
+// readRecord is record's path for a record that is not buffered whole:
+// it refills the block buffer, or assembles a record too long for it.
+func (r *Reader) readRecord(limit int) (rec, frame []byte, err error) {
+	if err := r.discard(); err != nil {
+		return nil, nil, err
+	}
+	if err := r.fill(recLen); err != nil {
+		if err = short(err, r.end-r.off); err == io.EOF {
+			return nil, nil, io.EOF
+		}
+		return nil, nil, fmt.Errorf("pcap: reading record header: %w", err)
+	}
+	capLen := r.u32(r.buf[r.off+8 : r.off+12])
+	if capLen > MaxSnapLen {
+		return nil, nil, fmt.Errorf("pcap: capture length %d exceeds limit", capLen)
+	}
+	n := min(int(capLen), limit)
+	if recLen+n > len(r.buf) {
+		return r.readLong(n, int(capLen))
+	}
+	if err := r.fill(recLen + n); err != nil {
+		return nil, nil, fmt.Errorf("pcap: reading record body: %w", short(err, r.end-r.off-recLen))
+	}
+	body := r.off + recLen
+	rec, frame = r.buf[r.off:body], r.buf[body:body+n]
+	r.off, r.skip = body+n, int(capLen)-n
+	return rec, frame, nil
+}
+
+// readLong assembles a record whose n stored bytes do not fit in the
+// block buffer, header included, in r.long.
+func (r *Reader) readLong(n, capLen int) (rec, frame []byte, err error) {
+	if cap(r.long) < recLen+n {
+		r.long = make([]byte, recLen+n)
+	}
+	long := r.long[:recLen+n]
+	for got := 0; got < len(long); {
+		if err := r.fill(1); err != nil {
+			return nil, nil, fmt.Errorf("pcap: reading record body: %w", short(err, got-recLen))
+		}
+		k := copy(long[got:], r.buf[r.off:r.end])
+		got += k
+		r.off += k
+	}
+	r.skip = capLen - n
+	return long[:recLen], long[recLen:], nil
+}
+
+// discard skips the bytes of the last record that its caller's limit
+// left unread.
+func (r *Reader) discard() error {
+	for r.skip > 0 {
+		if err := r.fill(1); err != nil {
+			return fmt.Errorf("pcap: discarding truncated record body: %w", err)
+		}
+		k := min(r.skip, r.end-r.off)
+		r.off += k
+		r.skip -= k
+	}
+	return nil
+}
+
+// fill reads the source until at least need bytes are buffered (need
+// ≤ len(r.buf)), first moving the buffered bytes to the front of the
+// block. It returns the source's error if the source ends first.
+func (r *Reader) fill(need int) error {
+	if r.end-r.off >= need {
+		return nil
+	}
+	r.end = copy(r.buf, r.buf[r.off:r.end])
+	r.off = 0
+	for empty := 0; r.end < need; {
+		if r.err != nil {
+			return r.err
+		}
+		n, err := r.src.Read(r.buf[r.end:])
+		r.end += n
+		r.err = err
+		switch {
+		case n > 0:
+			empty = 0
+		case err == nil:
+			if empty++; empty == maxEmptyReads {
+				r.err = io.ErrNoProgress
 			}
-			return n, capLen, origLen, nil
 		}
 	}
-	if _, err := io.ReadFull(r.r, r.rec[:]); err != nil {
-		if err == io.EOF {
-			return 0, 0, 0, io.EOF
-		}
-		return 0, 0, 0, fmt.Errorf("pcap: reading record header: %w", err)
+	return nil
+}
+
+// short reports a read that ended early the way io.ReadFull does,
+// given the got bytes of the item that were read: io.EOF before any of
+// them stays io.EOF, io.EOF after some becomes io.ErrUnexpectedEOF, and
+// any other error passes through.
+func short(err error, got int) error {
+	if err == io.EOF && got > 0 {
+		return io.ErrUnexpectedEOF
 	}
-	capLen = int(r.order.Uint32(r.rec[8:12]))
-	if uint(capLen) > MaxSnapLen {
-		return 0, 0, 0, fmt.Errorf("pcap: capture length %d exceeds limit", capLen)
-	}
-	n = min(capLen, len(dst))
-	if _, err := io.ReadFull(r.r, dst[:n]); err != nil {
-		return 0, 0, 0, fmt.Errorf("pcap: reading record body: %w", err)
-	}
-	if rest := capLen - n; rest > 0 {
-		if _, err := r.r.Discard(rest); err != nil {
-			return 0, 0, 0, fmt.Errorf("pcap: discarding truncated record body: %w", err)
-		}
-	}
-	return n, capLen, int(r.order.Uint32(r.rec[12:16])), nil
+	return err
 }
 
 // Writer encodes a pcap stream (little endian, microsecond timestamps).

@@ -16,9 +16,10 @@ import (
 
 // This file is the zero-allocation replay source. Each simulated
 // receive queue runs a reader goroutine, the datapath (pcap record →
-// one header-sized buffer, filled in place by ReadFrame → 5-tuple via
-// packet.ExtractFiveTuple), and a worker (keys → InsertBatch →
-// release) joined by a ring of 20-byte keyed records; a single capture
+// ReadFrame's header-sized view of the pcap reader's block buffer →
+// 5-tuple via packet.ExtractFiveTuple), and a worker (keys →
+// InsertBatch → release) joined by a ring of 20-byte keyed records;
+// a single capture
 // replayed on several queues has one reader, which steers each record
 // to its queue (split). At most PoolSlots records are in flight per
 // queue; when that many are, the reader parks until the worker has
@@ -39,10 +40,11 @@ type ReplayConfig struct {
 	// at least as many records, so it can never fill, leaving the
 	// in-flight bound as the single backpressure signal.
 	PoolSlots int
-	// SlotCap is the byte capacity of the reader's frame buffer
-	// (default DefaultSlotCap). Records longer than SlotCap are
-	// truncated on read, NIC snapshot-length style, and counted in
-	// ReplayStats. Byte weights come from the record's original length,
+	// SlotCap bounds the bytes of each record the reader hands to the
+	// key extractor (default DefaultSlotCap): a view of at most SlotCap
+	// bytes of the pcap reader's block buffer. Records longer than
+	// SlotCap are truncated on read, NIC snapshot-length style, and
+	// counted in ReplayStats. Byte weights come from the record's original length,
 	// so only a SlotCap below packet.MaxKeyHeaderLen can change what is
 	// measured.
 	SlotCap int
@@ -62,12 +64,12 @@ type ReplayConfig struct {
 // leaves PoolSlots zero.
 const DefaultPoolSlots = 1024
 
-// DefaultSlotCap is the reader's frame buffer size when ReplayConfig
+// DefaultSlotCap is the reader's frame view bound when ReplayConfig
 // leaves SlotCap zero: the headers, not the payload. The replay reads
 // nothing past the L4 ports, and the deepest header stack the
 // extractor accepts is packet.MaxKeyHeaderLen (138) bytes, so no
-// frame's key or acceptance depends on the bytes a 192-byte buffer
-// drops, and no payload is copied (DESIGN.md §13).
+// frame's key or acceptance depends on the bytes a 192-byte view
+// leaves out (DESIGN.md §13).
 const DefaultSlotCap = 192
 
 // ReplayStats summarizes a finished replay.
@@ -80,8 +82,8 @@ type ReplayStats struct {
 	// headers) — steered to queue 0, as PartitionRSS does, and dropped
 	// by the reader, mirroring how trace.FromPCAP skips them.
 	Skipped uint64
-	// Truncated counts records longer than the reader's buffer, read as
-	// a SlotCap-byte prefix. At the default SlotCap that is every frame
+	// Truncated counts records longer than SlotCap, read as a
+	// SlotCap-byte prefix. At the default SlotCap that is every frame
 	// whose payload was dropped, not a loss: keys and byte weights are
 	// unchanged.
 	Truncated uint64
@@ -106,8 +108,8 @@ type record struct {
 // steps so a single goroutine can alternate them — that is how the
 // zero-allocation property is pinned by testing.AllocsPerRun.
 type frames struct {
-	buf    []byte // the reader's frame buffer, SlotCap bytes
-	slots  int    // PoolSlots, the in-flight bound
+	limit  int // SlotCap, the bound on a frame view
+	slots  int // PoolSlots, the in-flight bound
 	ring   *ovs.RingOf[record]
 	reader *pcap.Reader
 
@@ -141,7 +143,7 @@ type frames struct {
 func newQueue[S Sketch[S]](cfg ReplayConfig, i int, r *pcap.Reader, sketch S) (*frames, *worker[S, record]) {
 	reg := cfg.Telemetry
 	q := &frames{
-		buf:          make([]byte, cfg.SlotCap),
+		limit:        cfg.SlotCap,
 		slots:        cfg.PoolSlots,
 		ring:         ovs.NewRingOf[record](cfg.PoolSlots),
 		reader:       r,
@@ -171,7 +173,7 @@ func (q *frames) readBurst() (int, error) {
 	recs := q.recs[:0]
 	var truncated, skipped uint64
 	for len(recs) < want {
-		n, capLen, origLen, err := q.reader.ReadFrame(q.buf)
+		frame, capLen, origLen, err := q.reader.ReadFrame(q.limit)
 		if err == io.EOF {
 			q.done = true
 			break
@@ -179,10 +181,10 @@ func (q *frames) readBurst() (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if capLen > n {
+		if capLen > len(frame) {
 			truncated++
 		}
-		key, ok := packet.ExtractFiveTuple(q.buf[:n])
+		key, ok := packet.ExtractFiveTuple(frame)
 		if !ok {
 			skipped++
 			continue
@@ -243,17 +245,17 @@ func split(qs []*frames, seed uint64) error {
 		}
 	}()
 	for {
-		n, capLen, origLen, err := src.reader.ReadFrame(src.buf)
+		frame, capLen, origLen, err := src.reader.ReadFrame(src.limit)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		if capLen > n {
+		if capLen > len(frame) {
 			src.truncated++
 		}
-		key, ok := packet.ExtractFiveTuple(src.buf[:n])
+		key, ok := packet.ExtractFiveTuple(frame)
 		if !ok {
 			src.skipped++
 			continue

@@ -447,8 +447,9 @@ func TestReplayReaderParksWhenStarved(t *testing.T) {
 }
 
 // TestReplaySteadyStateNoAllocs is the tentpole's gate: driving the
-// full replay→decode→InsertBatch loop — ReadFrame into the reader's
-// buffer, key extraction, ring handoff, batch insert, release —
+// full replay→decode→InsertBatch loop — ReadFrame's view of the pcap
+// reader's block buffer, key extraction, ring handoff, batch insert,
+// release —
 // allocates nothing per burst in steady state. The queue's steppable
 // readBurst and the worker's drain let one goroutine alternate the two
 // sides deterministically.
