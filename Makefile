@@ -55,10 +55,16 @@ bench-ring:
 
 # Telemetry overhead gate: instrumented vs disabled batched insert must
 # stay within the budget (min-of-counts rejects CI host noise; see
-# internal/tools/benchsmoke).
+# internal/tools/benchsmoke). The test binary is built once and run six
+# times with -count 1, so the telemetry-off and telemetry-on runs
+# alternate: with -count 6 every off run came before every on run, and
+# host drift over the run decided the ratio.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkInsertBatch/' -count 6 -benchtime 1s . \
-		| $(GO) run ./internal/tools/benchsmoke -max 1.05
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) test -c -o "$$tmp/bench.test" . && \
+		for i in 1 2 3 4 5 6; do \
+			"$$tmp/bench.test" -test.run '^$$' -test.bench 'BenchmarkInsertBatch/' -test.count 1 -test.benchtime 1s; \
+		done | $(GO) run ./internal/tools/benchsmoke -max 1.05
 
 # Zero-allocation ingest gates (DESIGN.md §13): every AllocsPerRun test
 # on the replay→decode→InsertBatch path must report zero, and the
@@ -84,9 +90,10 @@ bench-report:
 # Continuous query-serving gates (DESIGN.md §16): a sealer drives the
 # window ring at line rate while query readers hammer the windowed API;
 # the run must sustain ≥10k queries/s, keep ingest above its floor, and
-# hold the cache hit ratio — all enforced inside the env-gated test.
-# The microbenchmarks report the cached/uncached split behind the gate
-# and the uncached top-10 selection against SQL's full sort.
+# hold the result-cache hit ratio — all enforced inside the env-gated
+# test. The microbenchmarks report the cached/uncached split behind the
+# gate and the uncached top-10 (Threshold Algorithm) against SQL's full
+# sum and sort.
 bench-query:
 	COCO_QUERY_GATE=1 $(GO) test -run 'TestQueryServingGate' -count=1 -v ./internal/window/
 	$(GO) test -run '^$$' -bench 'BenchmarkWindowGroupBy|BenchmarkWindowTop|BenchmarkQueryUnderIngest' -benchmem ./internal/window/
@@ -98,13 +105,18 @@ bench: bench-insert bench-ring bench-smoke bench-report bench-query
 # copies must match an io.ReadFull reference over short and
 # final-error reads, errors included, a one-queue replay of fuzzed
 # frames must build the sketch trace.FromPCAP plus sequential inserts
-# builds, and the report decoder must reject garbage with ErrCorrupt
-# and re-encode whatever it accepts to the same bytes.
+# builds, the report decoder must reject garbage with ErrCorrupt and
+# re-encode whatever it accepts to the same bytes, and the window's
+# Top, SQL, GroupBy and Query over fuzzed epochs must equal an
+# independent sum of the epochs' tables (each of its inputs runs the
+# whole window API, so shrinking a new input one byte at a time is
+# capped at 100 runs; uncapped, it took the whole fuzz time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHashSeedsMatchesWide -fuzztime 30s ./internal/flowkey/
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 15s ./internal/pcap/
 	$(GO) test -run '^$$' -fuzz FuzzReplayMatchesSequential -fuzztime 15s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 15s ./internal/report/
+	$(GO) test -run '^$$' -fuzz FuzzWindowTopMatchesSum -fuzztime 15s -fuzzminimizetime 100x ./internal/window/
 
 # Statistical verification: the differential matrix (every sketch
 # implementation against the exact oracle, variance-bound CIs), the

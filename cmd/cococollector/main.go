@@ -18,9 +18,11 @@
 // With -window N the collector additionally retains the last N sealed
 // epochs in a sliding-window query ring (internal/window), and with
 // -serve-query it serves live windowed partial-key queries as JSON.
-// The ring holds the shared geometry, so -window needs agents at
-// -report-shrink 1: an epoch of shrunk stages cannot seal into it, and
-// each failed seal is reported on stderr.
+// The ring answers a window as the sum of its epochs' tables, so it
+// serves epochs of agents at any -report-shrink; the agents of one
+// fleet must still ship at one shrink, because the collector merges
+// their stages into one epoch sketch. A failed seal is reported on
+// stderr.
 //
 //	GET /query?sql=SELECT+SrcIP,+SUM(Size)+FROM+table+GROUP+BY+SrcIP&range=last:4
 //	GET /epochs
@@ -31,7 +33,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -73,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		oneshot   = fs.Bool("oneshot", false, "print one report after the first epoch completes, then exit")
 		telAddr   = fs.String("telemetry", "", "serve /debug/vars and /debug/pprof on this address (off when empty)")
 		idleTO    = fs.Duration("idle-timeout", 0, "drop an agent connection after this much silence, freeing its handler (0 = never)")
-		windowN   = fs.Int("window", 0, "retain the last N sealed epochs in a sliding-window query ring (0 = off; needs agents at -report-shrink 1)")
+		windowN   = fs.Int("window", 0, "retain the last N sealed epochs in a sliding-window query ring (0 = off)")
 		queryAddr = fs.String("serve-query", "", "serve the windowed JSON query endpoint (/query, /epochs) on this address (requires -window)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -177,14 +178,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if ring != nil {
 			// Seal the epoch's canonical fold into the query ring: from
 			// here on the epoch is visible to windowed queries and the
-			// JSON endpoint. The ring holds the shared geometry, so an
-			// epoch of shrunk stages cannot seal.
+			// JSON endpoint.
 			if err := collector.SealEpochInto(ring, epoch); err != nil {
-				hint := ""
-				if errors.Is(err, core.ErrIncompatible) {
-					hint = " (-window needs agents at -report-shrink 1)"
-				}
-				fmt.Fprintf(stderr, "cococollector: seal epoch %d: %v%s\n", epoch, err, hint)
+				fmt.Fprintf(stderr, "cococollector: seal epoch %d: %v\n", epoch, err)
 			}
 		}
 		if *oneshot {

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"strings"
@@ -120,12 +119,12 @@ func TestRunServeQueryRequiresWindow(t *testing.T) {
 	}
 }
 
-// TestRunWindowRejectsCompressedCodec: the window ring holds the
-// shared geometry, so an epoch an in-process agent ships at
-// -report-shrink 8 cannot seal into it. run must print one line for the
-// failed seal, naming the stage geometry it received and
-// -report-shrink 1, and /epochs must list no sealed epoch.
-func TestRunWindowRejectsCompressedCodec(t *testing.T) {
+// TestRunWindowServesShrunkReports: the window ring sums epoch tables
+// of any geometry, so an epoch an in-process agent ships at
+// -report-shrink 8 seals into it. /epochs must list the epoch, /query
+// must serve it with the agent's full mass, and nothing may be
+// reported on stderr.
+func TestRunWindowServesShrunkReports(t *testing.T) {
 	stdout := &syncBuffer{}
 	stderr := &syncBuffer{}
 	go run([]string{
@@ -148,7 +147,8 @@ func TestRunWindowRejectsCompressedCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	for i := 0; i < 3000; i++ {
+	const observed = 3000
+	for i := 0; i < observed; i++ {
 		agent.Observe(flowkey.FiveTuple{SrcIP: [4]byte{10, 0, 0, byte(i % 4)}, Proto: 6}, 1)
 	}
 	agent.EndEpoch()
@@ -156,25 +156,47 @@ func TestRunWindowRejectsCompressedCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out := waitFor(t, stderr, "seal epoch 0")
-	line := out[strings.Index(out, "seal epoch 0"):]
-	line = line[:strings.Index(line, "\n")]
-	for _, want := range []string{fmt.Sprintf("2×%d buckets", cfg.BucketsPerArray/8), "-report-shrink 1"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("seal failure line does not name %q:\n%s", want, line)
+	var epochs window.EpochsResponse
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get("http://" + queryAddr + "/epochs")
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&epochs)
+			resp.Body.Close()
 		}
+		if err == nil && len(epochs.Epochs) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("query tier never saw the shrunk epoch (last: %+v, err %v)\nstderr: %s", epochs, err, stderr.String())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	resp, err := http.Get("http://" + queryAddr + "/epochs")
+	if len(epochs.Epochs) != 1 || epochs.Epochs[0] != 0 {
+		t.Fatalf("epochs = %+v, want [0] retained", epochs)
+	}
+
+	resp, err := http.Get("http://" + queryAddr + "/query?sql=SELECT+SrcIP,+SUM(Size)+FROM+table+GROUP+BY+SrcIP&range=0:1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var epochs window.EpochsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&epochs); err != nil {
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status %d", resp.StatusCode)
+	}
+	var qr window.QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
-	if len(epochs.Epochs) != 0 {
-		t.Fatalf("epochs = %+v, want none sealed", epochs)
+	var mass uint64
+	for _, row := range qr.Rows {
+		mass += row.Size
+	}
+	if qr.From != 0 || qr.To != 1 || mass != observed {
+		t.Fatalf("query [%d,%d) mass %d, want [0,1) mass %d (rows %+v)", qr.From, qr.To, mass, observed, qr.Rows)
+	}
+	if msg := stderr.String(); msg != "" {
+		t.Fatalf("stderr not empty:\n%s", msg)
 	}
 }
 

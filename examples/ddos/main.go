@@ -10,8 +10,8 @@
 // flood announces itself through heavy-hitter and entropy-collapse
 // events the moment its first epoch seals, no polling and no
 // pre-declared attack signature. Then the post-hoc drill-down runs over
-// the same ring's merged window, answering the partial-key questions
-// the events raised.
+// the same ring's window (the sum of its epochs' tables), answering the
+// partial-key questions the events raised.
 //
 // Run: go run ./examples/ddos
 package main

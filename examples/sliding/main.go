@@ -56,8 +56,8 @@ func main() {
 		}
 
 		// Query the whole retained window (up to the last 3 epochs) with
-		// the windowed partial-key API — the merge happens inside the
-		// ring, cached across repeat queries.
+		// the windowed partial-key API — the ring sums the epochs'
+		// grouped tables, cached across repeat queries.
 		rg := ring.LastN(retain)
 		top, err := ring.Top(rg, srcMask, 1)
 		if err != nil {

@@ -27,9 +27,8 @@ type EpochSink interface {
 // SealEpochInto folds the epoch's per-agent shards canonically (the
 // same fold Epoch serves queries from) and seals the fresh aggregate,
 // which nothing else references, into sink. Returns ErrNoEpoch when no
-// agent has reported the epoch, or the sink's own error
-// (window.ErrOrder for a re-seal, core.ErrIncompatible for a geometry
-// mismatch) otherwise.
+// agent has reported the epoch, or the sink's own error (window.ErrOrder
+// for a re-seal) otherwise.
 //
 // Because the fold is a pure function of the shard set, sealing the
 // same epoch from two collectors that received the same reports, in

@@ -7,11 +7,13 @@ package oracle
 // conserves mass exactly, so a dropped agent or epoch shows as a short
 // total; heavy-hitter F1 and ARE are held to per-layer bounds set just
 // past the values this seeded run measures, so an accuracy loss on the
-// served path fails tier-1.
+// served path fails tier-1. The window sums the folds' tables, so it
+// adds no loss of its own: it must equal the folds layer row for row.
 
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -46,15 +48,21 @@ var ledgerLayers = []struct {
 	{"fat tables", 0.97, 0.03},
 	{"stages", 0.74, 0.33},
 	{"folds", 0.63, 0.48},
-	{"window", 0.40, 1.25},
 }
 
 // TestServedPathLedger runs the served path at seeds 1 and 2 and checks
-// each layer's mass and accuracy bounds.
+// each lossy layer's mass and accuracy bounds, and that the window
+// serves exactly the folds layer's tables.
 func TestServedPathLedger(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			truth, layers := runServedPath(t, seed)
+			truth, layers, served := runServedPath(t, seed)
+			folds := layers[len(layers)-1]
+			for _, m := range append(Masks(), flowkey.Mask{}) {
+				if got, want := served(m), folds(m); !reflect.DeepEqual(got, want) {
+					t.Errorf("window under %v: %d groups differ from the folds layer's %d", m, len(got), len(want))
+				}
+			}
 			fed := uint64(ledgerAgents * ledgerWindow * ledgerPackets)
 			for i, layer := range ledgerLayers {
 				est := layers[i]
@@ -82,8 +90,9 @@ func TestServedPathLedger(t *testing.T) {
 // with the report codec at ledgerShrink, net.Pipe connections into
 // Collector.Handle, and SealEpochInto a ring at the stage geometry. It
 // returns the exact oracle over every packet fed and, per layer of
-// ledgerLayers, the estimated partial-key table for a mask.
-func runServedPath(t *testing.T, seed uint64) (*Oracle, []func(flowkey.Mask) map[flowkey.FiveTuple]uint64) {
+// ledgerLayers and for the window the ring serves, the estimated
+// partial-key table for a mask.
+func runServedPath(t *testing.T, seed uint64) (*Oracle, []func(flowkey.Mask) map[flowkey.FiveTuple]uint64, func(flowkey.Mask) map[flowkey.FiveTuple]uint64) {
 	t.Helper()
 	cfg := report.AlignConfig(core.ConfigForMemory[flowkey.FiveTuple](core.DefaultArrays, ledgerMem, seed))
 	codec, err := report.New[flowkey.FiveTuple](cfg, ledgerShrink)
@@ -156,18 +165,15 @@ func runServedPath(t *testing.T, seed uint64) (*Oracle, []func(flowkey.Mask) map
 	summed := func(table map[flowkey.FiveTuple]uint64) func(flowkey.Mask) map[flowkey.FiveTuple]uint64 {
 		return func(m flowkey.Mask) map[flowkey.FiveTuple]uint64 { return aggregate(table, m) }
 	}
-	return FromCounts("served-path", truth), []func(flowkey.Mask) map[flowkey.FiveTuple]uint64{
-		summed(fat),
-		summed(stages),
-		summed(folds),
-		func(m flowkey.Mask) map[flowkey.FiveTuple]uint64 {
-			out, err := ring.GroupBy(rg, m)
-			if err != nil {
-				t.Fatalf("window %v: %v", rg, err)
-			}
-			return out
-		},
+	served := func(m flowkey.Mask) map[flowkey.FiveTuple]uint64 {
+		out, err := ring.GroupBy(rg, m)
+		if err != nil {
+			t.Fatalf("window %v: %v", rg, err)
+		}
+		return out
 	}
+	layers := []func(flowkey.Mask) map[flowkey.FiveTuple]uint64{summed(fat), summed(stages), summed(folds)}
+	return FromCounts("served-path", truth), layers, served
 }
 
 // addTable adds every row of src into dst.

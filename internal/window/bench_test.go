@@ -29,8 +29,10 @@ const (
 	// gateIngestPPS keeps the sealer honest — the query load must not
 	// starve ingest below this floor.
 	gateIngestPPS = 100_000
-	// gateHitRatio is the cache-effectiveness floor for the steady-state
-	// query mix (repeated windows over a slowly advancing ring).
+	// gateHitRatio is the result-cache floor for the steady-state query
+	// mix (repeated windows over a slowly advancing ring). The ratio
+	// counts result-cache hits only: windows are served from per-epoch
+	// views, and no cache of merged window engines exists any more.
 	gateHitRatio = 0.5
 )
 
@@ -194,9 +196,9 @@ func BenchmarkWindowGroupByUncached(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowTop compares the uncached merge-path ranking of a
-// /query?limit=10 request (bounded top-k selection) with SQL, which
-// sorts every grouped row.
+// BenchmarkWindowTop compares the uncached ranking of a
+// /query?limit=10 request (the Threshold Algorithm over the epochs'
+// views) with SQL, which sums every view and sorts every row.
 func BenchmarkWindowTop(b *testing.B) {
 	r := benchRing(b, 8).SetCacheLimit(0)
 	m, err := flowkey.ParseMask("SrcIP")

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"cocosketch/internal/flowkey"
-	"cocosketch/internal/query"
 )
 
 // The result cache exploits immutability: a sealed epoch never
@@ -46,19 +45,12 @@ type cacheKey struct {
 	k        int
 }
 
-// engineKey identifies one cached merged window engine.
-type engineKey struct {
-	from, to uint64
-}
-
-// cache is the bounded (partial key, window) result cache plus the
-// merged-engine cache. A limit of 0 disables both. Safe for concurrent
-// use.
+// cache is the bounded (partial key, window) result cache. A limit of
+// 0 disables it. Safe for concurrent use.
 type cache struct {
 	mu      sync.Mutex
 	limit   int
 	results map[cacheKey]any
-	engines map[engineKey]*query.Engine
 	// evictedThrough mirrors the ring's eviction floor so put can
 	// reject entries for windows that became unservable while the
 	// caller was computing them.
@@ -66,20 +58,16 @@ type cache struct {
 	evicted        bool
 }
 
-// newCache returns a cache bounded to limit entries per map (disabled
-// when limit <= 0).
+// newCache returns a cache bounded to limit entries (disabled when
+// limit <= 0).
 func newCache(limit int) *cache {
 	if limit < 0 {
 		limit = 0
 	}
-	return &cache{
-		limit:   limit,
-		results: make(map[cacheKey]any),
-		engines: make(map[engineKey]*query.Engine),
-	}
+	return &cache{limit: limit, results: make(map[cacheKey]any)}
 }
 
-// setLimit rebounds the cache to n entries per map (0 disables) and
+// setLimit rebounds the cache to n entries (0 disables) and
 // clears current contents; the eviction floor survives so a disabled-
 // then-reenabled cache still refuses unservable windows.
 func (c *cache) setLimit(n int) {
@@ -90,7 +78,6 @@ func (c *cache) setLimit(n int) {
 	defer c.mu.Unlock()
 	c.limit = n
 	c.results = make(map[cacheKey]any)
-	c.engines = make(map[engineKey]*query.Engine)
 }
 
 // get returns the cached result for key, if present.
@@ -121,37 +108,6 @@ func (c *cache) put(key cacheKey, v any) {
 	c.results[key] = v
 }
 
-// getEngine returns the cached merged engine for a concrete window.
-func (c *cache) getEngine(from, to uint64) (*query.Engine, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.limit == 0 {
-		return nil, false
-	}
-	eng, ok := c.engines[engineKey{from, to}]
-	return eng, ok
-}
-
-// putEngine stores a merged engine under the same eviction guard as
-// put.
-func (c *cache) putEngine(from, to uint64, eng *query.Engine) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.limit == 0 {
-		return
-	}
-	if c.evicted && from <= c.evictedThrough {
-		return
-	}
-	if len(c.engines) >= c.limit {
-		for k := range c.engines {
-			delete(c.engines, k)
-			break
-		}
-	}
-	c.engines[engineKey{from, to}] = eng
-}
-
 // dropOneResult makes room by discarding an arbitrary entry (cache
 // contents never affect answers, only speed, so any victim is
 // correct). Caller holds c.mu.
@@ -179,23 +135,16 @@ func (c *cache) invalidateEvicted(through uint64) uint64 {
 			dropped++
 		}
 	}
-	for k := range c.engines {
-		if k.from <= c.evictedThrough {
-			delete(c.engines, k)
-			dropped++
-		}
-	}
 	return dropped
 }
 
-// Len reports the current number of cached results and engines (test
-// hook).
-func (c *cache) Len() (results, engines int) {
+// Len reports the current number of cached results (test hook).
+func (c *cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.results), len(c.engines)
+	return len(c.results)
 }
 
-// CacheLen reports how many results and merged engines the ring
-// currently caches (primarily for tests and diagnostics).
-func (r *Ring) CacheLen() (results, engines int) { return r.cache.Len() }
+// CacheLen reports how many results the ring currently caches
+// (primarily for tests and diagnostics).
+func (r *Ring) CacheLen() int { return r.cache.Len() }

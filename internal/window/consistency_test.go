@@ -1,13 +1,14 @@
 package window_test
 
 // Differential query-consistency suite (the tentpole invariant):
-// every windowed answer served by the ring — merge-of-ring, through
-// the cache, at any point of the seal sequence — must be bit-identical
-// to the reference single engine built by merging the same epochs'
-// sketches directly, with no ring, cache or HTTP machinery involved.
-// Property-tested across the oracle regimes, random window spans,
-// random epoch splits, and random query/seal interleavings, including
-// spans the ring has (partially) evicted.
+// every windowed answer served by the ring — through the cache, at any
+// point of the seal sequence — must be bit-identical to the reference
+// engine over the sum of the same epochs' own Decode() tables, with no
+// ring, view, cache or HTTP machinery involved. Sums are order-free,
+// so the epochs may seal in any order. Property-tested across the
+// oracle regimes, random window spans, random epoch splits, and random
+// query/seal interleavings, including spans the ring has (partially)
+// evicted.
 
 import (
 	"errors"
@@ -61,89 +62,40 @@ func epochSketches(cfg core.Config, tr *trace.Trace, n int) []*core.Basic[flowke
 	return out
 }
 
-// refEngine is the reference single engine: a fresh sketch of cfg
-// absorbing the given epoch sketches in ascending order, decoded.
-func refEngine(t *testing.T, cfg core.Config, epochs []*core.Basic[flowkey.FiveTuple]) *query.Engine {
-	t.Helper()
-	agg := core.NewBasic[flowkey.FiveTuple](cfg)
+// refSum is the reference window: an engine over the sum of the given
+// epochs' own Decode() tables.
+func refSum(epochs []*core.Basic[flowkey.FiveTuple]) *query.Engine {
+	sum := make(map[flowkey.FiveTuple]uint64)
 	for _, e := range epochs {
-		if err := agg.Merge(e); err != nil {
-			t.Fatalf("reference merge: %v", err)
+		for k, v := range e.Decode() {
+			sum[k] += v
 		}
 	}
-	return query.NewEngine(agg.Decode())
+	return query.NewEngine(sum)
 }
 
 // compareWindow asserts every query entry point of the ring agrees
-// bit-for-bit with the reference engine over the concrete range
-// [from, to) covering refEpochs.
-func compareWindow(t *testing.T, r *window.Ring, rg window.Range, ref *query.Engine, masks []flowkey.Mask, rng *xrand.Source) {
+// bit for bit with the reference sum of epochs over the concrete range
+// rg they sealed: Window's full table here, GroupBy, Top, SQL and
+// Query in checkAgainstSum.
+func compareWindow(t *testing.T, r *window.Ring, rg window.Range, epochs []*core.Basic[flowkey.FiveTuple], masks []flowkey.Mask) {
 	t.Helper()
 	eng, err := r.Window(rg)
 	if err != nil {
 		t.Fatalf("Window(%v): %v", rg, err)
 	}
-	if !reflect.DeepEqual(eng.FullTable(), ref.FullTable()) {
-		t.Fatalf("window %v: merged full table differs from reference", rg)
+	if !reflect.DeepEqual(eng.FullTable(), refSum(epochs).FullTable()) {
+		t.Fatalf("window %v: full table differs from reference", rg)
 	}
-	for _, m := range masks {
-		got, err := r.GroupBy(rg, m)
-		if err != nil {
-			t.Fatalf("GroupBy(%v, %v): %v", rg, m, err)
-		}
-		want := ref.GroupBy(m)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("window %v mask %v: GroupBy differs from reference", rg, m)
-		}
-		gotTop, err := r.Top(rg, m, 5)
-		if err != nil {
-			t.Fatalf("Top(%v, %v): %v", rg, m, err)
-		}
-		if wantTop := ref.Top(m, 5); !reflect.DeepEqual(gotTop, wantTop) {
-			t.Fatalf("window %v mask %v: Top differs from reference\n got %v\nwant %v", rg, m, gotTop, wantTop)
-		}
-		// ref.Top selects with the same sketch.TopK; the fully sorted
-		// rows are the independent reference for the selection.
-		if wantTop := sketch.Entries(want)[:min(5, len(want))]; !reflect.DeepEqual(gotTop, wantTop) {
-			t.Fatalf("window %v mask %v: Top differs from the sorted rows\n got %v\nwant %v", rg, m, gotTop, wantTop)
-		}
-		// Point queries over a few keys drawn from the reference table
-		// (hits) and synthesized (mostly misses).
-		for k := range want {
-			got, err := r.Query(rg, m, k)
-			if err != nil {
-				t.Fatalf("Query(%v, %v): %v", rg, m, err)
-			}
-			if got != want[k] {
-				t.Fatalf("window %v mask %v key %v: Query %d != reference %d", rg, m, k, got, want[k])
-			}
-			break
-		}
-		var miss flowkey.FiveTuple
-		miss.SrcPort = uint16(rng.Uint64n(65536))
-		gotMiss, err := r.Query(rg, m, miss)
-		if err != nil {
-			t.Fatalf("Query miss: %v", err)
-		}
-		if want := ref.Query(m, miss); gotMiss != want {
-			t.Fatalf("window %v mask %v: miss Query %d != reference %d", rg, m, gotMiss, want)
-		}
-	}
-	gotRows, err := r.SQL("SELECT SrcIP/16, SUM(Size) FROM table GROUP BY SrcIP/16", rg)
-	if err != nil {
-		t.Fatalf("SQL(%v): %v", rg, err)
-	}
-	m16 := flowkey.MaskFields(flowkey.FieldSrcIP).WithPrefix(flowkey.FieldSrcIP, 16)
-	if wantRows := sketch.Entries(ref.GroupBy(m16)); !reflect.DeepEqual(gotRows, wantRows) {
-		t.Fatalf("window %v: SQL rows differ from reference", rg)
-	}
+	checkAgainstSum(t, r, rg, epochs, masks)
 }
 
 // TestWindowedQueryConsistency is the main differential property test:
 // across all four oracle regimes, random epoch splits and random
 // spans, with queries interleaved at random points of the seal
 // sequence and eviction in play, the ring's answers match the
-// reference single engine bit for bit.
+// reference sum bit for bit. A second ring seals the same epochs in
+// shuffled order and must serve the reference sum over all of them.
 func TestWindowedQueryConsistency(t *testing.T) {
 	masks := testMasks(t)
 	for _, regime := range oracle.Regimes() {
@@ -169,6 +121,16 @@ func TestWindowedQueryConsistency(t *testing.T) {
 					}
 				}
 				checkRandomSpans(t, r, epochs, masks, rng, nEpochs-1, capacity, 6)
+
+				shuffled := append([]*core.Basic[flowkey.FiveTuple](nil), epochs...)
+				rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+				sr := window.NewRing(nEpochs, testConfig)
+				for e, sk := range shuffled {
+					if err := sr.Seal(uint64(e), sk.Clone()); err != nil {
+						t.Fatalf("seal shuffled epoch %d: %v", e, err)
+					}
+				}
+				compareWindow(t, sr, window.Range{From: 0, To: uint64(nEpochs)}, epochs, masks)
 			}
 		})
 	}
@@ -198,13 +160,12 @@ func checkRandomSpans(t *testing.T, r *window.Ring, epochs []*core.Basic[flowkey
 			}
 			continue
 		}
-		ref := refEngine(t, testConfig, epochs[from:to])
-		compareWindow(t, r, rg, ref, masks, rng)
+		compareWindow(t, r, rg, epochs[from:to], masks)
 	}
 }
 
 // TestWindowedTopMatchesSortedRows checks the bounded top-k selection
-// against the fully sorted rows of the reference engine, with the
+// against the fully sorted rows of the reference sum, with the
 // result cache on and off: Top(rg, m, k) must be
 // sketch.Entries(GroupBy)[:k] row for row for every k, including
 // k <= 0 (all rows) and k past the row count, and a repeated (cached)
@@ -223,7 +184,7 @@ func TestWindowedTopMatchesSortedRows(t *testing.T) {
 		}
 		for _, rg := range []window.Range{{From: 0, To: 1}, {From: 1, To: 4}, {From: 0, To: window.Open}} {
 			to := min(rg.To, nEpochs)
-			ref := refEngine(t, testConfig, epochs[rg.From:to])
+			ref := refSum(epochs[rg.From:to])
 			for _, m := range masks {
 				rows := sketch.Entries(ref.GroupBy(m))
 				for _, k := range []int{-1, 0, 1, 5, 10, len(rows) - 1, len(rows), len(rows) + 5} {
@@ -306,10 +267,8 @@ func TestSealOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestSingleEpochWindowMatchesSealedEngine pins the single-epoch fast
-// path: a one-epoch window must serve exactly the sealed epoch's own
-// decode (merging one sketch into a fresh aggregate copies it
-// verbatim).
+// TestSingleEpochWindowMatchesSealedEngine pins that a one-epoch
+// window serves exactly the sealed epoch's own decode.
 func TestSingleEpochWindowMatchesSealedEngine(t *testing.T) {
 	tr := trace.CAIDALike(8_000, 11)
 	epochs := epochSketches(testConfig, tr, 3)

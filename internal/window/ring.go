@@ -1,24 +1,30 @@
 // Package window implements the continuous query-serving tier: a
-// lock-free ring of sealed per-epoch CocoSketch engines that answers
+// lock-free ring of sealed measurement epochs that answers
 // window-scoped partial-key queries while ingest keeps running.
 //
-// The ingest side seals one immutable sketch per measurement epoch
-// into a Ring (Seal); readers resolve a [from, to) epoch Range against
-// an atomically published snapshot, merge the covered epochs with
-// core.Merge into a window engine, and run any partial-key query
-// against it — with no lock shared with the sealer. Results are cached
-// per (operation, partial key or row limit, window) and invalidated
-// when ring eviction makes a window unservable, and standing
-// Subscriptions (heavy hitters, heavy changes, entropy collapse) are
-// evaluated at every seal and pushed to registered channels.
+// The ingest side seals one sketch per measurement epoch into a Ring
+// (Seal), which keeps only the sketch's occupied buckets as flat
+// columns. Readers resolve a [from, to) epoch Range against an
+// atomically published snapshot and answer from the covered epochs
+// with no lock shared with the sealer. A window's answer is the exact
+// sum of its epochs' tables: the paper's partial-key estimate is a
+// subset sum over the decoded full-key table (Def. 1), so adding the
+// epochs' tables is unbiased, adds no merge variance, and does not
+// depend on the order the epochs sealed in.
 //
-// The windowed answer is a pure function of the sealed epoch set: the
-// window sketch is a fresh core.Basic of the shared Config that merges
-// the covered epochs in ascending epoch order, so the same epochs give
-// the bit-identical table no matter when the query runs relative to
-// later seals, whether the cache is on or off, and how many readers
-// race (pinned by the differential consistency suite). DESIGN.md §16
-// documents the semantics.
+// Each epoch groups its columns under a mask once, on first use, into
+// a view: key-sorted partial keys, their sizes and a size-descending
+// order, cached on the epoch. A new epoch is grouped at seal for every
+// mask in use (named by a query or a subscription since the oldest
+// retained epoch sealed), so a query pays for what changed, not for
+// the whole window. Whole-table answers (GroupBy, SQL, Window) merge
+// the views' sorted keys; Top with k > 0 runs Fagin's Threshold
+// Algorithm over the size orders and stops as soon as no unseen key
+// can reach the k-th row. Results are cached per (operation, partial
+// key or row limit, window) and invalidated when ring eviction makes a
+// window unservable, and standing Subscriptions (heavy hitters, heavy
+// changes, entropy collapse) are evaluated at every seal and pushed to
+// registered channels. DESIGN.md §16 documents the semantics.
 package window
 
 import (
@@ -31,7 +37,6 @@ import (
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
-	"cocosketch/internal/query"
 	"cocosketch/internal/telemetry"
 )
 
@@ -78,20 +83,75 @@ var (
 	ErrOrder = errors.New("window: epochs must seal in strictly increasing order")
 )
 
-// Sealed is one immutable sealed epoch: the sketch as frozen at seal
-// time, its decoded full-key table, and a query engine over it. None
-// of the fields may be mutated after Seal returns.
+// Sealed is one sealed epoch: its full-key table as flat columns, and
+// the views grouped from them so far. The table never changes after
+// Seal (its columns are swapped once, for the full-key view's, which
+// hold the same table sorted); a view is built once and then never
+// changes either.
 type Sealed struct {
 	// Epoch is the epoch number the sealer assigned.
 	Epoch uint64
-	// Sketch is the frozen per-epoch sketch; window queries merge it.
-	Sketch *core.Basic[flowkey.FiveTuple]
-	// Table is the sketch's full-key decode, computed once at seal.
-	Table map[flowkey.FiveTuple]uint64
-	// Engine serves single-epoch partial-key queries over Table.
-	Engine *query.Engine
 	// SealedAt is the ring-clock time the seal began.
 	SealedAt time.Time
+
+	// mu guards the fields below. keys and vals hold the sketch's
+	// non-empty buckets in bucket order (24 bytes a bucket, no map)
+	// until the full-key view is built, then that view's columns.
+	// views holds the views built or being built, one per mask.
+	mu    sync.Mutex
+	keys  []pkey
+	vals  []uint64
+	views []*view
+}
+
+// newSealed copies the non-empty buckets of a sketch into the columns
+// of a sealed epoch.
+func newSealed(epoch uint64, at time.Time, buckets []core.Bucket[flowkey.FiveTuple]) *Sealed {
+	n := 0
+	for i := range buckets {
+		if buckets[i].Val != 0 {
+			n++
+		}
+	}
+	s := &Sealed{Epoch: epoch, SealedAt: at, keys: make([]pkey, 0, n), vals: make([]uint64, 0, n)}
+	for i := range buckets {
+		if b := &buckets[i]; b.Val != 0 {
+			s.keys = append(s.keys, pack(b.Key))
+			s.vals = append(s.vals, b.Val)
+		}
+	}
+	return s
+}
+
+// view returns the epoch grouped under m, building it on first use.
+// Concurrent callers for one mask share one build.
+func (s *Sealed) view(m flowkey.Mask) *view {
+	s.mu.Lock()
+	var v *view
+	for _, w := range s.views {
+		if w.mask == m {
+			v = w
+			break
+		}
+	}
+	if v == nil {
+		v = &view{mask: m}
+		s.views = append(s.views, v)
+	}
+	keys, vals := s.keys, s.vals
+	s.mu.Unlock()
+	v.once.Do(func() {
+		v.build(keys, vals)
+		if m.IsFull() {
+			// Any mask groups the full-key view as it groups the
+			// bucket columns, so the view's columns replace them and
+			// the epoch holds each full key once.
+			s.mu.Lock()
+			s.keys, s.vals = v.keys, v.sums
+			s.mu.Unlock()
+		}
+	})
+	return v
 }
 
 // ringState is one immutable published snapshot of the ring. Readers
@@ -123,34 +183,37 @@ type ringTel struct {
 	sealVisible        *telemetry.Histogram
 }
 
-// Ring is a sliding window of sealed epoch sketches with a lock-free
-// read side: Seal publishes a new immutable snapshot through an atomic
+// Ring is a sliding window of sealed epochs with a lock-free read
+// side: Seal publishes a new immutable snapshot through an atomic
 // pointer, queries resolve against whatever snapshot is current.
 // Seal/Subscribe/Unsubscribe serialize on an internal mutex; all query
 // methods are safe for any number of concurrent readers.
 type Ring struct {
 	capacity int
 	cfg      core.Config
-	// probe is an empty sketch of cfg used to validate that every
-	// sealed sketch is merge-compatible; only read under mu.
-	probe *core.Basic[flowkey.FiveTuple]
-	state atomic.Pointer[ringState]
-	cache *cache
-	now   func() time.Time
-	tel   ringTel
+	state    atomic.Pointer[ringState]
+	cache    *cache
+	now      func() time.Time
+	tel      ringTel
 
 	// mu serializes sealers and the subscription registry.
 	mu      sync.Mutex
 	subs    map[int]*subscriber
 	nextSub int
+
+	// useMu guards inUse, which maps each mask in use to the newest
+	// sealed epoch when a query or subscription last named it.
+	useMu sync.Mutex
+	inUse map[flowkey.Mask]uint64
 }
 
 // DefaultCacheEntries bounds the result cache when SetCacheLimit is
 // not called.
 const DefaultCacheEntries = 1024
 
-// NewRing creates a ring retaining the newest capacity sealed epochs,
-// all sharing cfg (the Merge-compatibility contract). The result cache
+// NewRing creates a ring retaining the newest capacity sealed epochs.
+// Windows are sums of the epochs' tables, so the ring accepts epochs
+// of any geometry; cfg is only reported by Config. The result cache
 // starts enabled at DefaultCacheEntries.
 func NewRing(capacity int, cfg core.Config) *Ring {
 	if capacity <= 0 {
@@ -159,10 +222,10 @@ func NewRing(capacity int, cfg core.Config) *Ring {
 	r := &Ring{
 		capacity: capacity,
 		cfg:      cfg,
-		probe:    core.NewBasic[flowkey.FiveTuple](cfg),
 		cache:    newCache(DefaultCacheEntries),
 		now:      time.Now,
 		subs:     make(map[int]*subscriber),
+		inUse:    make(map[flowkey.Mask]uint64),
 	}
 	r.state.Store(&ringState{})
 	return r
@@ -208,8 +271,7 @@ func (r *Ring) SetCacheLimit(n int) *Ring {
 // Capacity returns the maximum number of epochs retained.
 func (r *Ring) Capacity() int { return r.capacity }
 
-// Config returns the shared sketch configuration sealed epochs must
-// match.
+// Config returns the sketch configuration the ring was created with.
 func (r *Ring) Config() core.Config { return r.cfg }
 
 // Sealed returns the retained sealed epochs in ascending epoch order
@@ -257,16 +319,17 @@ func (r *Ring) LastN(n int) Range {
 	}
 }
 
-// Seal freezes one epoch into the ring: sk is decoded, published as
-// the newest sealed epoch, and — once the ring exceeds its capacity —
-// the oldest epoch is evicted and every cached result whose window
-// reaches it is invalidated. Standing subscriptions are evaluated
-// against the freshly sealed epoch before Seal returns.
+// Seal freezes one epoch into the ring: the occupied buckets of sk
+// are copied into the epoch's columns, the epoch is published as the
+// newest sealed epoch, and — once the ring exceeds its capacity — the
+// oldest epoch is evicted and every cached result whose window reaches
+// it is invalidated. After publishing, Seal groups the new epoch under
+// every mask in use, then evaluates the standing subscriptions against
+// it, before returning.
 //
-// The ring takes ownership of sk: the caller must not touch it again
-// (pass a Clone to keep inserting). Epochs must arrive in strictly
-// increasing order and sk must share the ring's Config; violations
-// return ErrOrder / core.ErrIncompatible without changing the ring.
+// The ring keeps no reference to sk. Epochs must arrive in strictly
+// increasing order; a violation returns ErrOrder without changing the
+// ring. Sketches of any geometry may seal into one ring.
 func (r *Ring) Seal(epoch uint64, sk *core.Basic[flowkey.FiveTuple]) error {
 	start := r.now()
 	r.mu.Lock()
@@ -279,20 +342,8 @@ func (r *Ring) Seal(epoch uint64, sk *core.Basic[flowkey.FiveTuple]) error {
 		r.mu.Unlock()
 		return fmt.Errorf("%w (epoch %d, evicted through %d)", ErrOrder, epoch, st.evictedThrough)
 	}
-	if !r.probe.Compatible(sk) {
-		r.mu.Unlock()
-		return fmt.Errorf("window: seal epoch %d: sketch of %d×%d buckets, ring holds %d×%d: %w",
-			epoch, sk.Arrays(), sk.BucketsPerArray(), r.probe.Arrays(), r.probe.BucketsPerArray(), core.ErrIncompatible)
-	}
 
-	table := sk.Decode()
-	sealed := &Sealed{
-		Epoch:    epoch,
-		Sketch:   sk,
-		Table:    table,
-		Engine:   query.NewEngine(table),
-		SealedAt: start,
-	}
+	sealed := newSealed(epoch, start, sk.Buckets())
 	next := &ringState{
 		epochs:         append(append(make([]*Sealed, 0, len(st.epochs)+1), st.epochs...), sealed),
 		evictedThrough: st.evictedThrough,
@@ -311,8 +362,8 @@ func (r *Ring) Seal(epoch uint64, sk *core.Basic[flowkey.FiveTuple]) error {
 		r.tel.cacheInvalidations.Add(r.cache.invalidateEvicted(next.evictedThrough))
 	}
 
-	// Snapshot the subscribers under mu; evaluation runs outside it so
-	// a slow decode-heavy subscription never blocks Unsubscribe.
+	// Snapshot the subscribers under mu; grouping and evaluation run
+	// outside it so a slow subscription never blocks Unsubscribe.
 	var prev *Sealed
 	if n := len(st.epochs); n > 0 {
 		prev = st.epochs[n-1]
@@ -320,11 +371,56 @@ func (r *Ring) Seal(epoch uint64, sk *core.Basic[flowkey.FiveTuple]) error {
 	subs := make([]*subscriber, 0, len(r.subs))
 	for _, s := range r.subs {
 		subs = append(subs, s)
+		r.name(s.sub.Mask)
 	}
 	r.mu.Unlock()
 
+	for _, m := range r.masksInUse(next.epochs[0].Epoch) {
+		sealed.view(m)
+	}
 	r.notify(subs, sealed, prev)
 	return nil
+}
+
+// name records that a query or subscription named m: the mask is in
+// use from now on, until a full ring of epochs seals without anything
+// naming it again.
+func (r *Ring) name(m flowkey.Mask) {
+	st := r.state.Load()
+	if len(st.epochs) == 0 {
+		return
+	}
+	newest := st.epochs[len(st.epochs)-1].Epoch
+	r.useMu.Lock()
+	if e, ok := r.inUse[m]; !ok || newest > e {
+		r.inUse[m] = newest
+	}
+	r.useMu.Unlock()
+}
+
+// masksInUse drops every mask nothing has named since epoch oldest
+// sealed and returns the masks left.
+func (r *Ring) masksInUse(oldest uint64) []flowkey.Mask {
+	r.useMu.Lock()
+	defer r.useMu.Unlock()
+	out := make([]flowkey.Mask, 0, len(r.inUse))
+	for m, newest := range r.inUse {
+		if newest < oldest {
+			delete(r.inUse, m)
+			continue
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// views returns the span's epochs grouped under m.
+func views(span []*Sealed, m flowkey.Mask) []*view {
+	vs := make([]*view, len(span))
+	for i, s := range span {
+		vs[i] = s.view(m)
+	}
+	return vs
 }
 
 // resolve canonicalizes rg against the current snapshot: the returned
@@ -364,55 +460,4 @@ func (r *Ring) resolve(rg Range) (span []*Sealed, from, to uint64, err error) {
 func (r *Ring) Resolve(rg Range) (from, to uint64, err error) {
 	_, from, to, err = r.resolve(rg)
 	return from, to, err
-}
-
-// merged builds the window sketch for a resolved span: a fresh
-// core.Basic of the shared Config absorbing the covered epochs in
-// ascending epoch order. Merging into a fresh sketch copies the first
-// epoch verbatim and draws every later collision from the fresh
-// sketch's own seeded RNG, so the result is a pure function of
-// (Config, covered epoch sketches) — the bit-identity the differential
-// suite pins.
-func (r *Ring) merged(span []*Sealed) (*core.Basic[flowkey.FiveTuple], error) {
-	agg := core.NewBasic[flowkey.FiveTuple](r.cfg)
-	for _, s := range span {
-		if err := agg.Merge(s.Sketch); err != nil {
-			return nil, fmt.Errorf("window: merging epoch %d: %w", s.Epoch, err)
-		}
-	}
-	return agg, nil
-}
-
-// engineFor returns the window engine for a resolved span, consulting
-// the engine cache. Single-epoch windows reuse the epoch's own sealed
-// engine (merging one sketch into a fresh one copies it verbatim, so
-// the tables are bit-identical).
-func (r *Ring) engineFor(span []*Sealed, from, to uint64) (*query.Engine, error) {
-	if len(span) == 1 {
-		return span[0].Engine, nil
-	}
-	if eng, ok := r.cache.getEngine(from, to); ok {
-		r.tel.cacheHits.Inc()
-		return eng, nil
-	}
-	r.tel.cacheMisses.Inc()
-	agg, err := r.merged(span)
-	if err != nil {
-		return nil, err
-	}
-	eng := query.NewEngine(agg.Decode())
-	r.cache.putEngine(from, to, eng)
-	return eng, nil
-}
-
-// Window returns a query engine over the merged [from, to) window.
-// The engine is immutable; callers may hold it across later seals (it
-// keeps answering for the epochs it was built from).
-func (r *Ring) Window(rg Range) (*query.Engine, error) {
-	r.tel.queries.Inc()
-	span, from, to, err := r.resolve(rg)
-	if err != nil {
-		return nil, err
-	}
-	return r.engineFor(span, from, to)
 }

@@ -1,11 +1,13 @@
 package window_test
 
-// Unit semantics of the ring itself: seal ordering, compatibility
-// validation, bounds/LastN/resolution arithmetic, eviction accounting
-// and the seal-to-visible telemetry.
+// Unit semantics of the ring itself: seal ordering, epochs of any
+// geometry, bounds/LastN/resolution arithmetic, eviction accounting,
+// the sealed columns and views, the masks-in-use rule and the
+// seal-to-visible telemetry.
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -44,15 +46,27 @@ func TestSealRejectsOutOfOrderEpochs(t *testing.T) {
 	}
 }
 
-func TestSealRejectsIncompatibleSketch(t *testing.T) {
-	r := window.NewRing(2, testConfig)
-	other := core.Config{Arrays: testConfig.Arrays, BucketsPerArray: testConfig.BucketsPerArray * 2, Seed: testConfig.Seed}
-	if err := r.Seal(0, core.NewBasic[flowkey.FiveTuple](other)); !errors.Is(err, core.ErrIncompatible) {
-		t.Fatalf("Seal with wrong geometry: err = %v, want core.ErrIncompatible", err)
+// TestSealAcceptsAnyGeometry: a window is a sum of tables, so epochs of
+// different geometries and seeds seal into one ring and their window
+// is the sum of their tables.
+func TestSealAcceptsAnyGeometry(t *testing.T) {
+	tr := trace.CAIDALike(9_000, 43)
+	wide := core.Config{Arrays: testConfig.Arrays, BucketsPerArray: testConfig.BucketsPerArray * 2, Seed: testConfig.Seed}
+	seeded := core.Config{Arrays: 3, BucketsPerArray: testConfig.BucketsPerArray / 2, Seed: testConfig.Seed + 1}
+	var epochs []*core.Basic[flowkey.FiveTuple]
+	for i, cfg := range []core.Config{testConfig, wide, seeded} {
+		epochs = append(epochs, epochSketches(cfg, tr, 3)[i])
 	}
-	seeded := core.Config{Arrays: testConfig.Arrays, BucketsPerArray: testConfig.BucketsPerArray, Seed: testConfig.Seed + 1}
-	if err := r.Seal(0, core.NewBasic[flowkey.FiveTuple](seeded)); !errors.Is(err, core.ErrIncompatible) {
-		t.Fatalf("Seal with wrong seeds: err = %v, want core.ErrIncompatible", err)
+	r := window.NewRing(3, testConfig)
+	for e, sk := range epochs {
+		if err := r.Seal(uint64(e), sk.Clone()); err != nil {
+			t.Fatalf("Seal of a %d×%d sketch: %v", sk.Arrays(), sk.BucketsPerArray(), err)
+		}
+	}
+	checkAgainstSum(t, r, window.Range{From: 0, To: 3}, epochs, sumMasks())
+	var zero flowkey.Mask
+	if mass, err := r.Query(window.Range{From: 0, To: 3}, zero, flowkey.FiveTuple{}); err != nil || mass != uint64(len(tr.Packets)) {
+		t.Fatalf("window mass %d (err %v), %d packets sealed", mass, err, len(tr.Packets))
 	}
 }
 
@@ -153,22 +167,145 @@ func TestSealTelemetry(t *testing.T) {
 	}
 }
 
+// TestSealedEpochsAreImmutableSnapshots: a sealed epoch holds a copy of
+// its sketch's non-empty buckets in bucket order (later inserts into
+// the sketch do not reach it), and each view is built once: key
+// columns ascending and distinct, sizes summing to the epoch's mass,
+// and a size-descending order over every group.
 func TestSealedEpochsAreImmutableSnapshots(t *testing.T) {
 	tr := trace.CAIDALike(6_000, 41)
 	epochs := epochSketches(testConfig, tr, 2)
 	r := window.NewRing(2, testConfig)
-	mustSealN(t, r, epochs, 2)
+	want := make([][]core.Bucket[flowkey.FiveTuple], len(epochs))
+	decoded := make([]map[flowkey.FiveTuple]uint64, len(epochs))
+	for e, sk := range epochs {
+		decoded[e] = sk.Decode()
+		for _, b := range sk.Buckets() {
+			if b.Val != 0 {
+				want[e] = append(want[e], b)
+			}
+		}
+		if err := r.Seal(uint64(e), sk); err != nil {
+			t.Fatal(err)
+		}
+		sk.Insert(flowkey.FiveTuple{Proto: 99}, 1_000) // the ring must not see this
+	}
 	sealed := r.Sealed()
 	if len(sealed) != 2 || sealed[0].Epoch != 0 || sealed[1].Epoch != 1 {
 		t.Fatalf("Sealed() = %d epochs, want [0 1]", len(sealed))
 	}
-	if sealed[0].Engine == nil || sealed[0].Table == nil || sealed[0].Sketch == nil {
-		t.Fatal("Sealed epoch missing engine/table/sketch")
+	for e, s := range sealed {
+		keys, vals := window.SealedColumns(s)
+		if len(keys) != len(want[e]) {
+			t.Fatalf("epoch %d: %d rows, sketch holds %d non-empty buckets", e, len(keys), len(want[e]))
+		}
+		var mass uint64
+		for i, b := range want[e] {
+			if keys[i] != b.Key || vals[i] != b.Val {
+				t.Fatalf("epoch %d row %d: (%v, %d), bucket holds (%v, %d)", e, i, keys[i], vals[i], b.Key, b.Val)
+			}
+			mass += b.Val
+		}
+		for _, m := range testMasks(t) {
+			vk, sums, order, built := window.SealedView(s, m)
+			if built {
+				t.Fatalf("epoch %d mask %v: view built before any query named the mask", e, m)
+			}
+			_, again, _, built := window.SealedView(s, m)
+			if !built || len(again) > 0 && &again[0] != &sums[0] {
+				t.Fatalf("epoch %d mask %v: view rebuilt on second use", e, m)
+			}
+			var total uint64
+			for i := range vk {
+				if i > 0 && !flowkeyLess(vk[i-1], vk[i]) {
+					t.Fatalf("epoch %d mask %v: keys not strictly ascending at %d", e, m, i)
+				}
+				if vk[i] != m.Apply(vk[i]) {
+					t.Fatalf("epoch %d mask %v: key %v keeps bits the mask drops", e, m, vk[i])
+				}
+				total += sums[i]
+			}
+			if total != mass {
+				t.Fatalf("epoch %d mask %v: view mass %d, epoch mass %d", e, m, total, mass)
+			}
+			if len(order) != len(vk) {
+				t.Fatalf("epoch %d mask %v: order covers %d of %d groups", e, m, len(order), len(vk))
+			}
+			for i := 1; i < len(order); i++ {
+				if sums[order[i-1]] < sums[order[i]] {
+					t.Fatalf("epoch %d mask %v: order not size-descending at %d", e, m, i)
+				}
+			}
+		}
+		// testMasks includes the full key, whose view now holds the
+		// epoch's columns: the decoded table in ascending key order.
+		keys, vals = window.SealedColumns(s)
+		got := make(map[flowkey.FiveTuple]uint64, len(keys))
+		for i, k := range keys {
+			if i > 0 && !flowkeyLess(keys[i-1], k) {
+				t.Fatalf("epoch %d: full-key columns not strictly ascending at %d", e, i)
+			}
+			got[k] = vals[i]
+		}
+		if !reflect.DeepEqual(got, decoded[e]) {
+			t.Fatalf("epoch %d: full-key columns differ from the sketch's decode", e)
+		}
 	}
 	// The returned slice is a copy: truncating it must not affect the
 	// ring.
 	_ = append(sealed[:0], sealed[1])
 	if got := r.Sealed(); len(got) != 2 {
 		t.Fatalf("ring lost epochs after caller mutated Sealed() copy: %d", len(got))
+	}
+}
+
+// flowkeyLess orders keys by their canonical encoding.
+func flowkeyLess(a, b flowkey.FiveTuple) bool {
+	return string(a.AppendBytes(nil)) < string(b.AppendBytes(nil))
+}
+
+// TestSealGroupsMasksInUse pins the masks-in-use rule: once a query or
+// a subscription names a mask, every later seal groups the new epoch
+// under it; a mask nothing names again drops out once the oldest
+// retained epoch sealed after its last naming.
+func TestSealGroupsMasksInUse(t *testing.T) {
+	tr := trace.CAIDALike(8_000, 47)
+	epochs := epochSketches(testConfig, tr, 5)
+	r := window.NewRing(3, testConfig)
+	src := flowkey.MaskFields(flowkey.FieldSrcIP)
+	dst := flowkey.MaskFields(flowkey.FieldDstIP)
+	proto := flowkey.MaskFields(flowkey.FieldProto)
+	built := func(e int, m flowkey.Mask) bool {
+		t.Helper()
+		for _, s := range r.Sealed() {
+			if s.Epoch == uint64(e) {
+				return window.ViewBuilt(s, m)
+			}
+		}
+		t.Fatalf("epoch %d not retained", e)
+		return false
+	}
+
+	mustSealN(t, r, epochs, 1)
+	if _, err := r.Top(r.LastN(1), src, 3); err != nil {
+		t.Fatal(err)
+	}
+	r.Subscribe(window.Subscription{Kind: window.Entropy, Mask: proto}, make(chan window.Event, 8))
+	for e := 1; e < 5; e++ {
+		if err := r.Seal(uint64(e), epochs[e].Clone()); err != nil {
+			t.Fatal(err)
+		}
+		// Named while epoch 0 was the newest: in use through the seal
+		// that keeps epoch 0 as the oldest retained (epoch 2), dropped
+		// from the seal that evicts it (epoch 3) on.
+		if got, want := built(e, src), e <= 2; got != want {
+			t.Fatalf("epoch %d: SrcIP view built at seal = %v, want %v", e, got, want)
+		}
+		if !built(e, proto) {
+			t.Fatalf("epoch %d: subscription mask not grouped at seal", e)
+		}
+		if built(e, dst) {
+			t.Fatalf("epoch %d: a mask nothing named was grouped at seal", e)
+		}
 	}
 }

@@ -140,16 +140,15 @@ func (r *Ring) notify(subs []*subscriber, sealed, prev *Sealed) {
 	}
 }
 
-// evaluate runs one subscription predicate over the sealed epoch and
-// reports whether it fires.
+// evaluate runs one subscription predicate over the sealed epoch's
+// view under the subscription mask and reports whether it fires.
 func evaluate(sub Subscription, sealed, prev *Sealed) (Event, bool) {
 	ev := Event{Kind: sub.Kind, Epoch: sealed.Epoch, Mask: sub.Mask}
+	cur := grouped(sealed, sub.Mask)
 	switch sub.Kind {
 	case HeavyHitter:
-		grouped := sealed.Engine.GroupBy(sub.Mask)
-		total := sketch.TotalWeight(grouped)
-		thr := tasks.Threshold(total, sub.Fraction)
-		hh := tasks.HeavyHitters(grouped, thr)
+		thr := tasks.Threshold(sketch.TotalWeight(cur), sub.Fraction)
+		hh := tasks.HeavyHitters(cur, thr)
 		if len(hh) == 0 {
 			return ev, false
 		}
@@ -160,10 +159,9 @@ func evaluate(sub Subscription, sealed, prev *Sealed) (Event, bool) {
 		if prev == nil {
 			return ev, false
 		}
-		w1 := prev.Engine.GroupBy(sub.Mask)
-		w2 := sealed.Engine.GroupBy(sub.Mask)
-		thr := tasks.Threshold(sketch.TotalWeight(w1)+sketch.TotalWeight(w2), sub.Fraction)
-		hc := tasks.HeavyChanges(w1, w2, thr)
+		w1 := grouped(prev, sub.Mask)
+		thr := tasks.Threshold(sketch.TotalWeight(w1)+sketch.TotalWeight(cur), sub.Fraction)
+		hc := tasks.HeavyChanges(w1, cur, thr)
 		if len(hc) == 0 {
 			return ev, false
 		}
@@ -171,14 +169,19 @@ func evaluate(sub Subscription, sealed, prev *Sealed) (Event, bool) {
 		ev.Flows = sketch.TopK(hc, sub.Limit)
 		return ev, true
 	case Entropy:
-		grouped := sealed.Engine.GroupBy(sub.Mask)
-		e := tasks.NormalizedEntropy(grouped)
+		e := tasks.NormalizedEntropy(cur)
 		if e > sub.MaxEntropy {
 			return ev, false
 		}
 		ev.Entropy = e
-		ev.Flows = sketch.TopK(grouped, sub.Limit)
+		ev.Flows = sketch.TopK(cur, sub.Limit)
 		return ev, true
 	}
 	return ev, false
+}
+
+// grouped returns one epoch's table under m, read from its view.
+func grouped(s *Sealed, m flowkey.Mask) map[flowkey.FiveTuple]uint64 {
+	v := s.view(m)
+	return table(v.keys, v.sums)
 }
