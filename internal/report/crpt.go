@@ -8,6 +8,7 @@ import (
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
+	"cocosketch/internal/keysort"
 	"cocosketch/internal/sketch"
 )
 
@@ -33,10 +34,6 @@ const (
 	// RNG state and mass after them.
 	crptFixed = 4 + 1 + 1 + 2 + 4 + 1
 	crptTail  = 4 + 8 + 8
-
-	// maxKeySize is the widest key encoding the encoder sorts: two
-	// big-endian words. Every key type in flowkey fits.
-	maxKeySize = 16
 )
 
 // corruptf wraps ErrCorrupt with positional detail.
@@ -48,8 +45,8 @@ func corruptf(format string, args ...any) error {
 // keySize-byte keys, cut at shrink, fits the CRPT v3 header, and
 // returns log2(shrink).
 func headerShrink(keySize, d, l, shrink int) (uint8, error) {
-	if keySize <= 0 || keySize > maxKeySize {
-		return 0, fmt.Errorf("report: %d-byte keys outside CRPT v3's 1..%d", keySize, maxKeySize)
+	if keySize <= 0 || keySize > keysort.MaxKeySize {
+		return 0, fmt.Errorf("report: %d-byte keys outside CRPT v3's 1..%d", keySize, keysort.MaxKeySize)
 	}
 	if d <= 0 || d > math.MaxUint16 {
 		return 0, fmt.Errorf("report: %d arrays outside CRPT v3's 1..%d", d, math.MaxUint16)
@@ -63,52 +60,12 @@ func headerShrink(keySize, d, l, shrink int) (uint8, error) {
 	return uint8(bits.TrailingZeros(uint(shrink))), nil
 }
 
-// record is one occupied bucket, keyed for the encoder's sort: the
-// key's canonical bytes as two zero-padded big-endian words, so word
-// order is byte order.
-type record struct {
-	key [2]uint64
+// slot is where an occupied bucket's counter sits while the encoder
+// sorts the buckets by key: its value and its array. keysort.Sort is
+// stable, so the slots of one key stay in array order.
+type slot struct {
 	val uint64
 	arr int
-}
-
-// sortRecords sorts recs by key with a least-significant-digit radix
-// sort, one stable counting pass per key byte that is not the same in
-// every record, using tmp (len(recs)) as scratch, and returns whichever
-// of the two holds the result. Stability keeps the records of one key
-// in array order; the cost is linear whatever the keys. A comparator
-// sort in its place made netwide's seal latency slower than the delta
-// codec this one replaced (DESIGN.md §14).
-func sortRecords(recs, tmp []record) []record {
-	or, and := [2]uint64{}, [2]uint64{^uint64(0), ^uint64(0)}
-	for i := range recs {
-		for w, k := range recs[i].key {
-			or[w] |= k
-			and[w] &= k
-		}
-	}
-	for b := maxKeySize - 1; b >= 0; b-- {
-		w, shift := b/8, 56-8*(b%8)
-		if (or[w]^and[w])>>shift&0xff == 0 {
-			continue // every key has the same byte here
-		}
-		var start [256]int
-		for i := range recs {
-			start[recs[i].key[w]>>shift&0xff]++
-		}
-		sum := 0
-		for d, n := range start {
-			start[d] = sum
-			sum += n
-		}
-		for i := range recs {
-			d := recs[i].key[w] >> shift & 0xff
-			tmp[start[d]] = recs[i]
-			start[d]++
-		}
-		recs, tmp = tmp, recs
-	}
-	return recs
 }
 
 // Encode returns the CRPT v3 payload of stage, sealed as epoch, where
@@ -133,28 +90,18 @@ func Encode[K flowkey.Key](epoch uint32, stage *core.Basic[K], shrink int) ([]by
 			return nil, fmt.Errorf("report: empty bucket (%d,%d) holds a key", i/l, i%l)
 		}
 	}
-	recs := make([]record, 0, occupied)
-	kb := make([]byte, maxKeySize)
+	recs := make([]keysort.Row[slot], 0, occupied)
+	kb := new([keysort.MaxKeySize]byte) // past keySize, always zero
 	for i := range buckets {
 		b := &buckets[i]
 		if b.Val == 0 {
 			continue
 		}
 		b.Key.AppendBytes(kb[:0])
-		recs = append(recs, record{
-			key: [2]uint64{binary.BigEndian.Uint64(kb[:8]), binary.BigEndian.Uint64(kb[8:])},
-			val: b.Val,
-			arr: i / l,
-		})
+		recs = append(recs, keysort.Row[slot]{Key: keysort.Of(kb), Val: slot{b.Val, i / l}})
 	}
-	recs = sortRecords(recs, make([]record, len(recs)))
-
-	keys := 0
-	for i := range recs {
-		if i == 0 || recs[i].key != recs[i-1].key {
-			keys++
-		}
-	}
+	recs = keysort.Sort(recs, make([]keysort.Row[slot], len(recs)))
+	keys := keysort.Distinct(recs)
 	maskBytes := (d + 7) / 8
 	out := make([]byte, 0, crptFixed+4*d+crptTail+binary.MaxVarintLen64+
 		keys*(1+keySize+maskBytes)+len(recs)*binary.MaxVarintLen64)
@@ -171,30 +118,29 @@ func Encode[K flowkey.Key](epoch uint32, stage *core.Basic[K], shrink int) ([]by
 	out = binary.LittleEndian.AppendUint64(out, stage.SumValues())
 	out = binary.AppendUvarint(out, uint64(keys))
 
-	var cur [maxKeySize]byte
+	var cur [keysort.MaxKeySize]byte
 	for i := 0; i < len(recs); {
 		r := recs[i]
 		prefix := 0
 		if i > 0 {
-			p := recs[i-1].key
-			if x := p[0] ^ r.key[0]; x != 0 {
+			p := recs[i-1].Key
+			if x := p.Hi ^ r.Key.Hi; x != 0 {
 				prefix = bits.LeadingZeros64(x) / 8
 			} else {
-				prefix = 8 + bits.LeadingZeros64(p[1]^r.key[1])/8
+				prefix = 8 + bits.LeadingZeros64(p.Lo^r.Key.Lo)/8
 			}
 		}
-		binary.BigEndian.PutUint64(cur[:8], r.key[0])
-		binary.BigEndian.PutUint64(cur[8:], r.key[1])
+		r.Key.Put(&cur)
 		out = append(out, byte(prefix))
 		out = append(out, cur[prefix:keySize]...)
 		mask := len(out)
 		out = append(out, make([]byte, maskBytes)...)
 		j := i
-		for ; j < len(recs) && recs[j].key == r.key; j++ {
-			out[mask+recs[j].arr/8] |= 1 << (recs[j].arr % 8)
+		for ; j < len(recs) && recs[j].Key == r.Key; j++ {
+			out[mask+recs[j].Val.arr/8] |= 1 << (recs[j].Val.arr % 8)
 		}
 		for ; i < j; i++ {
-			out = binary.AppendUvarint(out, recs[i].val)
+			out = binary.AppendUvarint(out, recs[i].Val.val)
 		}
 	}
 	return out, nil

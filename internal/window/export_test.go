@@ -8,7 +8,7 @@ func SealedColumns(s *Sealed) ([]flowkey.FiveTuple, []uint64) {
 	defer s.mu.Unlock()
 	keys := make([]flowkey.FiveTuple, len(s.keys))
 	for i, k := range s.keys {
-		keys[i] = k.unpack()
+		keys[i] = unpack(k)
 	}
 	return keys, s.vals
 }
@@ -30,10 +30,28 @@ func ViewBuilt(s *Sealed, m flowkey.Mask) bool {
 // whether the view was built before the call.
 func SealedView(s *Sealed, m flowkey.Mask) (keys []flowkey.FiveTuple, sums []uint64, order []uint32, built bool) {
 	built = ViewBuilt(s, m)
-	v := s.view(m)
+	v := s.view(m, true)
 	keys = make([]flowkey.FiveTuple, len(v.keys))
 	for i, k := range v.keys {
-		keys[i] = k.unpack()
+		keys[i] = unpack(k)
 	}
 	return keys, v.sums, v.order, built
+}
+
+// MaxMasks is the bound on masks in use and on the views an epoch
+// keeps.
+const MaxMasks = maxMasks
+
+// ViewCount returns the number of views the epoch keeps.
+func ViewCount(s *Sealed) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.views)
+}
+
+// MasksInUse returns the number of masks the ring holds in use.
+func MasksInUse(r *Ring) int {
+	r.useMu.Lock()
+	defer r.useMu.Unlock()
+	return len(r.inUse)
 }

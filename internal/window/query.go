@@ -26,8 +26,7 @@ func (r *Ring) Window(rg Range) (*query.Engine, error) {
 		return nil, err
 	}
 	all := flowkey.MaskAll()
-	r.name(all)
-	return query.NewEngine(table(sumViews(views(span, all)))), nil
+	return query.NewEngine(table(sumViews(views(span, all, r.name(all))))), nil
 }
 
 // Query returns the estimated size of one partial-key flow over the
@@ -40,17 +39,17 @@ func (r *Ring) Query(rg Range, m flowkey.Mask, partial flowkey.FiveTuple) (uint6
 	if err != nil {
 		return 0, err
 	}
-	r.name(m)
+	keep := r.name(m)
 	key := cacheKey{op: opQuery, from: from, to: to, mask: m, partial: m.Apply(partial)}
 	if v, ok := r.cache.get(key); ok {
 		r.tel.cacheHits.Inc()
 		return v.(uint64), nil
 	}
 	r.tel.cacheMisses.Inc()
-	want := pack(partial).and(maskBits(m))
+	want := pack(partial).And(maskBits(m))
 	var sum uint64
 	for _, s := range span {
-		v := s.view(m)
+		v := s.view(m, keep)
 		if g, ok := v.find(want); ok {
 			sum += v.sums[g]
 		}
@@ -68,14 +67,14 @@ func (r *Ring) GroupBy(rg Range, m flowkey.Mask) (map[flowkey.FiveTuple]uint64, 
 	if err != nil {
 		return nil, err
 	}
-	r.name(m)
+	keep := r.name(m)
 	key := cacheKey{op: opGroup, from: from, to: to, mask: m}
 	if v, ok := r.cache.get(key); ok {
 		r.tel.cacheHits.Inc()
 		return copyTable(v.(map[flowkey.FiveTuple]uint64)), nil
 	}
 	r.tel.cacheMisses.Inc()
-	t := table(sumViews(views(span, m)))
+	t := table(sumViews(views(span, m, keep)))
 	r.cache.put(key, t)
 	return copyTable(t), nil
 }
@@ -94,7 +93,7 @@ func (r *Ring) Top(rg Range, m flowkey.Mask, k int) ([]sketch.Entry[flowkey.Five
 	if err != nil {
 		return nil, err
 	}
-	r.name(m)
+	keep := r.name(m)
 	key := cacheKey{op: opRows, from: from, to: to, mask: m, k: k}
 	if v, ok := r.cache.get(key); ok {
 		r.tel.cacheHits.Inc()
@@ -103,9 +102,9 @@ func (r *Ring) Top(rg Range, m flowkey.Mask, k int) ([]sketch.Entry[flowkey.Five
 	r.tel.cacheMisses.Inc()
 	var rows []sketch.Entry[flowkey.FiveTuple]
 	if k > 0 {
-		rows = topSum(views(span, m), k)
+		rows = topSum(views(span, m, keep), k)
 	} else {
-		rows = sketch.Entries(table(sumViews(views(span, m))))
+		rows = sketch.Entries(table(sumViews(views(span, m, keep))))
 	}
 	r.cache.put(key, rows)
 	return slices.Clone(rows), nil

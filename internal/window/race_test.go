@@ -43,8 +43,12 @@ func TestConcurrentSealQuerySubscribe(t *testing.T) {
 	reg := telemetry.New()
 	r := window.NewRing(4, cfg).SetTelemetry(reg).SetCacheLimit(64)
 
-	masks := make([]flowkey.Mask, 0, 4)
-	for _, spec := range []string{"SrcIP", "SrcIP/24+DstIP", "DstIP+DstPort", "Proto"} {
+	// More masks than may be in use at once (Window adds the full
+	// key), so readers also race views built per query against seals
+	// and places in the set of masks in use changing hands.
+	var masks []flowkey.Mask
+	for _, spec := range []string{"SrcIP", "SrcIP/24+DstIP", "DstIP+DstPort", "Proto",
+		"SrcIP/8", "SrcIP/16", "SrcIP/24", "DstIP/8", "DstIP/16", "DstIP/24", "SrcPort", "DstPort"} {
 		m, err := flowkey.ParseMask(spec)
 		if err != nil {
 			t.Fatal(err)

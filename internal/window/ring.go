@@ -12,13 +12,17 @@
 // epochs' tables is unbiased, adds no merge variance, and does not
 // depend on the order the epochs sealed in.
 //
-// Each epoch groups its columns under a mask once, on first use, into
-// a view: key-sorted partial keys, their sizes and a size-descending
-// order, cached on the epoch. A new epoch is grouped at seal for every
-// mask in use (named by a query or a subscription since the oldest
-// retained epoch sealed), so a query pays for what changed, not for
-// the whole window. Whole-table answers (GroupBy, SQL, Window) merge
-// the views' sorted keys; Top with k > 0 runs Fagin's Threshold
+// Each epoch groups its columns under a mask into a view: key-sorted
+// partial keys, their sizes and a size-descending order. A mask is in
+// use once a query or a subscription names it, until a full ring of
+// epochs seals without anything naming it again; at most eight masks
+// are in use at once. Views of masks in use are built once and kept on
+// the epoch, and a new epoch is grouped at seal for every mask in use,
+// so a query pays for what changed, not for the whole window. A view
+// of any other mask is built for its query and not kept, so the views
+// the ring holds and the grouping a seal does stay bounded whatever
+// masks the queries name. Whole-table answers (GroupBy, SQL, Window)
+// merge the views' sorted keys; Top with k > 0 runs Fagin's Threshold
 // Algorithm over the size orders and stops as soon as no unseen key
 // can reach the k-th row. Results are cached per (operation, partial
 // key or row limit, window) and invalidated when ring eviction makes a
@@ -37,6 +41,7 @@ import (
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
+	"cocosketch/internal/keysort"
 	"cocosketch/internal/telemetry"
 )
 
@@ -84,10 +89,10 @@ var (
 )
 
 // Sealed is one sealed epoch: its full-key table as flat columns, and
-// the views grouped from them so far. The table never changes after
-// Seal (its columns are swapped once, for the full-key view's, which
-// hold the same table sorted); a view is built once and then never
-// changes either.
+// the views kept on it so far. The table never changes after Seal (its
+// columns are swapped once, for the full-key view's, which hold the
+// same table sorted); a view is built once and then never changes
+// either.
 type Sealed struct {
 	// Epoch is the epoch number the sealer assigned.
 	Epoch uint64
@@ -96,13 +101,20 @@ type Sealed struct {
 
 	// mu guards the fields below. keys and vals hold the sketch's
 	// non-empty buckets in bucket order (24 bytes a bucket, no map)
-	// until the full-key view is built, then that view's columns.
-	// views holds the views built or being built, one per mask.
+	// until the full-key view is kept, then that view's columns.
+	// views holds the views kept or being built to be kept, at most
+	// maxMasks of them, one per mask.
 	mu    sync.Mutex
-	keys  []pkey
+	keys  []keysort.Key
 	vals  []uint64
 	views []*view
 }
+
+// maxMasks bounds the masks in use and the views an epoch keeps. A
+// query may name any of millions of masks, and each view kept costs 28
+// bytes a row in every epoch it covers; past the bound, views are
+// built per query instead.
+const maxMasks = 8
 
 // newSealed copies the non-empty buckets of a sketch into the columns
 // of a sealed epoch.
@@ -113,7 +125,7 @@ func newSealed(epoch uint64, at time.Time, buckets []core.Bucket[flowkey.FiveTup
 			n++
 		}
 	}
-	s := &Sealed{Epoch: epoch, SealedAt: at, keys: make([]pkey, 0, n), vals: make([]uint64, 0, n)}
+	s := &Sealed{Epoch: epoch, SealedAt: at, keys: make([]keysort.Key, 0, n), vals: make([]uint64, 0, n)}
 	for i := range buckets {
 		if b := &buckets[i]; b.Val != 0 {
 			s.keys = append(s.keys, pack(b.Key))
@@ -123,9 +135,12 @@ func newSealed(epoch uint64, at time.Time, buckets []core.Bucket[flowkey.FiveTup
 	return s
 }
 
-// view returns the epoch grouped under m, building it on first use.
-// Concurrent callers for one mask share one build.
-func (s *Sealed) view(m flowkey.Mask) *view {
+// view returns the epoch grouped under m. A view kept on the epoch is
+// shared. Otherwise, if keep is set and the epoch keeps fewer than
+// maxMasks views, the view is built once and kept, concurrent callers
+// for m sharing the build; any other view is built for the caller
+// alone.
+func (s *Sealed) view(m flowkey.Mask, keep bool) *view {
 	s.mu.Lock()
 	var v *view
 	for _, w := range s.views {
@@ -134,12 +149,17 @@ func (s *Sealed) view(m flowkey.Mask) *view {
 			break
 		}
 	}
-	if v == nil {
+	if v == nil && keep && len(s.views) < maxMasks {
 		v = &view{mask: m}
 		s.views = append(s.views, v)
 	}
 	keys, vals := s.keys, s.vals
 	s.mu.Unlock()
+	if v == nil {
+		v = &view{mask: m}
+		v.build(keys, vals)
+		return v
+	}
 	v.once.Do(func() {
 		v.build(keys, vals)
 		if m.IsFull() {
@@ -190,7 +210,6 @@ type ringTel struct {
 // methods are safe for any number of concurrent readers.
 type Ring struct {
 	capacity int
-	cfg      core.Config
 	state    atomic.Pointer[ringState]
 	cache    *cache
 	now      func() time.Time
@@ -201,8 +220,9 @@ type Ring struct {
 	subs    map[int]*subscriber
 	nextSub int
 
-	// useMu guards inUse, which maps each mask in use to the newest
-	// sealed epoch when a query or subscription last named it.
+	// useMu guards inUse, which maps each mask in use (at most
+	// maxMasks) to the newest sealed epoch when a query or
+	// subscription last named it.
 	useMu sync.Mutex
 	inUse map[flowkey.Mask]uint64
 }
@@ -213,15 +233,14 @@ const DefaultCacheEntries = 1024
 
 // NewRing creates a ring retaining the newest capacity sealed epochs.
 // Windows are sums of the epochs' tables, so the ring accepts epochs
-// of any geometry; cfg is only reported by Config. The result cache
-// starts enabled at DefaultCacheEntries.
-func NewRing(capacity int, cfg core.Config) *Ring {
+// of any geometry and does not use the sketch configuration. The
+// result cache starts enabled at DefaultCacheEntries.
+func NewRing(capacity int, _ core.Config) *Ring {
 	if capacity <= 0 {
 		panic("window: ring capacity must cover at least one epoch")
 	}
 	r := &Ring{
 		capacity: capacity,
-		cfg:      cfg,
 		cache:    newCache(DefaultCacheEntries),
 		now:      time.Now,
 		subs:     make(map[int]*subscriber),
@@ -270,9 +289,6 @@ func (r *Ring) SetCacheLimit(n int) *Ring {
 
 // Capacity returns the maximum number of epochs retained.
 func (r *Ring) Capacity() int { return r.capacity }
-
-// Config returns the sketch configuration the ring was created with.
-func (r *Ring) Config() core.Config { return r.cfg }
 
 // Sealed returns the retained sealed epochs in ascending epoch order
 // (a copy of the snapshot's slice; the Sealed values are shared and
@@ -376,26 +392,45 @@ func (r *Ring) Seal(epoch uint64, sk *core.Basic[flowkey.FiveTuple]) error {
 	r.mu.Unlock()
 
 	for _, m := range r.masksInUse(next.epochs[0].Epoch) {
-		sealed.view(m)
+		sealed.view(m, true)
 	}
 	r.notify(subs, sealed, prev)
 	return nil
 }
 
-// name records that a query or subscription named m: the mask is in
-// use from now on, until a full ring of epochs seals without anything
-// naming it again.
-func (r *Ring) name(m flowkey.Mask) {
+// name records that a query or subscription named m and reports
+// whether m is in use: it is from now on, until a full ring of epochs
+// seals without anything naming it again, unless maxMasks other masks
+// are in use already.
+func (r *Ring) name(m flowkey.Mask) bool {
 	st := r.state.Load()
 	if len(st.epochs) == 0 {
-		return
+		return false
 	}
 	newest := st.epochs[len(st.epochs)-1].Epoch
 	r.useMu.Lock()
-	if e, ok := r.inUse[m]; !ok || newest > e {
+	defer r.useMu.Unlock()
+	e, ok := r.inUse[m]
+	if !ok && len(r.inUse) >= maxMasks {
+		r.dropUnused(st.epochs[0].Epoch)
+		if len(r.inUse) >= maxMasks {
+			return false
+		}
+	}
+	if !ok || newest > e {
 		r.inUse[m] = newest
 	}
-	r.useMu.Unlock()
+	return true
+}
+
+// dropUnused drops every mask nothing has named since epoch oldest
+// sealed. The caller holds useMu.
+func (r *Ring) dropUnused(oldest uint64) {
+	for m, newest := range r.inUse {
+		if newest < oldest {
+			delete(r.inUse, m)
+		}
+	}
 }
 
 // masksInUse drops every mask nothing has named since epoch oldest
@@ -403,22 +438,20 @@ func (r *Ring) name(m flowkey.Mask) {
 func (r *Ring) masksInUse(oldest uint64) []flowkey.Mask {
 	r.useMu.Lock()
 	defer r.useMu.Unlock()
+	r.dropUnused(oldest)
 	out := make([]flowkey.Mask, 0, len(r.inUse))
-	for m, newest := range r.inUse {
-		if newest < oldest {
-			delete(r.inUse, m)
-			continue
-		}
+	for m := range r.inUse {
 		out = append(out, m)
 	}
 	return out
 }
 
-// views returns the span's epochs grouped under m.
-func views(span []*Sealed, m flowkey.Mask) []*view {
+// views returns the span's epochs grouped under m, kept on each epoch
+// if keep is set and it has room (see Sealed.view).
+func views(span []*Sealed, m flowkey.Mask, keep bool) []*view {
 	vs := make([]*view, len(span))
 	for i, s := range span {
-		vs[i] = s.view(m)
+		vs[i] = s.view(m, keep)
 	}
 	return vs
 }

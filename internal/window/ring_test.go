@@ -7,6 +7,7 @@ package window_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -308,4 +309,70 @@ func TestSealGroupsMasksInUse(t *testing.T) {
 			t.Fatalf("epoch %d: a mask nothing named was grouped at seal", e)
 		}
 	}
+}
+
+// TestMasksInUseAreBounded names three times as many masks as may be
+// in use, as a drill-down sweep over prefix lengths does: every answer
+// is still the exact sum, no epoch keeps more than MaxMasks views, a
+// seal groups the masks in use and no other, and a mask nothing names
+// for a full ring frees its place.
+func TestMasksInUseAreBounded(t *testing.T) {
+	const capacity = 3
+	epochs := epochSketches(testConfig, trace.CAIDALike(8_000, 53), 2*capacity+1)
+	r := window.NewRing(capacity, testConfig)
+	mustSealN(t, r, epochs, capacity)
+	masks := make([]flowkey.Mask, 3*window.MaxMasks)
+	for i := range masks {
+		m, err := flowkey.ParseMask(fmt.Sprintf("SrcIP/%d", i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		masks[i] = m
+	}
+	for _, m := range masks {
+		checkAgainstSum(t, r, r.LastN(capacity), epochs[:capacity], []flowkey.Mask{m})
+	}
+	if got := window.MasksInUse(r); got != window.MaxMasks {
+		t.Fatalf("%d masks in use after naming %d, want the bound %d", got, len(masks), window.MaxMasks)
+	}
+	for _, s := range r.Sealed() {
+		if n := window.ViewCount(s); n > window.MaxMasks {
+			t.Fatalf("epoch %d keeps %d views, bound %d", s.Epoch, n, window.MaxMasks)
+		}
+	}
+
+	// The first MaxMasks masks named are the ones in use: the next seal
+	// groups exactly those.
+	if err := r.Seal(capacity, epochs[capacity].Clone()); err != nil {
+		t.Fatal(err)
+	}
+	newest := r.Sealed()[capacity-1]
+	for i, m := range masks {
+		if got, want := window.ViewBuilt(newest, m), i < window.MaxMasks; got != want {
+			t.Fatalf("mask %v (named %d of %d): grouped at seal = %v, want %v", m, i+1, len(masks), got, want)
+		}
+	}
+
+	// Unnamed while a full ring seals, every mask drops out of use, and
+	// a newly named one takes a place again.
+	for e := capacity + 1; e < 2*capacity; e++ {
+		if err := r.Seal(uint64(e), epochs[e].Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := window.MasksInUse(r); got != 0 {
+		t.Fatalf("%d masks still in use after a full ring sealed unnamed", got)
+	}
+	last := masks[len(masks)-1]
+	if _, err := r.GroupBy(r.LastN(1), last); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Seal(2*capacity, epochs[2*capacity].Clone()); err != nil {
+		t.Fatal(err)
+	}
+	newest = r.Sealed()[capacity-1]
+	if !window.ViewBuilt(newest, last) || window.ViewCount(newest) != 1 {
+		t.Fatalf("after the ring drained, the one mask named is not the one grouped at seal (%d views)", window.ViewCount(newest))
+	}
+	checkAgainstSum(t, r, r.LastN(capacity), epochs[capacity+1:], masks)
 }

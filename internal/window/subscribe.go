@@ -180,8 +180,9 @@ func evaluate(sub Subscription, sealed, prev *Sealed) (Event, bool) {
 	return ev, false
 }
 
-// grouped returns one epoch's table under m, read from its view.
+// grouped returns one epoch's table under m, read from its view: the
+// one kept at seal while m is in use, else one built for this call.
 func grouped(s *Sealed, m flowkey.Mask) map[flowkey.FiveTuple]uint64 {
-	v := s.view(m)
+	v := s.view(m, false)
 	return table(v.keys, v.sums)
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"cocosketch/internal/flowkey"
+	"cocosketch/internal/keysort"
 	"cocosketch/internal/sketch"
 )
 
@@ -14,39 +15,32 @@ import (
 // tables (the paper's subset sums are linear, Def. 1), so no query
 // merges sketches and no answer depends on the order epochs sealed in.
 
-// pkey is a FiveTuple packed into two words in the byte order of its
-// canonical encoding (SrcIP, DstIP, SrcPort, DstPort, Proto, most
-// significant byte first): comparing pkeys compares encodings, and a
-// mask is a bitwise AND.
-type pkey struct{ hi, lo uint64 }
-
-// pack returns k's packed form.
-func pack(k flowkey.FiveTuple) pkey {
-	return pkey{
-		uint64(binary.BigEndian.Uint32(k.SrcIP[:]))<<32 | uint64(binary.BigEndian.Uint32(k.DstIP[:])),
-		uint64(k.SrcPort)<<48 | uint64(k.DstPort)<<32 | uint64(k.Proto)<<24,
-	}
+// pack returns k's canonical encoding packed as a keysort.Key:
+// comparing packed keys compares encodings, and a mask is an AND.
+func pack(k flowkey.FiveTuple) keysort.Key {
+	var b [keysort.MaxKeySize]byte
+	k.AppendBytes(b[:0])
+	return keysort.Of(&b)
 }
 
-// unpack returns the FiveTuple p packs.
-func (p pkey) unpack() flowkey.FiveTuple {
+// unpack returns the FiveTuple whose encoding p packs, read straight
+// from the words: result tables unpack every row, and going through
+// the bytes and flowkey.FiveTupleFromBytes (not inlined) made an
+// uncached GroupBy about 7% slower.
+func unpack(p keysort.Key) flowkey.FiveTuple {
 	var k flowkey.FiveTuple
-	binary.BigEndian.PutUint32(k.SrcIP[:], uint32(p.hi>>32))
-	binary.BigEndian.PutUint32(k.DstIP[:], uint32(p.hi))
-	k.SrcPort = uint16(p.lo >> 48)
-	k.DstPort = uint16(p.lo >> 32)
-	k.Proto = uint8(p.lo >> 24)
+	binary.BigEndian.PutUint32(k.SrcIP[:], uint32(p.Hi>>32))
+	binary.BigEndian.PutUint32(k.DstIP[:], uint32(p.Hi))
+	k.SrcPort = uint16(p.Lo >> 48)
+	k.DstPort = uint16(p.Lo >> 32)
+	k.Proto = uint8(p.Lo >> 24)
 	return k
 }
-
-func (p pkey) less(q pkey) bool { return p.hi < q.hi || p.hi == q.hi && p.lo < q.lo }
-
-func (p pkey) and(q pkey) pkey { return pkey{p.hi & q.hi, p.lo & q.lo} }
 
 // maskBits returns the packed bits m keeps: a mask keeps a prefix of
 // each field, so applying it is an AND with its image of the all-ones
 // key.
-func maskBits(m flowkey.Mask) pkey {
+func maskBits(m flowkey.Mask) keysort.Key {
 	ones := flowkey.FiveTuple{
 		SrcIP: [4]byte{0xff, 0xff, 0xff, 0xff}, DstIP: [4]byte{0xff, 0xff, 0xff, 0xff},
 		SrcPort: 0xffff, DstPort: 0xffff, Proto: 0xff,
@@ -57,91 +51,37 @@ func maskBits(m flowkey.Mask) pkey {
 // view is one sealed epoch grouped under one mask, as three columns:
 // the distinct partial keys in ascending order, each group's summed
 // size, and the group indices in size-descending order (ties in key
-// order). 28 bytes a row and no map. It is built once, on first use,
-// and never changes afterwards.
+// order). 28 bytes a row and no map. It is built once and never
+// changes afterwards.
 type view struct {
 	mask  flowkey.Mask
 	once  sync.Once
-	keys  []pkey
+	keys  []keysort.Key
 	sums  []uint64
 	order []uint32
-}
-
-// row is one (key, size) pair while a view is sorted.
-type row struct {
-	key pkey
-	val uint64
 }
 
 // build groups the epoch's full-key columns under v.mask. Equal
 // partial keys are summed, as are duplicate full keys (Basic.Decode
 // sums them too).
-func (v *view) build(keys []pkey, vals []uint64) {
+func (v *view) build(keys []keysort.Key, vals []uint64) {
 	mb := maskBits(v.mask)
-	rows := make([]row, len(keys))
+	rows := make([]keysort.Row[uint64], len(keys))
 	for i, k := range keys {
-		rows[i] = row{k.and(mb), vals[i]}
+		rows[i] = keysort.Row[uint64]{Key: k.And(mb), Val: vals[i]}
 	}
-	rows = sortRows(rows, make([]row, len(rows)))
-	n := 0
-	for i := range rows {
-		if i == 0 || rows[i].key != rows[i-1].key {
-			n++
-		}
-	}
-	v.keys, v.sums = make([]pkey, n), make([]uint64, n)
+	rows = keysort.Sort(rows, make([]keysort.Row[uint64], len(rows)))
+	n := keysort.Distinct(rows)
+	v.keys, v.sums = make([]keysort.Key, n), make([]uint64, n)
 	g := -1
 	for i := range rows {
-		if i == 0 || rows[i].key != rows[i-1].key {
+		if i == 0 || rows[i].Key != rows[i-1].Key {
 			g++
-			v.keys[g] = rows[i].key
+			v.keys[g] = rows[i].Key
 		}
-		v.sums[g] += rows[i].val
+		v.sums[g] += rows[i].Val
 	}
 	v.order = sizeOrder(v.sums)
-}
-
-// sortRows sorts rows by key with a least-significant-digit radix sort
-// that skips every byte all keys share (a mask zeroes whole bytes, so
-// coarse masks sort in few passes), using tmp (len(rows)) as scratch,
-// and returns whichever of the two holds the result. The same sort as
-// report.sortRecords; a comparator sort made grouping at seal about
-// twenty times slower (DESIGN.md §16).
-func sortRows(rows, tmp []row) []row {
-	or, and := pkey{}, pkey{^uint64(0), ^uint64(0)}
-	for i := range rows {
-		k := rows[i].key
-		or, and = pkey{or.hi | k.hi, or.lo | k.lo}, pkey{and.hi & k.hi, and.lo & k.lo}
-	}
-	for b := 15; b >= 0; b-- {
-		// Byte b of the 16-byte key: one shift brings it down, the
-		// other is 64 and so clears the other word.
-		hiShift, loShift := uint(64), uint(64)
-		if b < 8 {
-			hiShift = uint(56 - 8*b)
-		} else {
-			loShift = uint(120 - 8*b)
-		}
-		if ((or.hi^and.hi)>>hiShift|(or.lo^and.lo)>>loShift)&0xff == 0 {
-			continue
-		}
-		var start [256]int
-		for i := range rows {
-			start[(rows[i].key.hi>>hiShift|rows[i].key.lo>>loShift)&0xff]++
-		}
-		sum := 0
-		for d, n := range start {
-			start[d] = sum
-			sum += n
-		}
-		for i := range rows {
-			d := (rows[i].key.hi>>hiShift | rows[i].key.lo>>loShift) & 0xff
-			tmp[start[d]] = rows[i]
-			start[d]++
-		}
-		rows, tmp = tmp, rows
-	}
-	return rows
 }
 
 // sizeOrder returns the indices of sums in size-descending order, ties
@@ -178,11 +118,11 @@ func sizeOrder(sums []uint64) []uint32 {
 }
 
 // find returns the index of group key in v, and whether v has it.
-func (v *view) find(key pkey) (int, bool) {
+func (v *view) find(key keysort.Key) (int, bool) {
 	lo, hi := 0, len(v.keys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if v.keys[mid].less(key) {
+		if v.keys[mid].Less(key) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -195,7 +135,7 @@ func (v *view) find(key pkey) (int, bool) {
 // key once with the sum of its sizes: the views are merged in pairs,
 // then the pairs' sums in pairs, and so on. One view is returned as it
 // is; callers must not modify the columns.
-func sumViews(vs []*view) ([]pkey, []uint64) {
+func sumViews(vs []*view) ([]keysort.Key, []uint64) {
 	level := make([]columns, len(vs))
 	for i, v := range vs {
 		level[i] = columns{v.keys, v.sums}
@@ -215,22 +155,22 @@ func sumViews(vs []*view) ([]pkey, []uint64) {
 
 // columns is a key-ascending table.
 type columns struct {
-	keys []pkey
+	keys []keysort.Key
 	sums []uint64
 }
 
 // mergeSum returns the sum of two key-ascending tables.
 func mergeSum(a, b columns) columns {
 	n := len(a.keys) + len(b.keys)
-	out := columns{make([]pkey, 0, n), make([]uint64, 0, n)}
+	out := columns{make([]keysort.Key, 0, n), make([]uint64, 0, n)}
 	i, j := 0, 0
 	for i < len(a.keys) && j < len(b.keys) {
 		ka, kb := a.keys[i], b.keys[j]
 		switch {
-		case ka.less(kb):
+		case ka.Less(kb):
 			out.keys, out.sums = append(out.keys, ka), append(out.sums, a.sums[i])
 			i++
-		case kb.less(ka):
+		case kb.Less(ka):
 			out.keys, out.sums = append(out.keys, kb), append(out.sums, b.sums[j])
 			j++
 		default:
@@ -244,10 +184,10 @@ func mergeSum(a, b columns) columns {
 }
 
 // table returns key-ascending columns as a partial-key table.
-func table(keys []pkey, sums []uint64) map[flowkey.FiveTuple]uint64 {
+func table(keys []keysort.Key, sums []uint64) map[flowkey.FiveTuple]uint64 {
 	out := make(map[flowkey.FiveTuple]uint64, len(keys))
 	for i, k := range keys {
-		out[k.unpack()] = sums[i]
+		out[unpack(k)] = sums[i]
 	}
 	return out
 }
@@ -275,7 +215,7 @@ func topSum(vs []*view, k int) []sketch.Entry[flowkey.FiveTuple] {
 	for _, v := range vs {
 		rows += len(v.keys)
 	}
-	seen := make(map[pkey]uint64)
+	seen := make(map[keysort.Key]uint64)
 	// kth is a min-heap of the k largest sums seen; kth[0] is the k-th.
 	// k comes from a request, so the heap is sized by the rows, not k.
 	kth := make([]uint64, 0, min(k, rows))
@@ -310,7 +250,7 @@ func topSum(vs []*view, k int) []sketch.Entry[flowkey.FiveTuple] {
 			return firstK(keys, sums, k)
 		}
 	}
-	keys, sums := make([]pkey, 0, len(seen)), make([]uint64, 0, len(seen))
+	keys, sums := make([]keysort.Key, 0, len(seen)), make([]uint64, 0, len(seen))
 	for key, sum := range seen {
 		keys, sums = append(keys, key), append(sums, sum)
 	}
@@ -320,7 +260,7 @@ func topSum(vs []*view, k int) []sketch.Entry[flowkey.FiveTuple] {
 // firstK returns the first k rows, in sketch.Entries order, of the
 // table held in columns: only the keys whose sum reaches the k-th
 // largest can be among them, so only those are ranked.
-func firstK(keys []pkey, sums []uint64, k int) []sketch.Entry[flowkey.FiveTuple] {
+func firstK(keys []keysort.Key, sums []uint64, k int) []sketch.Entry[flowkey.FiveTuple] {
 	kth := make([]uint64, 0, min(k, len(sums)))
 	for _, sum := range sums {
 		kth = pushKth(kth, k, sum)
@@ -332,7 +272,7 @@ func firstK(keys []pkey, sums []uint64, k int) []sketch.Entry[flowkey.FiveTuple]
 	top := make(map[flowkey.FiveTuple]uint64)
 	for i, sum := range sums {
 		if sum >= floor {
-			top[keys[i].unpack()] = sum
+			top[unpack(keys[i])] = sum
 		}
 	}
 	return sketch.TopK(top, k)
