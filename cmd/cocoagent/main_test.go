@@ -19,6 +19,7 @@ import (
 	"cocosketch/internal/report"
 	"cocosketch/internal/shard"
 	"cocosketch/internal/trace"
+	"cocosketch/internal/window"
 )
 
 // startCollector runs an in-process collector on a loopback port and
@@ -165,8 +166,8 @@ func TestRunNoTelemetryFlag(t *testing.T) {
 }
 
 // TestRunPcapMatchesReference feeds a real capture through -pcap
-// (the shard replay pipeline) and checks the collector's
-// epoch-0 table: at -workers 1 it equals one sketch fed the trace's
+// (the shard replay pipeline) and checks the epoch-0 table the
+// collector seals: at -workers 1 it equals one sketch fed the trace's
 // packets in order, at -workers 2 a 2-worker shard engine fed the
 // same packets.
 func TestRunPcapMatchesReference(t *testing.T) {
@@ -213,9 +214,13 @@ func TestRunPcapMatchesReference(t *testing.T) {
 			if code != 0 {
 				t.Fatalf("run = %d\nstderr: %s", code, stderr.String())
 			}
-			got, ok := collector.Epoch(0)
-			if !ok {
-				t.Fatal("collector holds no epoch 0")
+			ring := window.NewRing(1, cfg)
+			if err := collector.SealEpochInto(ring, 0); err != nil {
+				t.Fatalf("collector holds no epoch 0: %v", err)
+			}
+			got, err := ring.Window(window.Range{From: 0, To: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
 			if !maps.Equal(got.FullTable(), tc.want) {
 				t.Fatalf("epoch-0 table (%d flows) differs from the reference (%d flows)",

@@ -1,7 +1,11 @@
 // Command cococollector runs the network-wide measurement collector:
-// it listens for CocoSketch reports from cocoagent processes, merges
-// each epoch's shards, and periodically prints network-wide top flows
-// for the requested partial keys.
+// it listens for CocoSketch reports from cocoagent processes, and every
+// -every it merges the oldest epoch it holds into one network-wide
+// sketch, seals it into a query ring (netwide.Collector.SealNext) and
+// prints the epoch's top flows for the requested partial keys from the
+// ring. The ring then owns the epoch: the collector drops its shards,
+// and a report that arrives for it later is acknowledged and counted
+// (netwide.late_reports), not served.
 //
 // All agents and the collector must agree on -mem, -d and -seed (the
 // shared sketch configuration that makes shards mergeable; both ends
@@ -15,14 +19,14 @@
 // /debug/pprof/. With -idle-timeout a connection whose agent goes
 // silent is dropped instead of holding its handler goroutine forever.
 //
-// With -window N the collector additionally retains the last N sealed
-// epochs in a sliding-window query ring (internal/window), and with
-// -serve-query it serves live windowed partial-key queries as JSON.
-// The ring answers a window as the sum of its epochs' tables, so it
-// serves epochs of agents at any -report-shrink; the agents of one
-// fleet must still ship at one shrink, because the collector merges
-// their stages into one epoch sketch. A failed seal is reported on
-// stderr.
+// With -window N the ring retains the last N sealed epochs as a
+// sliding window (internal/window); without it, the ring keeps only
+// the epoch being printed. With -serve-query the collector serves live
+// windowed partial-key queries over the ring as JSON. The ring answers
+// a window as the sum of its epochs' tables, so it serves epochs of
+// agents at any -report-shrink; the agents of one fleet must still ship
+// at one shrink, because the collector merges their stages into one
+// epoch sketch. A failed seal is reported on stderr.
 //
 //	GET /query?sql=SELECT+SrcIP,+SUM(Size)+FROM+table+GROUP+BY+SrcIP&range=last:4
 //	GET /epochs
@@ -38,7 +42,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -47,6 +50,7 @@ import (
 	"cocosketch/internal/netwide"
 	"cocosketch/internal/query"
 	"cocosketch/internal/report"
+	"cocosketch/internal/sketch"
 	"cocosketch/internal/telemetry"
 	"cocosketch/internal/window"
 )
@@ -74,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		oneshot   = fs.Bool("oneshot", false, "print one report after the first epoch completes, then exit")
 		telAddr   = fs.String("telemetry", "", "serve /debug/vars and /debug/pprof on this address (off when empty)")
 		idleTO    = fs.Duration("idle-timeout", 0, "drop an agent connection after this much silence, freeing its handler (0 = never)")
-		windowN   = fs.Int("window", 0, "retain the last N sealed epochs in a sliding-window query ring (0 = off)")
+		windowN   = fs.Int("window", 0, "retain the last N sealed epochs in a sliding-window query ring (0 = only the epoch being printed)")
 		queryAddr = fs.String("serve-query", "", "serve the windowed JSON query endpoint (/query, /epochs) on this address (requires -window)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -125,21 +129,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// must agree on the fat geometry.
 	cfg := report.AlignConfig(core.ConfigForMemory[flowkey.FiveTuple](*d, *memKB*1024, *seed))
 	collector := netwide.NewCollector(cfg).SetTelemetry(reg).SetIdleTimeout(*idleTO)
-	var ring *window.Ring
 	if *queryAddr != "" && *windowN <= 0 {
 		fmt.Fprintln(stderr, "cococollector: -serve-query requires -window N (N >= 1)")
 		return 2
 	}
-	if *windowN > 0 {
-		ring = window.NewRing(*windowN, cfg).SetTelemetry(reg)
-		if *queryAddr != "" {
-			addr, err := window.Serve(*queryAddr, ring)
-			if err != nil {
-				fmt.Fprintf(stderr, "cococollector: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "query: listening on %s\n", addr)
+	// Every epoch seals into the ring, which then owns it: the printed
+	// rows come from the ring, so each epoch is folded once.
+	ring := window.NewRing(max(*windowN, 1), cfg).SetTelemetry(reg)
+	if *queryAddr != "" {
+		addr, err := window.Serve(*queryAddr, ring)
+		if err != nil {
+			fmt.Fprintf(stderr, "cococollector: %v\n", err)
+			return 1
 		}
+		fmt.Fprintf(stdout, "query: listening on %s\n", addr)
 	}
 
 	l, err := net.Listen("tcp", *listen)
@@ -155,37 +158,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	for next := uint32(0); ; {
+	for {
 		time.Sleep(*every)
-		// Serve the oldest held epoch at or past next, not next itself:
-		// a coalesced spool report arrives under its range's high epoch,
-		// so the lower epochs it covers never arrive. The ring accepts
-		// the gap, because seals only need increasing epochs.
-		held := collector.Epochs()
-		i := sort.Search(len(held), func(i int) bool { return held[i] >= next })
-		if i == len(held) {
+		epoch, agents, ok, err := collector.SealNext(ring)
+		if err != nil {
+			fmt.Fprintf(stderr, "cococollector: seal epoch %d: %v\n", epoch, err)
 			continue
 		}
-		epoch := held[i]
-		engine, ok := collector.Epoch(epoch)
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(stdout, "\n=== epoch %d (%d agents) ===\n", epoch, collector.AgentsReported(epoch))
+		fmt.Fprintf(stdout, "\n=== epoch %d (%d agents) ===\n", epoch, agents)
+		rg := window.Range{From: uint64(epoch), To: uint64(epoch) + 1}
 		for _, m := range masks {
-			fmt.Fprint(stdout, query.FormatRows(m, engine.Top(m, *top), *top))
-		}
-		if ring != nil {
-			// Seal the epoch's canonical fold into the query ring: from
-			// here on the epoch is visible to windowed queries and the
-			// JSON endpoint.
-			if err := collector.SealEpochInto(ring, epoch); err != nil {
-				fmt.Fprintf(stderr, "cococollector: seal epoch %d: %v\n", epoch, err)
+			// Ring.Top returns every row for k <= 0; -top 0 prints
+			// only the header.
+			var rows []sketch.Entry[flowkey.FiveTuple]
+			if *top > 0 {
+				if rows, err = ring.Top(rg, m, *top); err != nil {
+					fmt.Fprintf(stderr, "cococollector: epoch %d by %v: %v\n", epoch, m, err)
+				}
 			}
+			fmt.Fprint(stdout, query.FormatRows(m, rows, *top))
 		}
 		if *oneshot {
 			return 0
 		}
-		next = epoch + 1
 	}
 }

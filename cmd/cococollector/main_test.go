@@ -250,8 +250,8 @@ func TestRunWindowQueryEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The main loop seals each epoch after printing it; poll /epochs
-	// until both seals are visible to the query tier.
+	// The main loop seals one epoch per tick; poll /epochs until both
+	// seals are visible to the query tier.
 	var epochs window.EpochsResponse
 	deadline := time.Now().Add(5 * time.Second)
 	for {

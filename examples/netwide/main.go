@@ -1,7 +1,8 @@
 // Network-wide measurement: several vantage points (edge switches)
 // each run a CocoSketch agent; a central collector merges their
-// serialized sketches over TCP and answers partial-key queries about
-// the WHOLE network — no key was declared anywhere in advance.
+// serialized sketches over TCP and seals the epoch into a query ring,
+// which answers partial-key queries about the WHOLE network — no key
+// was declared anywhere in advance.
 //
 // Run: go run ./examples/netwide
 package main
@@ -16,6 +17,7 @@ import (
 	"cocosketch/internal/netwide"
 	"cocosketch/internal/query"
 	"cocosketch/internal/trace"
+	"cocosketch/internal/window"
 )
 
 func main() {
@@ -57,12 +59,22 @@ func main() {
 	}
 	wg.Wait()
 
-	engine, ok := collector.Epoch(0)
+	// Seal the epoch into a one-epoch ring: the ring owns it from now
+	// on, and the collector drops its shards.
+	ring := window.NewRing(1, cfg)
+	epoch, agents, ok, err := collector.SealNext(ring)
+	if err != nil {
+		panic(err)
+	}
 	if !ok {
 		panic("epoch missing")
 	}
+	engine, err := ring.Window(window.Range{From: uint64(epoch), To: uint64(epoch) + 1})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("\ncollector merged %d sites; %d network-wide flows recorded\n\n",
-		collector.AgentsReported(0), len(engine.FullTable()))
+		agents, len(engine.FullTable()))
 
 	for _, expr := range []string{"DstIP", "SrcIP/8", "DstPort"} {
 		m, err := flowkey.ParseMask(expr)

@@ -3,14 +3,18 @@ package netwide
 // Seeded chaos simulation suite: the hardened netwide plane runs over
 // faultnet's deterministic simulated network under injected latency,
 // drops, partial writes, resets, partitions and bandwidth collapse.
-// Every scenario is executed twice per seed and must produce an
-// identical fault transcript and identical telemetry both times
-// (determinism), and every run must balance the conservation ledger
+// Once the actors finish, the collector seals every epoch it holds by
+// the serving rule (SealNext) into a window ring on the virtual clock,
+// and the ring serves the per-epoch tables. Every scenario is executed
+// twice per seed and must produce an identical fault transcript,
+// identical telemetry and identical tables both times (determinism),
+// and every run must balance the conservation ledger
 //
 //	observed = delivered_weight + spool_weight + dropped_weight
 //
-// exactly. Run with: go test -race -run Chaos ./internal/netwide/
-// (the Makefile "chaos" target).
+// exactly, and serve exactly the delivered weight. Run with:
+// go test -race -run Chaos ./internal/netwide/ (the Makefile "chaos"
+// target).
 
 import (
 	"fmt"
@@ -23,6 +27,7 @@ import (
 	"cocosketch/internal/faultnet"
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/telemetry"
+	"cocosketch/internal/window"
 	"cocosketch/internal/xrand"
 )
 
@@ -80,21 +85,26 @@ type chaosOpts struct {
 // chaosResult is everything a scenario run produced, for determinism
 // comparison and invariant checks.
 type chaosResult struct {
-	transcript  []string
-	agentC      map[string]uint64
-	agentG      map[string]int64
-	collC       map[string]uint64
-	collG       map[string]int64
+	transcript []string
+	agentC     map[string]uint64
+	agentG     map[string]int64
+	collC      map[string]uint64
+	collG      map[string]int64
+	// epochTables holds the full-key table the ring serves for each
+	// sealed epoch; sealed lists those epochs in seal order, and held
+	// the epochs the collector still holds after the last seal.
 	epochTables map[uint32]map[flowkey.FiveTuple]uint64
+	sealed      []uint32
+	held        []uint32
 	elapsed     time.Duration
-	collector   *Collector
 }
 
 // runChaos executes one agent/collector pair over a seeded faultnet
-// network, entirely on virtual time, and returns the run's observable
-// state. All blocking (deadlines, backoff sleeps, idle timeouts) is
-// simulated, so even multi-minute fault timelines finish in
-// milliseconds of wall time.
+// network, entirely on virtual time, seals every epoch the collector
+// then holds into a ring that retains them all, and returns the run's
+// observable state. All blocking (deadlines, backoff sleeps, idle
+// timeouts) is simulated, so even multi-minute fault timelines finish
+// in milliseconds of wall time.
 func runChaos(t *testing.T, seed uint64, o chaosOpts) chaosResult {
 	t.Helper()
 	cfg := telNetCfg()
@@ -153,6 +163,8 @@ func runChaos(t *testing.T, seed uint64, o chaosOpts) chaosResult {
 	})
 	n.Wait()
 
+	ring := window.NewRing(o.epochs, cfg).SetClock(n.Now)
+	sealAll(t, coll, ring)
 	snapA, snapC := regA.Snapshot(), regC.Snapshot()
 	res := chaosResult{
 		transcript:  n.Transcript(),
@@ -161,15 +173,41 @@ func runChaos(t *testing.T, seed uint64, o chaosOpts) chaosResult {
 		collC:       snapC.Counters,
 		collG:       snapC.Gauges,
 		epochTables: make(map[uint32]map[flowkey.FiveTuple]uint64),
+		held:        coll.Epochs(),
 		elapsed:     n.Now().Sub(faultnet.Base),
-		collector:   coll,
 	}
-	for e := uint32(0); int(e) < o.epochs; e++ {
-		if eng, ok := coll.Epoch(e); ok {
-			res.epochTables[e] = eng.FullTable()
-		}
+	for _, s := range ring.Sealed() {
+		e := uint32(s.Epoch)
+		res.sealed = append(res.sealed, e)
+		res.epochTables[e], _ = epochTable(t, ring, e)
 	}
 	return res
+}
+
+// checkServed asserts that the ring serves what was delivered: its
+// mass over the sealed epochs is the delivered weight when the spool
+// drained, and otherwise at least that and at most the weight still
+// spooled more (a report can land although its acknowledgement was
+// lost); and the collector holds no epoch after the last seal.
+func checkServed(t *testing.T, res chaosResult) {
+	t.Helper()
+	var mass uint64
+	for _, tab := range res.epochTables {
+		for _, v := range tab {
+			mass += v
+		}
+	}
+	delivered := res.agentC["netwide.delivered_weight"]
+	pending := uint64(res.agentG["netwide.spool_weight"])
+	if res.agentG["netwide.spool_depth"] == 0 && mass != delivered {
+		t.Errorf("ring serves mass %d, delivered %d with the spool drained", mass, delivered)
+	}
+	if mass < delivered || mass > delivered+pending {
+		t.Errorf("ring serves mass %d outside [delivered %d, delivered + spooled %d]", mass, delivered, delivered+pending)
+	}
+	if len(res.held) != 0 {
+		t.Errorf("collector holds epochs %v after the last seal", res.held)
+	}
 }
 
 // checkLedger asserts the exact conservation invariant on the agent's
@@ -203,8 +241,9 @@ func checkAllDelivered(t *testing.T, res chaosResult) {
 
 // TestChaosScenarios is the seeded fault matrix: each scenario runs
 // twice per seed and must be deterministic (identical transcript,
-// telemetry and decoded tables), balance the conservation ledger, and
-// meet its scenario-specific outcome.
+// telemetry and served tables), balance the conservation ledger, serve
+// the delivered weight with nothing left held, and meet its
+// scenario-specific outcome.
 func TestChaosScenarios(t *testing.T) {
 	seeds := []uint64{1, 7, 1234}
 	scenarios := []struct {
@@ -302,17 +341,18 @@ func TestChaosScenarios(t *testing.T) {
 					t.Error("partition outlasting the spool never coalesced")
 				}
 				// Coalesced epochs landed under their range's high epoch,
-				// so some mid-partition epoch has no table of its own; a
-				// server moves on to the oldest held epoch past it.
-				held := res.collector.Epochs()
-				i := slices.IndexFunc(held, func(e uint32) bool { return e >= 2 })
-				if i >= 0 && held[i] == 2 {
-					t.Errorf("epoch 2 held (%v), want it coalesced away", held)
-				} else if i < 0 || held[i] != 4 {
-					t.Errorf("oldest held epoch at or past 2 in %v, want 4", held)
+				// so some mid-partition epoch has no table of its own;
+				// the serving rule moves on to the oldest held epoch
+				// past it.
+				sealed := res.sealed
+				i := slices.IndexFunc(sealed, func(e uint32) bool { return e >= 2 })
+				if i >= 0 && sealed[i] == 2 {
+					t.Errorf("epoch 2 sealed (%v), want it coalesced away", sealed)
+				} else if i < 0 || sealed[i] != 4 {
+					t.Errorf("oldest sealed epoch at or past 2 in %v, want 4", sealed)
 				}
-				if len(held) == 0 || held[len(held)-1] != 5 {
-					t.Errorf("newest held epoch in %v, want 5", held)
+				if len(sealed) == 0 || sealed[len(sealed)-1] != 5 {
+					t.Errorf("newest sealed epoch in %v, want 5", sealed)
 				}
 			},
 		},
@@ -360,12 +400,13 @@ func TestChaosScenarios(t *testing.T) {
 						t.Error("same seed, diverging collector telemetry")
 					}
 					if !reflect.DeepEqual(a.epochTables, b.epochTables) {
-						t.Error("same seed, diverging decoded tables")
+						t.Error("same seed, diverging served tables")
 					}
 					if a.elapsed != b.elapsed {
 						t.Errorf("same seed, diverging virtual time: %v vs %v", a.elapsed, b.elapsed)
 					}
 					checkLedger(t, a)
+					checkServed(t, a)
 					sc.check(t, a)
 				})
 			}
@@ -374,9 +415,9 @@ func TestChaosScenarios(t *testing.T) {
 }
 
 // TestChaosBaselineBitIdenticalToTCP is the no-fault equivalence gate:
-// the faultnet-backed end-to-end path must decode bit-identically to
-// the same workload shipped over real TCP — proof the simulation layer
-// itself does not perturb measurement.
+// the faultnet-backed end-to-end path must serve tables bit-identical
+// to the same workload shipped over real TCP — proof the simulation
+// layer itself does not perturb measurement.
 func TestChaosBaselineBitIdenticalToTCP(t *testing.T) {
 	const (
 		seed    = uint64(1)
@@ -414,8 +455,10 @@ func TestChaosBaselineBitIdenticalToTCP(t *testing.T) {
 		}
 	}
 
+	ring := window.NewRing(epochs, cfg)
+	sealAll(t, coll, ring)
 	for e := uint32(0); e < epochs; e++ {
-		eng, ok := coll.Epoch(e)
+		tab, ok := epochTable(t, ring, e)
 		if !ok {
 			t.Fatalf("TCP reference missing epoch %d", e)
 		}
@@ -423,8 +466,8 @@ func TestChaosBaselineBitIdenticalToTCP(t *testing.T) {
 		if !ok {
 			t.Fatalf("simulated run missing epoch %d", e)
 		}
-		if !reflect.DeepEqual(eng.FullTable(), simTab) {
-			t.Errorf("epoch %d decode differs between faultnet and TCP paths", e)
+		if !reflect.DeepEqual(tab, simTab) {
+			t.Errorf("epoch %d table differs between faultnet and TCP paths", e)
 		}
 	}
 }

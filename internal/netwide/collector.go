@@ -6,28 +6,26 @@ import (
 	"io"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
-	"cocosketch/internal/query"
 	"cocosketch/internal/report"
 	"cocosketch/internal/telemetry"
 )
 
-// Collector receives per-epoch sketches from agents, merges them into
-// one network-wide CocoSketch per epoch, and answers partial-key
-// queries. Safe for concurrent use.
+// Collector receives per-epoch sketches from agents, holds each
+// unsealed epoch's per-agent shards, and seals every epoch once, as one
+// network-wide CocoSketch, into an EpochSink (SealEpochInto, SealNext)
+// that answers its queries from then on. Safe for concurrent use.
 //
-// The collector degrades gracefully rather than stalling: per-agent
-// handlers run under an idle read deadline (SetIdleTimeout) so a
-// half-open connection cannot leak a goroutine, and per-agent
-// liveness is tracked (AgentStatuses). An epoch covered by a coalesced
-// report never arrives on its own, so a server walks Epochs and serves
-// the oldest held epoch at or past the next one it expects, as
-// cococollector does.
+// The collector holds only unsealed epochs: sealing an epoch drops its
+// shards, and a report for a sealed epoch is late (acknowledged,
+// counted, not stored). It degrades gracefully rather than stalling:
+// per-agent handlers run under an idle read deadline (SetIdleTimeout)
+// so a half-open connection cannot leak a goroutine, and per-agent
+// liveness is tracked (AgentStatuses).
 type Collector struct {
 	cfg core.Config
 	// seeds are cfg's hash seeds, which every report's stage must name.
@@ -39,15 +37,20 @@ type Collector struct {
 	spawn       func(func())
 
 	mu sync.Mutex
-	// shards retains each agent's decoded stage per epoch instead of
-	// eagerly merging it away. Queries fold the shards in canonical
-	// agent-ID order (see fold), which makes the decoded table a pure
-	// function of the shard SET: core.Merge's key survival draws from
-	// the aggregate's RNG, so merge ORDER matters, and canonical
-	// folding is what makes an epoch independent of the order its
-	// reports arrived in. An (epoch, agent) pair is present exactly
-	// when its report decoded, which is what deduplicates retries.
+	// shards retains each agent's decoded stage per unsealed epoch
+	// instead of eagerly merging it away. The seal folds the shards in
+	// canonical agent-ID order (see fold), which makes the sealed
+	// epoch a pure function of the shard SET: core.Merge's key
+	// survival draws from the aggregate's RNG, so merge ORDER matters,
+	// and canonical folding is what makes an epoch independent of the
+	// order its reports arrived in. An (epoch, agent) pair is present
+	// exactly when its report decoded, which is what deduplicates
+	// retries.
 	shards map[uint32]map[uint16]*core.Basic[flowkey.FiveTuple]
+	// next is the lowest epoch the collector still takes reports for:
+	// every epoch below it is sealed or was passed over by a seal, so
+	// every held epoch is at or past it.
+	next   uint64
 	agents map[uint16]AgentStatus
 }
 
@@ -67,18 +70,23 @@ type AgentStatus struct {
 // nil without SetTelemetry).
 type collectorTel struct {
 	// reportsRecv counts accepted sketch reports; recvBytes their
-	// payload bytes; dupReports duplicates dropped by retry detection.
+	// payload bytes; dupReports duplicates dropped by retry detection;
+	// lateReports reports that no sealed epoch holds: those for an
+	// epoch already sealed or passed over, and those that arrived while
+	// their epoch was being sealed.
 	reportsRecv *telemetry.Counter
 	recvBytes   *telemetry.Counter
 	dupReports  *telemetry.Counter
+	lateReports *telemetry.Counter
 	// mergeErrors counts reports whose stage cannot merge: it does not
 	// fit the collector's Config, or its geometry differs from the
 	// epoch's first shard.
 	mergeErrors *telemetry.Counter
 	// decodeFailures counts report payloads the decoder rejected.
 	decodeFailures *telemetry.Counter
-	// conns tracks live agent connections; epochsTracked the epochs
-	// held in memory; agentsSeen the distinct agents ever heard from.
+	// conns tracks live agent connections; epochsTracked the unsealed
+	// epochs held in memory; agentsSeen the distinct agents ever heard
+	// from.
 	conns         *telemetry.Gauge
 	epochsTracked *telemetry.Gauge
 	agentsSeen    *telemetry.Gauge
@@ -92,6 +100,7 @@ func (c *Collector) SetTelemetry(r *telemetry.Registry) *Collector {
 		reportsRecv:    r.Counter("netwide.reports_received"),
 		recvBytes:      r.Counter("netwide.recv_bytes"),
 		dupReports:     r.Counter("netwide.dup_reports"),
+		lateReports:    r.Counter("netwide.late_reports"),
 		mergeErrors:    r.Counter("netwide.merge_errors"),
 		decodeFailures: r.Counter("netwide.decode_failures"),
 		conns:          r.Gauge("netwide.agent_conns"),
@@ -205,12 +214,14 @@ func (c *Collector) Handle(conn net.Conn) error {
 //
 // The payload decodes on its own (report.Decode keeps no state), so it
 // is decoded and checked against the collector's Config outside c.mu;
-// the lock covers only the liveness update, the duplicate check and
-// the store. A retry after a lost acknowledgement decodes like the
-// original and is then dropped as a duplicate.
+// the lock covers only the liveness update, the late and duplicate
+// checks and the store. A retry after a lost acknowledgement decodes
+// like the original and is then dropped as a duplicate. A report for
+// an epoch below next is late: it is counted and dropped, and Handle
+// acknowledges it, because no seal can take it any more.
 //
 // The shard is validated (core.Basic.Compatible against the epoch's
-// first shard) but NOT merged here: merging is deferred to query time,
+// first shard) but NOT merged here: merging is deferred to the seal,
 // where the epoch's shards fold in canonical agent-ID order. Eager
 // arrival-order merging would make the decoded table depend on which
 // agent's report happened to land first.
@@ -229,6 +240,10 @@ func (c *Collector) ingest(msg Message) error {
 	if err != nil {
 		return err
 	}
+	if uint64(msg.Epoch) < c.next {
+		c.tel.lateReports.Inc()
+		return nil
+	}
 	if c.shards[msg.Epoch][msg.AgentID] != nil {
 		// Duplicate report (agent retry after lost ack): ignore.
 		c.tel.dupReports.Inc()
@@ -238,7 +253,7 @@ func (c *Collector) ingest(msg Message) error {
 	if !ok {
 		epochShards = make(map[uint16]*core.Basic[flowkey.FiveTuple])
 		c.shards[msg.Epoch] = epochShards
-		c.tel.epochsTracked.Add(1)
+		c.tel.epochsTracked.Set(int64(len(c.shards)))
 	} else {
 		// The epoch's first shard fixes its geometry (Config/shrink);
 		// every later shard must be mergeable with it, checked up front
@@ -276,8 +291,8 @@ func (c *Collector) decode(msg Message) (*core.Basic[flowkey.FiveTuple], error) 
 	return stage, nil
 }
 
-// AgentsReported returns how many distinct agents contributed to an
-// epoch.
+// AgentsReported returns how many distinct agents have reported an
+// unsealed epoch (0 once it is sealed).
 func (c *Collector) AgentsReported(epoch uint32) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -297,42 +312,44 @@ func (c *Collector) AgentStatuses() map[uint16]AgentStatus {
 
 // fold merges the epoch's per-agent shards into one network-wide
 // aggregate in canonical (ascending agent-ID) order and returns it, the
-// caller's to keep; the shards themselves are never mutated. Canonical
-// ordering is what makes the result a pure function of the shard set:
-// core.Merge keeps values order-independent, but WHICH key survives a
-// bucket collision is drawn from the aggregate's RNG, so two different
-// merge orders produce tables that agree on every estimate yet differ
-// bit-for-bit. Folding in a fixed order removes the arrival-order
-// dependence, including for retried duplicates, which ingest drops
+// caller's to keep, with the number of shards folded (0, and no
+// aggregate, when the epoch is not held); the shards themselves are
+// never mutated. Canonical ordering is what makes the result a pure
+// function of the shard set: core.Merge keeps values
+// order-independent, but WHICH key survives a bucket collision is
+// drawn from the aggregate's RNG, so two different merge orders produce
+// tables that agree on every estimate yet differ bit-for-bit. Folding
+// in a fixed order removes the arrival-order dependence, including for
+// retried duplicates, which ingest drops
 // (TestEpochIndependentOfArrivalOrder pins this).
 //
 // All shards are mutually Compatible (ingest enforces that on
 // arrival); the fold seeds its RNG from the canonically first shard's
 // serialized state, so equal shard sets yield equal aggregates.
 // Caller holds c.mu.
-func (c *Collector) fold(epoch uint32) (*core.Basic[flowkey.FiveTuple], bool) {
-	epochShards, ok := c.shards[epoch]
-	if !ok {
-		return nil, false
+func (c *Collector) fold(epoch uint32) (*core.Basic[flowkey.FiveTuple], int) {
+	epochShards := c.shards[epoch]
+	if len(epochShards) == 0 {
+		return nil, 0
 	}
-	ids := make([]int, 0, len(epochShards))
+	ids := make([]uint16, 0, len(epochShards))
 	for id := range epochShards {
-		ids = append(ids, int(id))
+		ids = append(ids, id)
 	}
-	sort.Ints(ids)
-	agg := epochShards[uint16(ids[0])].Clone()
+	slices.Sort(ids)
+	agg := epochShards[ids[0]].Clone()
 	for _, id := range ids[1:] {
 		// Compatibility was checked at ingest, so a failure here is a
 		// programming error; panicking would take the whole collector
 		// down, so the offending shard is skipped instead (it cannot
 		// happen through the public API).
-		_ = agg.Merge(epochShards[uint16(id)])
+		_ = agg.Merge(epochShards[id])
 	}
-	return agg, true
+	return agg, len(ids)
 }
 
-// Epochs returns the sorted list of epochs this collector holds shards
-// for.
+// Epochs returns the sorted list of unsealed epochs this collector
+// holds shards for.
 func (c *Collector) Epochs() []uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -340,20 +357,6 @@ func (c *Collector) Epochs() []uint32 {
 	for e := range c.shards {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
-}
-
-// Epoch returns a query engine over the merged network-wide table of
-// one epoch (false if no agent reported it yet). The table is the
-// canonical fold of the epoch's per-agent shards, independent of the
-// order reports arrived in.
-func (c *Collector) Epoch(epoch uint32) (*query.Engine, bool) {
-	c.mu.Lock()
-	agg, ok := c.fold(epoch)
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return query.NewEngine(agg.Decode()), true
 }

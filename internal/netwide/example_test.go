@@ -3,6 +3,7 @@ package netwide_test
 import (
 	"fmt"
 	"net"
+	"slices"
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
@@ -11,13 +12,14 @@ import (
 	"cocosketch/internal/shard"
 	"cocosketch/internal/telemetry"
 	"cocosketch/internal/trace"
+	"cocosketch/internal/window"
 )
 
 // Example wires one agent to a collector over an in-memory connection:
 // the agent measures an epoch of traffic, seals it and flushes the
-// serialized sketch, and the collector answers a network-wide query.
-// Sharing one core.Config between both sides is what makes the
-// sketches mergeable.
+// serialized sketch, and the collector seals the epoch into a query
+// ring, which answers network-wide queries from then on. Sharing one
+// core.Config between both sides is what makes the sketches mergeable.
 func Example() {
 	cfg := core.Config{Arrays: 2, BucketsPerArray: 1024, Seed: 7}
 	collector := netwide.NewCollector(cfg)
@@ -42,8 +44,12 @@ func Example() {
 	<-done
 
 	fmt.Println("agents reported:", collector.AgentsReported(0))
-	_, ok := collector.Epoch(0)
-	fmt.Println("epoch queryable:", ok)
+	ring := window.NewRing(1, cfg)
+	if err := collector.SealEpochInto(ring, 0); err != nil {
+		panic(err)
+	}
+	_, err := ring.Window(window.Range{From: 0, To: 1})
+	fmt.Println("epoch queryable:", err == nil)
 	// Output:
 	// agents reported: 1
 	// epoch queryable: true
@@ -113,8 +119,7 @@ func ExampleAgent_SetCodec() {
 
 	snap := reg.Snapshot()
 	raw, wire := snap.Counters["netwide.report_raw_bytes"], snap.Counters["netwide.report_bytes"]
-	_, ok := collector.Epoch(1)
-	fmt.Println("both epochs delivered:", ok)
+	fmt.Println("both epochs delivered:", slices.Equal(collector.Epochs(), []uint32{0, 1}))
 	fmt.Println("wire bytes at least 5x below snapshots:", raw >= 5*wire)
 	// Output:
 	// both epochs delivered: true

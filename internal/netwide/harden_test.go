@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -296,10 +297,8 @@ func TestSpoolCoalesceBoundsAndConserves(t *testing.T) {
 		t.Errorf("spool depth = %d after flush", got)
 	}
 	// Coalesced reports land under their range's high epoch.
-	for _, e := range []uint32{0, 3} {
-		if _, ok := collector.Epoch(e); !ok {
-			t.Errorf("epoch %d missing at collector", e)
-		}
+	if held := collector.Epochs(); !slices.Equal(held, []uint32{0, 3}) {
+		t.Errorf("collector holds epochs %v, want [0 3]", held)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"cocosketch/internal/report"
 	"cocosketch/internal/telemetry"
 	"cocosketch/internal/trace"
+	"cocosketch/internal/window"
 )
 
 func sharedConfig() core.Config {
@@ -134,9 +135,13 @@ func TestEndToEnd(t *testing.T) {
 	if got := collector.AgentsReported(0); got != agents {
 		t.Fatalf("reported agents = %d, want %d", got, agents)
 	}
-	engine, ok := collector.Epoch(0)
-	if !ok {
-		t.Fatal("epoch 0 missing")
+	ring := window.NewRing(1, cfg)
+	if err := collector.SealEpochInto(ring, 0); err != nil {
+		t.Fatal(err)
+	}
+	engine, err := ring.Window(window.Range{From: 0, To: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Total conservation across the network.
@@ -175,8 +180,8 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Missing epoch is reported as absent.
-	if _, ok := collector.Epoch(42); ok {
-		t.Fatal("phantom epoch present")
+	if err := collector.SealEpochInto(ring, 42); !errors.Is(err, ErrNoEpoch) {
+		t.Fatalf("seal of a phantom epoch: err = %v, want ErrNoEpoch", err)
 	}
 }
 
@@ -193,9 +198,11 @@ func TestDuplicateReportIgnored(t *testing.T) {
 	if err := collector.ingest(msg); err != nil { // retry after lost ack
 		t.Fatal(err)
 	}
-	engine, _ := collector.Epoch(0)
+	ring := window.NewRing(1, cfg)
+	sealAll(t, collector, ring)
+	tab, _ := epochTable(t, ring, 0)
 	var total uint64
-	for _, v := range engine.FullTable() {
+	for _, v := range tab {
 		total += v
 	}
 	if total != 10 {

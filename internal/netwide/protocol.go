@@ -3,8 +3,8 @@
 // traffic into a CocoSketch with a shared configuration, ships the
 // serialized sketch to a collector over TCP at the end of each epoch,
 // and the collector merges the shards — merging is estimate-preserving
-// (see core.Merge) — to answer partial-key queries about the whole
-// network.
+// (see core.Merge) — and seals each epoch once into an EpochSink, the
+// query ring that answers partial-key queries about the whole network.
 //
 // This is the deployment §2.2 of the paper motivates (network-wide
 // diagnosis without pre-declared keys), built from the repository's own

@@ -9,6 +9,7 @@ import (
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/report"
 	"cocosketch/internal/telemetry"
+	"cocosketch/internal/window"
 )
 
 // denseCfg is big enough that full snapshots dominate the wire and the
@@ -93,14 +94,16 @@ func TestCompressedEndToEndConservesMassAtFiveXFewerBytes(t *testing.T) {
 		}
 	}
 
+	ring := window.NewRing(4, denseCfg)
+	sealAll(t, collector, ring)
 	var merged uint64
 	for epoch := uint32(0); epoch < 4; epoch++ {
-		eng, ok := collector.Epoch(epoch)
+		tab, ok := epochTable(t, ring, epoch)
 		if !ok {
 			t.Fatalf("epoch %d missing at collector", epoch)
 		}
 		var total uint64
-		for _, v := range eng.FullTable() {
+		for _, v := range tab {
 			total += v
 		}
 		if total != perEpoch[epoch] {
@@ -212,12 +215,14 @@ func TestCollectorRestartRecovery(t *testing.T) {
 	if got := reg.Snapshot().Counters["netwide.decode_failures"]; got != 0 {
 		t.Errorf("decode_failures = %d, want 0", got)
 	}
-	eng, ok := second.Epoch(1)
+	ring := window.NewRing(1, cfg)
+	sealAll(t, second, ring)
+	tab, ok := epochTable(t, ring, 1)
 	if !ok {
 		t.Fatal("epoch 1 missing at the restarted collector")
 	}
 	var total uint64
-	for _, v := range eng.FullTable() {
+	for _, v := range tab {
 		total += v
 	}
 	if total != want {

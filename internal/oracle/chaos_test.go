@@ -1,16 +1,18 @@
 package oracle
 
 // Differential chaos gate: the network-wide plane, run over faultnet's
-// seeded fault injection, is compared against the exact Oracle. Weight
-// conservation through the sketch pipeline is exact (every insert lands
-// in some bucket; merge and serialization preserve bucket sums), so
-// after a faulty-but-recovered run the collector's decoded totals must
-// equal the Oracle's — not approximately, exactly. And because a retry
-// re-sends the identical serialized sketch, a run whose faults destroy
-// no snapshots must decode bit-identically to a fault-free local
+// seeded fault injection and sealed by the serving rule into a window
+// ring, is compared against the exact Oracle. Weight conservation
+// through the sketch pipeline is exact (every insert lands in some
+// bucket; merge and serialization preserve bucket sums), so after a
+// faulty-but-recovered run the totals the ring serves must equal the
+// Oracle's — not approximately, exactly. And because a retry re-sends
+// the identical serialized sketch, a run whose faults destroy no
+// snapshots must serve tables bit-identical to a fault-free local
 // reference.
 
 import (
+	"errors"
 	"net"
 	"reflect"
 	"testing"
@@ -21,6 +23,7 @@ import (
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/netwide"
 	"cocosketch/internal/trace"
+	"cocosketch/internal/window"
 )
 
 // chaosCfg keeps reports small while still exercising real kickouts.
@@ -29,9 +32,11 @@ func chaosCfg() core.Config {
 }
 
 // runFaultyPipeline ships tr through one agent over a seeded faulty
-// network in the given number of epochs and returns the collector once
-// every epoch is delivered.
-func runFaultyPipeline(t *testing.T, seed uint64, tr *trace.Trace, epochs int, f faultnet.Faults) *netwide.Collector {
+// network in the given number of epochs and, once every epoch is
+// delivered, seals each epoch the collector holds with SealNext into a
+// ring on the network's virtual clock that retains them all, and
+// returns the ring.
+func runFaultyPipeline(t *testing.T, seed uint64, tr *trace.Trace, epochs int, f faultnet.Faults) *window.Ring {
 	t.Helper()
 	cfg := chaosCfg()
 	n := faultnet.New(seed, f)
@@ -80,19 +85,47 @@ func runFaultyPipeline(t *testing.T, seed uint64, tr *trace.Trace, epochs int, f
 		}
 	})
 	n.Wait()
-	return coll
+
+	ring := window.NewRing(epochs, cfg).SetClock(n.Now)
+	for {
+		_, _, ok, err := coll.SealNext(ring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	if held := coll.Epochs(); len(held) != 0 {
+		t.Fatalf("collector holds epochs %v after the last seal", held)
+	}
+	return ring
+}
+
+// epochTable returns the full-key table ring serves for epoch e, and
+// whether ring holds e.
+func epochTable(t *testing.T, ring *window.Ring, e int) (map[flowkey.FiveTuple]uint64, bool) {
+	t.Helper()
+	eng, err := ring.Window(window.Range{From: uint64(e), To: uint64(e) + 1})
+	if errors.Is(err, window.ErrEmpty) {
+		return nil, false
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.FullTable(), true
 }
 
 // TestChaosCollectorTotalMatchesOracle checks exact weight
 // conservation end to end under injected faults: the sum of the
-// collector's decoded per-epoch tables equals the exact Oracle total
-// for the trace, with zero tolerance.
+// per-epoch tables the ring serves equals the exact Oracle total for
+// the trace, with zero tolerance.
 func TestChaosCollectorTotalMatchesOracle(t *testing.T) {
 	tr := trace.CAIDALike(20_000, 99)
 	exact := FromTrace(tr)
 	const epochs = 4
 
-	coll := runFaultyPipeline(t, 5, tr, epochs, faultnet.Faults{
+	ring := runFaultyPipeline(t, 5, tr, epochs, faultnet.Faults{
 		Latency:     20 * time.Millisecond,
 		Jitter:      10 * time.Millisecond,
 		DropProb:    0.2,
@@ -100,12 +133,12 @@ func TestChaosCollectorTotalMatchesOracle(t *testing.T) {
 	})
 
 	var total uint64
-	for e := uint32(0); e < epochs; e++ {
-		eng, ok := coll.Epoch(e)
+	for e := 0; e < epochs; e++ {
+		tab, ok := epochTable(t, ring, e)
 		if !ok {
 			t.Fatalf("epoch %d missing after recovery", e)
 		}
-		for _, v := range eng.FullTable() {
+		for _, v := range tab {
 			total += v
 		}
 	}
@@ -116,15 +149,15 @@ func TestChaosCollectorTotalMatchesOracle(t *testing.T) {
 
 // TestChaosDecodeBitIdenticalAfterRecovery checks the stronger gate:
 // when faults force retries but destroy no snapshot, every epoch the
-// collector decodes is bit-identical to a fault-free local reference
-// sketch fed the same packets — recovery re-sends the same bytes, and
-// the transport faults leave no trace in the measurement.
+// ring serves is bit-identical to the decode of a fault-free local
+// reference sketch fed the same packets — recovery re-sends the same
+// bytes, and the transport faults leave no trace in the measurement.
 func TestChaosDecodeBitIdenticalAfterRecovery(t *testing.T) {
 	tr := trace.CAIDALike(12_000, 42)
 	cfg := chaosCfg()
 	const epochs = 3
 
-	coll := runFaultyPipeline(t, 11, tr, epochs, faultnet.Faults{
+	ring := runFaultyPipeline(t, 11, tr, epochs, faultnet.Faults{
 		DropProb:  0.25,
 		ResetProb: 0.1,
 	})
@@ -139,11 +172,11 @@ func TestChaosDecodeBitIdenticalAfterRecovery(t *testing.T) {
 		for _, p := range tr.Packets[lo:hi] {
 			ref.Insert(p.Key, 1)
 		}
-		eng, ok := coll.Epoch(uint32(e))
+		tab, ok := epochTable(t, ring, e)
 		if !ok {
 			t.Fatalf("epoch %d missing after recovery", e)
 		}
-		if !reflect.DeepEqual(eng.FullTable(), ref.Decode()) {
+		if !reflect.DeepEqual(tab, ref.Decode()) {
 			t.Errorf("epoch %d decode differs from fault-free reference", e)
 		}
 	}

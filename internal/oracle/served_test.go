@@ -88,7 +88,8 @@ func TestServedPathLedger(t *testing.T) {
 
 // runServedPath drives one seeded run through the public APIs: agents
 // with the report codec at ledgerShrink, net.Pipe connections into
-// Collector.Handle, and SealEpochInto a ring at the stage geometry. It
+// Collector.Handle, and SealEpochInto a ring at the stage geometry,
+// through a tee that records each sealed fold as the folds layer. It
 // returns the exact oracle over every packet fed and, per layer of
 // ledgerLayers and for the window the ring serves, the estimated
 // partial-key table for a mask.
@@ -134,6 +135,7 @@ func runServedPath(t *testing.T, seed uint64) (*Oracle, []func(flowkey.Mask) map
 	fat := make(map[flowkey.FiveTuple]uint64)
 	stages := make(map[flowkey.FiveTuple]uint64)
 	folds := make(map[flowkey.FiveTuple]uint64)
+	tee := foldTee{folds: folds, ring: ring}
 	for e := 0; e < ledgerWindow; e++ {
 		for a, agent := range agents {
 			for _, p := range samples[a].Packets[e*ledgerPackets : (e+1)*ledgerPackets] {
@@ -151,12 +153,7 @@ func runServedPath(t *testing.T, seed uint64) (*Oracle, []func(flowkey.Mask) map
 				t.Fatalf("agent %d epoch %d: %v", a+1, e, err)
 			}
 		}
-		engine, ok := collector.Epoch(uint32(e))
-		if !ok {
-			t.Fatalf("collector missing epoch %d", e)
-		}
-		addTable(folds, engine.FullTable())
-		if err := collector.SealEpochInto(ring, uint32(e)); err != nil {
+		if err := collector.SealEpochInto(tee, uint32(e)); err != nil {
 			t.Fatalf("seal epoch %d: %v", e, err)
 		}
 	}
@@ -174,6 +171,18 @@ func runServedPath(t *testing.T, seed uint64) (*Oracle, []func(flowkey.Mask) map
 	}
 	layers := []func(flowkey.Mask) map[flowkey.FiveTuple]uint64{summed(fat), summed(stages), summed(folds)}
 	return FromCounts("served-path", truth), layers, served
+}
+
+// foldTee is the ledger's epoch sink: it adds each sealed fold's
+// decoded table to the folds layer, then seals the fold into the ring.
+type foldTee struct {
+	folds map[flowkey.FiveTuple]uint64
+	ring  *window.Ring
+}
+
+func (s foldTee) Seal(epoch uint64, sk *core.Basic[flowkey.FiveTuple]) error {
+	addTable(s.folds, sk.Decode())
+	return s.ring.Seal(epoch, sk)
 }
 
 // addTable adds every row of src into dst.

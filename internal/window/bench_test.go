@@ -8,6 +8,7 @@ package window_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"runtime"
 	"sync"
@@ -221,6 +222,40 @@ func BenchmarkWindowTop(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWindowQuery times an uncached point query over benchRing's
+// 8 epochs for a mask in use, answered from the epochs' kept views,
+// and for a mask past the bound of masks in use, answered by one pass
+// over each epoch's columns.
+func BenchmarkWindowQuery(b *testing.B) {
+	r := benchRing(b, 8).SetCacheLimit(0)
+	inUse := flowkey.MaskFields(flowkey.FieldSrcIP)
+	if _, err := r.Query(window.All(), inUse, raceTuple(0)); err != nil {
+		b.Fatal(err)
+	}
+	for bits := 1; bits < window.MaxMasks; bits++ {
+		m, err := flowkey.ParseMask(fmt.Sprintf("DstIP/%d", bits))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Query(window.All(), m, raceTuple(0)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, arm := range []struct {
+		name string
+		mask flowkey.Mask
+	}{{"in-use", inUse}, {"not-in-use", flowkey.MaskFields(flowkey.FieldDstPort)}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Query(window.All(), arm.mask, raceTuple(uint64(i)%4096)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkSeal(b *testing.B) {

@@ -135,12 +135,22 @@ func newSealed(epoch uint64, at time.Time, buckets []core.Bucket[flowkey.FiveTup
 	return s
 }
 
-// view returns the epoch grouped under m. A view kept on the epoch is
-// shared. Otherwise, if keep is set and the epoch keeps fewer than
-// maxMasks views, the view is built once and kept, concurrent callers
-// for m sharing the build; any other view is built for the caller
-// alone.
+// view returns the epoch grouped under m: the view kept on the epoch
+// (see kept), or else one built for the caller alone.
 func (s *Sealed) view(m flowkey.Mask, keep bool) *view {
+	v, keys, vals := s.kept(m, keep)
+	if v == nil {
+		v = &view{mask: m}
+		v.build(keys, vals)
+	}
+	return v
+}
+
+// kept returns the view under m kept on the epoch, if there is one or
+// keep admits one: keep admits a view while the epoch keeps fewer than
+// maxMasks, and concurrent callers for m share its one build.
+// Otherwise it returns nil and the epoch's columns.
+func (s *Sealed) kept(m flowkey.Mask, keep bool) (*view, []keysort.Key, []uint64) {
 	s.mu.Lock()
 	var v *view
 	for _, w := range s.views {
@@ -156,9 +166,7 @@ func (s *Sealed) view(m flowkey.Mask, keep bool) *view {
 	keys, vals := s.keys, s.vals
 	s.mu.Unlock()
 	if v == nil {
-		v = &view{mask: m}
-		v.build(keys, vals)
-		return v
+		return nil, keys, vals
 	}
 	v.once.Do(func() {
 		v.build(keys, vals)
@@ -171,7 +179,7 @@ func (s *Sealed) view(m flowkey.Mask, keep bool) *view {
 			s.mu.Unlock()
 		}
 	})
-	return v
+	return v, nil, nil
 }
 
 // ringState is one immutable published snapshot of the ring. Readers
