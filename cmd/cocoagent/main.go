@@ -6,10 +6,10 @@
 // A -pcap capture is streamed through shard.ReplayPCAPBasic, one
 // reader steering its frames to one receive queue per -workers, so
 // memory stays bounded by the sketches, not the capture. A synthetic
-// trace at -workers > 1 is ingested through the sharded engine
-// (internal/shard). Either way N workers each update a private sketch,
-// and the merged sketch is absorbed into the agent's epoch sketch
-// before it is sealed. Sketch memory is per worker (merge
+// trace at -workers > 1 is steered to the same queues by
+// shard.ReplayPackets. Either way N workers each update a private
+// sketch, and the merged sketch is absorbed into the agent's epoch
+// sketch before it is sealed. Sketch memory is per worker (merge
 // compatibility requires all shards to share one geometry).
 //
 // With -telemetry the agent serves its runtime counters as expvar-style
@@ -74,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memKB     = fs.Int("mem", 500, "shared sketch memory in KB")
 		d         = fs.Int("d", core.DefaultArrays, "shared number of arrays")
 		seed      = fs.Uint64("seed", 1, "shared sketch seed")
-		workers   = fs.Int("workers", 1, "ingest workers per epoch (sharded engine when > 1)")
+		workers   = fs.Int("workers", 1, "ingest workers per epoch, one receive queue each")
 		telAddr   = fs.String("telemetry", "", "serve /debug/vars and /debug/pprof on this address (off when empty)")
 		redials   = fs.Int("redials", 2, "redial attempts per epoch report")
 		spool     = fs.Int("spool", 0, "bound undelivered epochs in a coalescing spool and keep measuring through collector outages (0 = fail fast on report error)")
@@ -159,9 +159,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // measureEpoch measures one epoch's traffic into agent and returns the
-// packet count: the capture at pcapPath, replayed on one receive queue
-// per worker, or a synthetic trace drawn with traceSeed, ingested by
-// the sharded engine when workers > 1.
+// packet count: the capture at pcapPath, or a synthetic trace drawn
+// with traceSeed, replayed on one receive queue per worker (a
+// synthetic trace at one worker is observed directly).
 func measureEpoch(agent *netwide.Agent, cfg core.Config, reg *telemetry.Registry, pcapPath string, workers, packets int, traceSeed uint64) (uint64, error) {
 	if pcapPath != "" {
 		f, err := os.Open(pcapPath)
@@ -185,15 +185,13 @@ func measureEpoch(agent *netwide.Agent, cfg core.Config, reg *telemetry.Registry
 		}
 		return uint64(len(tr.Packets)), nil
 	}
-	eng := shard.NewBasic(shard.Config{Workers: workers, Seed: cfg.Seed, Telemetry: reg}, cfg)
-	eng.Ingest(tr.Packets)
-	eng.Close()
-	merged, err := eng.Snapshot()
+	merged, st, err := shard.ReplayPackets(shard.ReplayConfig{Queues: workers, Seed: cfg.Seed, Telemetry: reg},
+		shard.NewBasicFactory(cfg, reg), tr.Packets)
 	if err != nil {
 		return 0, fmt.Errorf("sharded ingest: %w", err)
 	}
 	if err := agent.Absorb(merged); err != nil {
 		return 0, fmt.Errorf("absorb: %w", err)
 	}
-	return uint64(len(tr.Packets)), nil
+	return st.Packets, nil
 }

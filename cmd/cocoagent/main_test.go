@@ -120,7 +120,8 @@ func TestRunTelemetryEndToEnd(t *testing.T) {
 }
 
 // TestRunTelemetryShardedWorkers checks the -workers path registers the
-// sharded-engine counters and that dispatch covers the whole trace.
+// ingest pipeline's counters and that its workers insert the whole
+// trace.
 func TestRunTelemetryShardedWorkers(t *testing.T) {
 	_, addr := startCollector(t, 64, 2, 5)
 
@@ -136,13 +137,10 @@ func TestRunTelemetryShardedWorkers(t *testing.T) {
 	}
 
 	vars := fetchVars(t, telemetryAddr(t, stdout.String()))
-	if got := counter(t, vars, "shard.dispatched"); got != 20000 {
-		t.Errorf("shard.dispatched = %d, want 20000", got)
+	if got := counter(t, vars, "ingest.consumed"); got != 20000 {
+		t.Errorf("ingest.consumed = %d, want 20000 (lossless)", got)
 	}
-	if got := counter(t, vars, "shard.consumed"); got != 20000 {
-		t.Errorf("shard.consumed = %d, want 20000 (lossless mode)", got)
-	}
-	// The absorbed snapshot lands in the epoch sketch as one merge.
+	// The merged replay lands in the epoch sketch as one merge.
 	if got := counter(t, vars, "netwide.absorbs"); got != 1 {
 		t.Errorf("netwide.absorbs = %d, want 1", got)
 	}
@@ -168,8 +166,8 @@ func TestRunNoTelemetryFlag(t *testing.T) {
 // TestRunPcapMatchesReference feeds a real capture through -pcap
 // (the shard replay pipeline) and checks the epoch-0 table the
 // collector seals: at -workers 1 it equals one sketch fed the trace's
-// packets in order, at -workers 2 a 2-worker shard engine fed the
-// same packets.
+// packets in order, at -workers 2 the merge of two such sketches, one
+// per half of the RSS split.
 func TestRunPcapMatchesReference(t *testing.T) {
 	tr := trace.CAIDALike(20000, 5)
 	path := filepath.Join(t.TempDir(), "caida.pcap")
@@ -189,13 +187,18 @@ func TestRunPcapMatchesReference(t *testing.T) {
 	for i := range tr.Packets {
 		seq.Insert(tr.Packets[i].Key, 1)
 	}
-	eng := shard.NewBasic(shard.Config{Workers: 2, Seed: 5}, cfg)
-	eng.Ingest(tr.Packets)
-	eng.Close()
-	sharded, err := eng.Decode()
-	if err != nil {
-		t.Fatal(err)
+	newSketch := shard.NewBasicFactory(cfg, nil)
+	halves := []*core.Basic[flowkey.FiveTuple]{newSketch(0), newSketch(1)}
+	for i := range tr.Packets {
+		halves[flowkey.RSSIndex(tr.Packets[i].Key, 5, 2)].Insert(tr.Packets[i].Key, 1)
 	}
+	merged := newSketch(2)
+	for _, h := range halves {
+		if err := merged.Merge(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sharded := merged.Decode()
 
 	for _, tc := range []struct {
 		workers string

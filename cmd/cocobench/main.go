@@ -40,11 +40,10 @@ type throughputRecord struct {
 }
 
 // telemetrySummary is the runtime-counter digest attached to the
-// BENCH_cocobench.json document: ring-drop totals and burst-size
-// quantiles from the sharded-ingest runners (zero for experiments that
-// never touch the sharded engine).
+// BENCH_cocobench.json document: the packets the ingest pipeline's
+// workers inserted and their burst-size quantiles (zero for
+// experiments that never run the pipeline).
 type telemetrySummary struct {
-	RingDrops    uint64 `json:"ring_drops"`
 	Consumed     uint64 `json:"consumed"`
 	BatchSizeP50 uint64 `json:"batch_size_p50"`
 	BatchSizeP99 uint64 `json:"batch_size_p99"`
@@ -61,10 +60,9 @@ type benchJSON struct {
 
 // summarizeTelemetry digests a registry snapshot into the JSON fields.
 func summarizeTelemetry(snap telemetry.Snapshot) *telemetrySummary {
-	h := snap.Histograms["shard.batch_size"]
+	h := snap.Histograms["ingest.batch_size"]
 	return &telemetrySummary{
-		RingDrops:    snap.Counters["shard.ring_drops"],
-		Consumed:     snap.Counters["shard.consumed"],
+		Consumed:     snap.Counters["ingest.consumed"],
 		BatchSizeP50: h.Quantile(0.5),
 		BatchSizeP99: h.Quantile(0.99),
 	}

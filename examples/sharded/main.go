@@ -1,9 +1,9 @@
 // Sharded multi-core ingest: the paper's OVS scaling architecture
-// (§6.1 — one sketch per dataplane thread, merged at decode) packaged
-// as an engine (internal/shard). A dispatcher RSS-hashes packets to N
-// workers over SPSC rings; each worker batch-inserts into a private
-// CocoSketch; decode merges the shards. The demo also takes a live
-// snapshot mid-stream — consistent reads without stopping ingest.
+// (§6.1 — one sketch per dataplane thread, merged at decode) as the
+// replay pipeline of internal/shard fed from memory. One feed
+// RSS-steers packets to N receive queues over SPSC rings; each queue's
+// worker batch-inserts into a private CocoSketch; the run ends by
+// merging the queue sketches.
 //
 // Run: go run ./examples/sharded
 package main
@@ -24,43 +24,25 @@ func main() {
 	sketchCfg := core.ConfigForMemory[flowkey.FiveTuple](core.DefaultArrays, 500<<10, 9)
 
 	// Throughput sweep: Mpps vs worker count (needs physical cores to
-	// actually climb; the correctness properties hold regardless).
+	// actually climb; the correctness properties hold regardless). The
+	// 4-worker sketch is kept for the query below.
+	var merged *core.Basic[flowkey.FiveTuple]
 	fmt.Printf("%-8s  %-10s  %-10s\n", "workers", "Mpps", "mass-ok")
 	for _, workers := range []int{1, 2, 4} {
-		eng := shard.NewBasic(shard.Config{Workers: workers, Seed: 5}, sketchCfg)
 		start := time.Now()
-		eng.Ingest(tr.Packets)
-		eng.Close()
-		mpps := float64(len(tr.Packets)) / time.Since(start).Seconds() / 1e6
-		merged, err := eng.Snapshot()
+		s, _, err := shard.ReplayPackets(shard.ReplayConfig{Queues: workers, Seed: 5},
+			shard.NewBasicFactory(sketchCfg, nil), tr.Packets)
 		if err != nil {
 			panic(err)
 		}
+		mpps := float64(len(tr.Packets)) / time.Since(start).Seconds() / 1e6
 		fmt.Printf("%-8d  %-10.2f  %-10v\n",
-			workers, mpps, merged.SumValues() == uint64(len(tr.Packets)))
+			workers, mpps, s.SumValues() == uint64(len(tr.Packets)))
+		merged = s
 	}
 
-	// Live snapshot: ingest half the stream, read a consistent view
-	// while the engine stays open, then finish and query.
-	eng := shard.NewBasic(shard.Config{Workers: 4, Seed: 5}, sketchCfg)
-	eng.Ingest(tr.Packets[:len(tr.Packets)/2])
-	eng.Flush()
-	mid, err := eng.Snapshot()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("\nmid-stream snapshot: %d of %d packets measured so far\n",
-		mid.SumValues(), len(tr.Packets))
-
-	eng.Ingest(tr.Packets[len(tr.Packets)/2:])
-	eng.Close()
-	decoded, err := eng.Decode()
-	if err != nil {
-		panic(err)
-	}
-
-	engine := query.NewEngine(decoded)
+	engine := query.NewEngine(merged.Decode())
 	m := flowkey.MaskFields(flowkey.FieldSrcIP)
-	fmt.Println("\ntop sources measured by the 4-worker engine:")
+	fmt.Println("\ntop sources measured by 4 workers:")
 	fmt.Print(query.FormatRows(m, engine.Top(m, 5), 5))
 }

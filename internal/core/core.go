@@ -183,9 +183,10 @@ func (t *table[K]) Arrays() int { return t.d }
 func (t *table[K]) BucketsPerArray() int { return t.l }
 
 // reseedRNG replaces the replacement-draw random source. Hash seeds
-// are untouched, so sketches stay merge-compatible: shard.Engine uses
-// this to decorrelate the replacement draws of per-worker sketches
-// that must share one Config (and therefore one Config.Seed).
+// are untouched, so sketches stay merge-compatible: package shard's
+// sketch factory uses this to decorrelate the replacement draws of
+// per-queue sketches that must share one Config (and therefore one
+// Config.Seed).
 func (t *table[K]) reseedRNG(seed uint64) { t.rng = xrand.New(seed) }
 
 // sumValues returns the sum of all bucket counters (used by invariant
@@ -318,8 +319,8 @@ func (s *Basic[K]) InsertBatchUnit(keys []K) {
 
 // Reseed replaces the replacement-draw RNG without touching the hash
 // seeds, so the sketch remains mergeable with others of the same
-// Config. Shard engines call this so workers sharing a Config do not
-// replay identical replacement-draw sequences.
+// Config. Package shard's sketch factory calls this so queues sharing
+// a Config do not replay identical replacement-draw sequences.
 func (s *Basic[K]) Reseed(seed uint64) { s.reseedRNG(seed) }
 
 // Query returns the recorded estimate of a full-key flow, or 0 if the

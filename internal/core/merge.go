@@ -71,7 +71,8 @@ func (t *table[K]) mergeTable(other *table[K]) error {
 //
 // Merging into a freshly constructed (empty) sketch copies the other
 // sketch's buckets verbatim and consumes no randomness, which is how
-// shard.Engine assembles its decode view (see internal/shard).
+// a multi-queue shard replay folds its queue sketches into one (see
+// internal/shard).
 func (s *Basic[K]) Merge(other *Basic[K]) error {
 	return s.mergeTable(&other.table)
 }

@@ -8,8 +8,8 @@ import (
 	"cocosketch/internal/xrand"
 )
 
-// The merge path is load-bearing for internal/shard: every Decode of a
-// sharded engine folds N per-worker sketches into a fresh one, so the
+// The merge path is load-bearing for internal/shard: every multi-queue
+// replay folds N per-queue sketches into a fresh one, so the
 // tests below pin merge behaviour for every bucket-occupancy mix the
 // shards can present — empty vs empty, filled vs empty, empty vs
 // filled, same key, and conflicting keys.
@@ -28,9 +28,8 @@ func fillDisjoint(s *Basic[flowkey.FiveTuple], rng *xrand.Source, base, universe
 
 // TestMergeIntoEmptyCopiesVerbatim: folding a shard into a fresh empty
 // sketch must reproduce the shard bucket-for-bucket and must consume
-// no randomness — this is exactly how shard.Engine builds its decode
-// view, and it is what makes the 1-worker engine bit-identical to the
-// sequential path.
+// no randomness — this is exactly how a multi-queue shard replay folds
+// its queue sketches into one.
 func TestMergeIntoEmptyCopiesVerbatim(t *testing.T) {
 	cfg := Config{Arrays: 2, BucketsPerArray: 16, Seed: 3}
 	src := NewBasic[flowkey.FiveTuple](cfg)

@@ -90,8 +90,7 @@ func (s *Hardware[K]) Clone() *Hardware[K] {
 // ExtractStage returns the "small stage" of s for a report: a deep
 // copy compressed to 1/factor of the buckets per array (factor must be
 // a power of two dividing l; factor 1 is a plain clone). The receiver
-// — the fat stage — is untouched, so it can stay on the agent for
-// local full-resolution queries while only the small stage ships.
+// — the fat stage — is untouched; only the small stage ships.
 // Compression merges bucket pairs with the estimate-preserving rule
 // (see Compress), so the stage conserves SumValues exactly and its
 // estimates remain unbiased with the variance of an l/factor sketch.

@@ -239,12 +239,13 @@ func scalingWorkerCounts(cap int) []int {
 	return append(out, cap)
 }
 
-// runScaling measures the sharded ingest engine (internal/shard) on
-// the CAIDA-like workload: Mpps vs worker count, the software scaling
-// curve of the paper's OVS deployment (§6.1: one sketch per dataplane
-// thread, merged at decode). Each run also cross-checks correctness —
-// lossless ingest must conserve the stream weight through dispatch,
-// rings and decode-time merge.
+// runScaling measures the multi-core ingest pipeline (internal/shard)
+// on the CAIDA-like workload: Mpps vs worker count, the software
+// scaling curve of the paper's OVS deployment (§6.1: one sketch per
+// dataplane thread, merged at decode). Each run replays the in-memory
+// trace on one receive queue per worker (shard.ReplayPackets) and
+// cross-checks correctness — lossless ingest must insert every packet
+// through steering, rings and merge.
 func runScaling(cfg RunConfig) (*TableResult, error) {
 	tr := trace.CAIDALike(cfg.packets(), cfg.Seed)
 	maxWorkers := cfg.Workers
@@ -264,21 +265,23 @@ func runScaling(cfg RunConfig) (*TableResult, error) {
 		Columns: []string{"workers", "Mpps", "speedup"},
 		Notes: []string{
 			"paper §6.1: one sketch per dataplane thread, merged at decode; near-linear until memory bandwidth",
-			fmt.Sprintf("host has GOMAXPROCS=%d; scaling requires physical cores (flat on a single-core host)", runtime.GOMAXPROCS(0)),
+			fmt.Sprintf("host has GOMAXPROCS=%d; a run is one feed goroutine plus one worker per queue, so scaling needs a core for each", runtime.GOMAXPROCS(0)),
 		},
 	}
 	sketchCfg := core.ConfigForMemory[flowkey.FiveTuple](core.DefaultArrays, 500*1024, cfg.Seed+7)
 	var base float64
 	for _, w := range counts {
-		eng := shard.NewBasic(shard.Config{Workers: w, Seed: cfg.Seed, Bytes: cfg.Bytes, Telemetry: cfg.Telemetry}, sketchCfg)
+		replayCfg := shard.ReplayConfig{Queues: w, Seed: cfg.Seed, Bytes: cfg.Bytes, Telemetry: cfg.Telemetry}
+		newSketch := shard.NewBasicFactory(sketchCfg, cfg.Telemetry)
 		start := time.Now()
-		eng.Ingest(tr.Packets)
-		eng.Close()
+		_, st, err := shard.ReplayPackets(replayCfg, newSketch, tr.Packets)
 		elapsed := time.Since(start).Seconds()
-		st := eng.Stats()
-		if st.Consumed != uint64(len(tr.Packets)) {
+		if err != nil {
+			return nil, fmt.Errorf("ext-scaling: %d workers: %w", w, err)
+		}
+		if st.Packets != uint64(len(tr.Packets)) {
 			return nil, fmt.Errorf("ext-scaling: %d workers consumed %d of %d packets",
-				w, st.Consumed, len(tr.Packets))
+				w, st.Packets, len(tr.Packets))
 		}
 		mpps := float64(len(tr.Packets)) / elapsed / 1e6
 		if w == 1 {

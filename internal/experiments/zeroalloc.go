@@ -105,9 +105,9 @@ func runZeroAlloc(cfg RunConfig) (*TableResult, error) {
 
 	// Pooled pipeline, N queues: partition once (setup, untimed — a
 	// real NIC splits in hardware), then replay concurrently. Verified
-	// against an N-worker engine fed the same stream with the same
-	// seed: the RSS split is shared, so the merged sketches must match
-	// bit for bit.
+	// against the in-memory feed of the same stream with the same seed
+	// (shard.ReplayPackets over the decoded packets): the RSS split is
+	// shared, so the merged sketches must match bit for bit.
 	if queues > 1 {
 		qs, err := pcap.PartitionRSS(bytes.NewReader(data), queues, cfg.Seed)
 		if err != nil {
@@ -124,15 +124,13 @@ func runZeroAlloc(cfg RunConfig) (*TableResult, error) {
 			return nil, fmt.Errorf("ext-zeroalloc: %d-queue replay saw %d packets, 1-queue saw %d",
 				queues, stN.Packets, st1.Packets)
 		}
-		eng := shard.NewBasic(shard.Config{Workers: queues, Seed: cfg.Seed, Bytes: cfg.Bytes}, sketchCfg)
-		eng.Ingest(legacyTrace.Packets)
-		eng.Close()
-		engTable, err := eng.Decode()
+		fed, _, err := shard.ReplayPackets(shard.ReplayConfig{Queues: queues, Seed: cfg.Seed, Bytes: cfg.Bytes},
+			shard.NewBasicFactory(sketchCfg, nil), legacyTrace.Packets)
 		if err != nil {
 			return nil, err
 		}
-		if err := diffDecodeTables(pooledN.Decode(), engTable); err != nil {
-			return nil, fmt.Errorf("ext-zeroalloc: pooled %d-queue decode diverges from %d-worker engine: %w",
+		if err := diffDecodeTables(pooledN.Decode(), fed.Decode()); err != nil {
+			return nil, fmt.Errorf("ext-zeroalloc: pooled %d-queue decode diverges from the %d-queue in-memory feed: %w",
 				queues, queues, err)
 		}
 		mppsN := float64(stN.Packets) / pooledNSec / 1e6

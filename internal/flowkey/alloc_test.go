@@ -16,7 +16,7 @@ func TestHashSeedsNoAllocs(t *testing.T) {
 	}
 }
 
-// TestRSSIndexNoAllocs pins the dispatcher/partitioner steering
+// TestRSSIndexNoAllocs pins the replay/partitioner steering
 // function at zero heap allocations — its single-seed HashSeeds call
 // uses stack arrays that must not escape.
 func TestRSSIndexNoAllocs(t *testing.T) {

@@ -86,10 +86,6 @@ type Agent struct {
 
 	// codec seals and encodes every epoch.
 	codec report.Codec[flowkey.FiveTuple]
-	// local is the fat stage of the most recently sealed epoch: at a
-	// shrink above 1 only the small stage ships, and this keeps
-	// full-resolution local queries possible (SF-sketch's split).
-	local *core.Basic[flowkey.FiveTuple]
 }
 
 // agentTel groups the agent-side counters (all nil-safe; nil without
@@ -200,23 +196,14 @@ func (a *Agent) SetCodec(c report.Codec[flowkey.FiveTuple]) *Agent {
 	return a
 }
 
-// LocalStage returns the fat stage of the most recently sealed epoch
-// (nil before the first EndEpoch). At a shrink above 1 only the
-// extracted small stage ships to the collector; the fat sketch stays
-// here at full resolution for local queries, per SF-sketch's two-stage
-// split. At shrink 1 the fat sketch is the shipped stage. Callers must
-// treat it as read-only.
-func (a *Agent) LocalStage() *core.Basic[flowkey.FiveTuple] { return a.local }
-
 // seal converts the current epoch's fat sketch into its wire stage via
-// the agent's codec, retaining the fat sketch for LocalStage.
+// the agent's codec.
 func (a *Agent) seal() *core.Basic[flowkey.FiveTuple] {
 	stage, err := a.codec.Seal(a.sketch)
 	if err != nil {
 		// SetCodec proved the codec seals this agent's geometry.
 		panic(fmt.Sprintf("netwide: sealing epoch %d: %v", a.epoch, err))
 	}
-	a.local = a.sketch
 	return stage
 }
 
@@ -262,9 +249,9 @@ func (a *Agent) Observe(key flowkey.FiveTuple, w uint64) {
 }
 
 // Absorb merges an externally built sketch of the shared Config into
-// the current epoch — the hand-off point for sharded ingest: a
-// shard.Engine measures the epoch's traffic across N workers, and its
-// merged snapshot lands here before EndEpoch seals it for the collector.
+// the current epoch — the hand-off point for sharded ingest: a shard
+// replay measures the epoch's traffic on N receive queues, and its
+// merged sketch lands here before EndEpoch seals it for the collector.
 func (a *Agent) Absorb(s *core.Basic[flowkey.FiveTuple]) error {
 	if err := a.sketch.Merge(s); err != nil {
 		return err

@@ -56,20 +56,17 @@ func Example() {
 }
 
 // ExampleAgent_Absorb scales one vantage point across cores: a
-// shard.Engine ingests the epoch's traffic with 4 workers, and its
-// merged snapshot is absorbed into the agent's epoch sketch. The
-// engine's workers share the agent's Config, so every merge along the
-// way is estimate-preserving.
+// four-queue shard.ReplayPackets ingests the epoch's traffic, and its
+// merged sketch is absorbed into the agent's epoch sketch. The queues'
+// sketches share the agent's Config, so every merge along the way is
+// estimate-preserving.
 func ExampleAgent_Absorb() {
 	cfg := core.Config{Arrays: 2, BucketsPerArray: 1024, Seed: 7}
 	agent := netwide.NewAgent(1, cfg)
 
 	tr := trace.CAIDALike(50_000, 7)
-	eng := shard.NewBasic(shard.Config{Workers: 4, Seed: 7}, cfg)
-	eng.Ingest(tr.Packets)
-	eng.Close()
-
-	merged, err := eng.Snapshot()
+	merged, _, err := shard.ReplayPackets(shard.ReplayConfig{Queues: 4, Seed: 7},
+		shard.NewBasicFactory(cfg, nil), tr.Packets)
 	if err != nil {
 		panic(err)
 	}
@@ -82,10 +79,10 @@ func ExampleAgent_Absorb() {
 }
 
 // ExampleAgent_SetCodec ships shrink-8 stages — what `cocoagent
-// -report-shrink 8` sets up. The agent keeps its fat sketch locally and
-// ships 1/8-size stages; the collector needs no setting, because every
-// report names its shrink. Telemetry shows the wire savings against
-// the full-snapshot baseline.
+// -report-shrink 8` sets up. The agent measures each epoch into its
+// fat sketch and ships 1/8-size stages; the collector needs no
+// setting, because every report names its shrink. Telemetry shows the
+// wire savings against the full-snapshot baseline.
 func ExampleAgent_SetCodec() {
 	cfg := core.Config{Arrays: 2, BucketsPerArray: 512, Seed: 7}
 	codec, err := report.New[flowkey.FiveTuple](cfg, 8)

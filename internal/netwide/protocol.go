@@ -1,14 +1,15 @@
 // Package netwide implements network-wide measurement on top of
 // CocoSketch: every vantage point (switch/agent) measures its local
-// traffic into a CocoSketch with a shared configuration, ships the
-// serialized sketch to a collector over TCP at the end of each epoch,
-// and the collector merges the shards — merging is estimate-preserving
-// (see core.Merge) — and seals each epoch once into an EpochSink, the
-// query ring that answers partial-key queries about the whole network.
+// traffic into a CocoSketch with a shared configuration, ships each
+// epoch's sealed stage to a collector over TCP as a CRPT v3 report,
+// and the collector merges the agents' stages — merging is
+// estimate-preserving (see core.Merge) — and seals each epoch once
+// into an EpochSink, the query ring that answers partial-key queries
+// about the whole network.
 //
 // This is the deployment §2.2 of the paper motivates (network-wide
 // diagnosis without pre-declared keys), built from the repository's own
-// primitives: core serialization, core merging and a small
+// primitives: the report codec, core merging and a small
 // length-prefixed wire protocol.
 //
 // Epoch reports go through the one report codec (internal/report,

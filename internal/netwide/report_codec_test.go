@@ -85,9 +85,6 @@ func TestCompressedEndToEndConservesMassAtFiveXFewerBytes(t *testing.T) {
 			perEpoch[epoch] += a.sketch.SumValues()
 			observed += a.sketch.SumValues()
 			a.EndEpoch()
-			if a.LocalStage() == nil || a.LocalStage().BucketsPerArray() != denseCfg.BucketsPerArray {
-				t.Fatal("fat stage did not stay local")
-			}
 			if err := a.Flush(conns[i]); err != nil {
 				t.Fatalf("agent %d epoch %d: %v", i, epoch, err)
 			}

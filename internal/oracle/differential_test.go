@@ -117,19 +117,17 @@ func TestMetamorphicShardOneEqualsSequential(t *testing.T) {
 		for i := range tr.Packets {
 			seq.Insert(tr.Packets[i].Key, 1)
 		}
-		eng := shard.NewBasic(shard.Config{Workers: 1, Seed: 3}, harnessCoreCfg(3))
-		eng.Ingest(tr.Packets)
-		eng.Close()
-		got, err := eng.Decode()
+		got, _, err := shard.ReplayPackets(shard.ReplayConfig{Queues: 1, Seed: 3},
+			shard.NewBasicFactory(harnessCoreCfg(3), nil), tr.Packets)
 		if err != nil {
-			t.Fatalf("%s: decode: %v", reg.Name, err)
+			t.Fatalf("%s: replay: %v", reg.Name, err)
 		}
-		assertSameTable(t, reg.Name, seq.Decode(), got)
+		assertSameTable(t, reg.Name, seq.Decode(), got.Decode())
 	}
 }
 
 // TestMetamorphicShardNDecode pins the shard-N ≡ shard-1 relation at
-// the level the engine guarantees: the merged decode conserves the
+// the level the pipeline guarantees: the merged decode conserves the
 // exact stream mass for every worker count, for every partial key
 // (merging is mass-preserving), and the per-key estimates of the
 // merged table stay unbiased — the statistical half is asserted by the
@@ -139,13 +137,12 @@ func TestMetamorphicShardNDecode(t *testing.T) {
 		tr := reg.Generate(6000, 0x0D0D)
 		o := FromTrace(tr)
 		for _, workers := range []int{1, 2, 4} {
-			eng := shard.NewBasic(shard.Config{Workers: workers, Seed: 9}, harnessCoreCfg(9))
-			eng.Ingest(tr.Packets)
-			eng.Close()
-			table, err := eng.Decode()
+			merged, _, err := shard.ReplayPackets(shard.ReplayConfig{Queues: workers, Seed: 9},
+				shard.NewBasicFactory(harnessCoreCfg(9), nil), tr.Packets)
 			if err != nil {
-				t.Fatalf("%s/%d: decode: %v", reg.Name, workers, err)
+				t.Fatalf("%s/%d: replay: %v", reg.Name, workers, err)
 			}
+			table := merged.Decode()
 			for _, m := range Masks() {
 				var mass uint64
 				for k, v := range table {

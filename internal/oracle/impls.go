@@ -11,6 +11,7 @@ import (
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/shard"
+	"cocosketch/internal/trace"
 )
 
 // Adapters binding every implementation in the repository to the
@@ -157,39 +158,30 @@ func CocoBatchedImpl() Impl {
 	}
 }
 
-// CocoShardedImpl drives the PR-2 multi-core engine: RSS dispatch to
-// shardWorkers basic sketches, merge at decode. Merging conserves mass
-// and preserves unbiasedness (each shard is an independent unbiased
-// sketch of a disjoint substream; the merge collapse rule is the same
-// stochastic argument as insertion).
+// CocoShardedImpl drives the multi-core ingest pipeline: the instance
+// buffers its packets, and close replays them through
+// shard.ReplayPackets, RSS-steered to shardWorkers basic sketches that
+// merge when the run ends. Merging conserves mass and preserves
+// unbiasedness (each shard is an independent unbiased sketch of a
+// disjoint substream; the merge collapse rule is the same stochastic
+// argument as insertion).
 func CocoShardedImpl() Impl {
 	return Impl{
 		Name: "coco-sharded",
 		New: func(seed uint64) Instance {
-			e := shard.NewBasic(shard.Config{Workers: shardWorkers, Seed: seed}, cocoCfg(seed))
-			buf := make([]flowkey.FiveTuple, 0, batchLen)
+			var ps []trace.Packet
 			var table map[flowkey.FiveTuple]uint64
-			flush := func() {
-				if len(buf) > 0 {
-					e.IngestKeys(buf)
-					buf = buf[:0]
-				}
-			}
 			return &funcInstance{
 				insert: func(k flowkey.FiveTuple, _ uint64) {
-					buf = append(buf, k)
-					if len(buf) == batchLen {
-						flush()
-					}
+					ps = append(ps, trace.Packet{Key: k})
 				},
 				close: func() {
-					flush()
-					e.Close()
-					t, err := e.Decode()
+					merged, _, err := shard.ReplayPackets(shard.ReplayConfig{Queues: shardWorkers, Seed: seed},
+						shard.NewBasicFactory(cocoCfg(seed), nil), ps)
 					if err != nil {
 						panic(err)
 					}
-					table = t
+					table = merged.Decode()
 				},
 				table: func() map[flowkey.FiveTuple]uint64 { return table },
 			}

@@ -138,13 +138,17 @@ func runServedPath(t *testing.T, seed uint64) (*Oracle, []func(flowkey.Mask) map
 	tee := foldTee{folds: folds, ring: ring}
 	for e := 0; e < ledgerWindow; e++ {
 		for a, agent := range agents {
+			// The agent's epoch sketch, rebuilt from the same packets: a
+			// fresh sketch of the shared Config, as each agent epoch is.
+			local := core.NewBasic[flowkey.FiveTuple](cfg)
 			for _, p := range samples[a].Packets[e*ledgerPackets : (e+1)*ledgerPackets] {
 				agent.Observe(p.Key, 1)
+				local.Insert(p.Key, 1)
 				truth[p.Key]++
 			}
 			agent.EndEpoch()
-			addTable(fat, agent.LocalStage().Decode())
-			stage, err := agent.LocalStage().ExtractStage(ledgerShrink)
+			addTable(fat, local.Decode())
+			stage, err := local.ExtractStage(ledgerShrink)
 			if err != nil {
 				t.Fatal(err)
 			}

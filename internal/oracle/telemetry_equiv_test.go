@@ -64,29 +64,27 @@ func TestMetamorphicTelemetryInvisible(t *testing.T) {
 }
 
 // TestMetamorphicTelemetryInvisibleSharded extends the invariant to the
-// sharded engine: a fully instrumented engine (registry through
-// shard.Config) must decode bit-identically to an un-instrumented one
-// with the same seeds, for one worker and several.
+// multi-core pipeline: a fully instrumented replay (registry through
+// shard.ReplayConfig and the sketch factory) must decode
+// bit-identically to an un-instrumented one with the same seeds, for
+// one queue and several.
 func TestMetamorphicTelemetryInvisibleSharded(t *testing.T) {
 	for _, reg := range Regimes() {
 		tr := reg.Generate(6000, 0x7E2E)
 		for _, workers := range []int{1, 4} {
-			off := shard.NewBasic(shard.Config{Workers: workers, Seed: 5}, harnessCoreCfg(5))
-			off.Ingest(tr.Packets)
-			off.Close()
-			want, err := off.Decode()
+			off, _, err := shard.ReplayPackets(shard.ReplayConfig{Queues: workers, Seed: 5},
+				shard.NewBasicFactory(harnessCoreCfg(5), nil), tr.Packets)
 			if err != nil {
-				t.Fatalf("%s/%d: decode: %v", reg.Name, workers, err)
+				t.Fatalf("%s/%d: replay: %v", reg.Name, workers, err)
 			}
 
-			on := shard.NewBasic(shard.Config{Workers: workers, Seed: 5, Telemetry: telemetry.New()}, harnessCoreCfg(5))
-			on.Ingest(tr.Packets)
-			on.Close()
-			got, err := on.Decode()
+			tel := telemetry.New()
+			on, _, err := shard.ReplayPackets(shard.ReplayConfig{Queues: workers, Seed: 5, Telemetry: tel},
+				shard.NewBasicFactory(harnessCoreCfg(5), tel), tr.Packets)
 			if err != nil {
-				t.Fatalf("%s/%d: instrumented decode: %v", reg.Name, workers, err)
+				t.Fatalf("%s/%d: instrumented replay: %v", reg.Name, workers, err)
 			}
-			assertSameTable(t, reg.Name+"/sharded", want, got)
+			assertSameTable(t, reg.Name+"/sharded", off.Decode(), on.Decode())
 		}
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"cocosketch/internal/trace"
 )
 
-// ExampleRing shows the single-producer single-consumer ring on its
+// ExampleRingOf shows the single-producer single-consumer ring on its
 // own: batched push and pop with the cached-index fast path.
-func ExampleRing() {
-	r := ovs.NewRing(8)
+func ExampleRingOf() {
+	r := ovs.NewRingOf[trace.Packet](8)
 
 	in := make([]trace.Packet, 5)
 	for i := range in {

@@ -17,16 +17,16 @@ func pkt(i uint32) trace.Packet {
 }
 
 func TestRingCapacityRounding(t *testing.T) {
-	if got := NewRing(1000).Capacity(); got != 1024 {
+	if got := NewRingOf[trace.Packet](1000).Capacity(); got != 1024 {
 		t.Fatalf("capacity = %d, want 1024", got)
 	}
-	if got := NewRing(0).Capacity(); got != 2 {
+	if got := NewRingOf[trace.Packet](0).Capacity(); got != 2 {
 		t.Fatalf("capacity = %d, want 2", got)
 	}
 }
 
 func TestRingFIFO(t *testing.T) {
-	r := NewRing(8)
+	r := NewRingOf[trace.Packet](8)
 	for i := uint32(0); i < 8; i++ {
 		if !r.TryPush(pkt(i)) {
 			t.Fatalf("push %d failed", i)
@@ -50,7 +50,7 @@ func TestRingFIFO(t *testing.T) {
 }
 
 func TestRingWrapAround(t *testing.T) {
-	r := NewRing(4)
+	r := NewRingOf[trace.Packet](4)
 	var p trace.Packet
 	for round := uint32(0); round < 100; round++ {
 		if !r.TryPush(pkt(round)) {
@@ -63,7 +63,7 @@ func TestRingWrapAround(t *testing.T) {
 }
 
 func TestRingConcurrentSPSC(t *testing.T) {
-	r := NewRing(64)
+	r := NewRingOf[trace.Packet](64)
 	const n = 100000
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -4,9 +4,9 @@ package ovs_test
 // the paper's OVS integration: one ring per dataplane thread, a
 // measurement worker draining each into a private sketch, and the
 // sketches merged at decode. Package shard builds that datapath on
-// this ring twice — the Engine's dispatcher over decoded packets (this
-// file) and per-queue pcap readers over pooled frames (frames_test.go)
-// — so these tests drive it through shard's public API.
+// this ring and feeds it decoded packets (this file) or pcap frames
+// (frames_test.go), so these tests drive it through shard's public
+// API.
 
 import (
 	"testing"
@@ -23,9 +23,6 @@ type discard struct{}
 
 func (discard) InsertBatch([]flowkey.FiveTuple, []uint64) {}
 func (discard) InsertBatchUnit([]flowkey.FiveTuple)       {}
-func (discard) Query(flowkey.FiveTuple) uint64            { return 0 }
-func (discard) Decode() map[flowkey.FiveTuple]uint64      { return nil }
-func (discard) SumValues() uint64                         { return 0 }
 func (discard) Merge(discard) error                       { return nil }
 
 func sketchForMemory(bytes int, seed uint64) core.Config {
@@ -55,11 +52,12 @@ func sum(m map[flowkey.FiveTuple]uint64) uint64 {
 func TestPipelineMovesAllPackets(t *testing.T) {
 	tr := trace.CAIDALike(50000, 1)
 	for _, threads := range []int{1, 2, 4} {
-		eng := shard.New(shard.Config{Workers: threads, Seed: 1}, func(int) discard { return discard{} })
-		eng.Ingest(tr.Packets)
-		eng.Close()
-		st := eng.Stats()
-		if st.Dispatched != uint64(len(tr.Packets)) || st.Consumed != st.Dispatched || st.Dropped != 0 {
+		_, st, err := shard.ReplayPackets(shard.ReplayConfig{Queues: threads, Seed: 1},
+			func(int) discard { return discard{} }, tr.Packets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Queues != threads || st.Packets != uint64(len(tr.Packets)) {
 			t.Fatalf("threads=%d: stats %+v, want all %d packets moved", threads, st, len(tr.Packets))
 		}
 	}
@@ -67,13 +65,12 @@ func TestPipelineMovesAllPackets(t *testing.T) {
 
 func TestPipelineSketchAccuracy(t *testing.T) {
 	tr := trace.CAIDALike(200000, 2)
-	eng := shard.NewBasic(shard.Config{Workers: 4, Seed: 3}, sketchForMemory(512*1024, 3))
-	eng.Ingest(tr.Packets)
-	eng.Close()
-	decoded, err := eng.Decode()
+	merged, _, err := shard.ReplayPackets(shard.ReplayConfig{Queues: 4, Seed: 3},
+		shard.NewBasicFactory(sketchForMemory(512*1024, 3), nil), tr.Packets)
 	if err != nil {
 		t.Fatal(err)
 	}
+	decoded := merged.Decode()
 	// Sharded decode conserves the total stream weight.
 	if got := sum(decoded); got != uint64(len(tr.Packets)) {
 		t.Fatalf("decoded total %d, want %d", got, len(tr.Packets))
@@ -125,33 +122,14 @@ func TestPipelineShardingDisjoint(t *testing.T) {
 	}
 }
 
-func TestPipelineDropOnFull(t *testing.T) {
-	// A tiny ring with a sketching consumer WILL overflow when allowed
-	// to drop; the consumed packet count plus drops must equal the trace.
-	tr := trace.CAIDALike(50000, 6)
-	eng := shard.NewBasic(shard.Config{Workers: 2, RingCapacity: 4, DropOnFull: true, Seed: 2},
-		sketchForMemory(64*1024, 2))
-	eng.Ingest(tr.Packets)
-	eng.Close()
-	st := eng.Stats()
-	if st.Dispatched != uint64(len(tr.Packets)) || st.Consumed+st.Dropped != st.Dispatched {
-		t.Fatalf("consumed %d + dropped %d != %d", st.Consumed, st.Dropped, len(tr.Packets))
-	}
-	dec, err := eng.Decode()
+func TestPipelineLosslessByDefault(t *testing.T) {
+	tr := trace.CAIDALike(20000, 7)
+	merged, st, err := shard.ReplayPackets(shard.ReplayConfig{Queues: 2, PoolSlots: 4},
+		shard.NewBasicFactory(sketchForMemory(64*1024, 7), nil), tr.Packets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sum(dec); got != st.Consumed {
-		t.Fatalf("sketch total %d != consumed %d", got, st.Consumed)
-	}
-}
-
-func TestPipelineLosslessByDefault(t *testing.T) {
-	tr := trace.CAIDALike(20000, 7)
-	eng := shard.NewBasic(shard.Config{Workers: 2, RingCapacity: 4}, sketchForMemory(64*1024, 7))
-	eng.Ingest(tr.Packets)
-	eng.Close()
-	if st := eng.Stats(); st.Dropped != 0 || st.Consumed != uint64(len(tr.Packets)) {
-		t.Fatalf("lossless mode dropped: %+v", st)
+	if st.Packets != uint64(len(tr.Packets)) || merged.SumValues() != st.Packets {
+		t.Fatalf("a 4-record bound lost packets: %+v, mass %d", st, merged.SumValues())
 	}
 }

@@ -1,22 +1,17 @@
 // Package ovs provides the single-producer single-consumer ring of the
 // paper's Open vSwitch integration (§B), where the datapath writes
 // packet headers into shared ring buffers and measurement threads poll
-// them. Package shard builds both of its ingest sources — the Engine's
-// dispatcher and the per-queue pcap readers — on this ring.
+// them. Package shard builds its ingest pipeline on this ring: every
+// feed hands keyed records to each receive queue's worker through one.
 package ovs
 
-import (
-	"sync/atomic"
-
-	"cocosketch/internal/trace"
-)
+import "sync/atomic"
 
 // RingOf is a single-producer single-consumer lock-free ring buffer,
 // mirroring the DPDK rings between the OVS datapath and the
 // measurement process. The element type is anything small enough to
-// copy by value: trace.Packet records on the Engine's path, the
-// replay readers' 20-byte keyed records (key plus wire length) on the
-// zero-allocation path.
+// copy by value; package shard's receive queues carry 20-byte keyed
+// records (key plus wire length).
 //
 // Each side keeps a private snapshot of the opposite index (headCache
 // for the producer, tailCache for the consumer) and refreshes it only
@@ -40,15 +35,6 @@ type RingOf[T any] struct {
 	_         [48]byte
 	closed    atomic.Bool
 }
-
-// Ring is the packet-record ring of the decoded ingest path (the
-// original element type of this package; see RingOf for the generic
-// form).
-type Ring = RingOf[trace.Packet]
-
-// NewRing returns a packet-record ring with capacity rounded up to a
-// power of two (minimum 2).
-func NewRing(capacity int) *Ring { return NewRingOf[trace.Packet](capacity) }
 
 // NewRingOf returns a ring of T with capacity rounded up to a power of
 // two (minimum 2).

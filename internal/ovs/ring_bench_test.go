@@ -12,7 +12,7 @@ import (
 // uncachedPush mirrors TryPush without the headCache snapshot: it
 // reloads the consumer index on every call, as the pre-batching ring
 // did. Kept as a benchmark reference for the cached-index win.
-func uncachedPush(r *Ring, p trace.Packet) bool {
+func uncachedPush(r *RingOf[trace.Packet], p trace.Packet) bool {
 	tail := r.tail.Load()
 	if tail-r.head.Load() >= uint64(len(r.buf)) {
 		return false
@@ -23,7 +23,7 @@ func uncachedPush(r *Ring, p trace.Packet) bool {
 }
 
 // uncachedPop mirrors TryPop without the tailCache snapshot.
-func uncachedPop(r *Ring, out *trace.Packet) bool {
+func uncachedPop(r *RingOf[trace.Packet], out *trace.Packet) bool {
 	head := r.head.Load()
 	if head == r.tail.Load() {
 		return false
@@ -39,8 +39,8 @@ const benchBurst = 64
 
 // runSPSC pumps b.N packets through a fresh ring with the given
 // producer and consumer loop bodies and reports ns per packet.
-func runSPSC(b *testing.B, produce func(*Ring, []trace.Packet), consume func(*Ring, []trace.Packet) int) {
-	r := NewRing(4096)
+func runSPSC(b *testing.B, produce func(*RingOf[trace.Packet], []trace.Packet), consume func(*RingOf[trace.Packet], []trace.Packet) int) {
+	r := NewRingOf[trace.Packet](4096)
 	burst := make([]trace.Packet, benchBurst)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -72,14 +72,14 @@ func runSPSC(b *testing.B, produce func(*Ring, []trace.Packet), consume func(*Ri
 func BenchmarkRingSPSC(b *testing.B) {
 	b.Run("single-uncached", func(b *testing.B) {
 		runSPSC(b,
-			func(r *Ring, ps []trace.Packet) {
+			func(r *RingOf[trace.Packet], ps []trace.Packet) {
 				for i := range ps {
 					for !uncachedPush(r, ps[i]) {
 						runtime.Gosched()
 					}
 				}
 			},
-			func(r *Ring, out []trace.Packet) int {
+			func(r *RingOf[trace.Packet], out []trace.Packet) int {
 				n := 0
 				for n < len(out) && uncachedPop(r, &out[n]) {
 					n++
@@ -89,14 +89,14 @@ func BenchmarkRingSPSC(b *testing.B) {
 	})
 	b.Run("single-cached", func(b *testing.B) {
 		runSPSC(b,
-			func(r *Ring, ps []trace.Packet) {
+			func(r *RingOf[trace.Packet], ps []trace.Packet) {
 				for i := range ps {
 					for !r.TryPush(ps[i]) {
 						runtime.Gosched()
 					}
 				}
 			},
-			func(r *Ring, out []trace.Packet) int {
+			func(r *RingOf[trace.Packet], out []trace.Packet) int {
 				n := 0
 				for n < len(out) && r.TryPop(&out[n]) {
 					n++
@@ -106,7 +106,7 @@ func BenchmarkRingSPSC(b *testing.B) {
 	})
 	b.Run("batch-cached", func(b *testing.B) {
 		runSPSC(b,
-			func(r *Ring, ps []trace.Packet) {
+			func(r *RingOf[trace.Packet], ps []trace.Packet) {
 				for len(ps) > 0 {
 					n := r.TryPushN(ps)
 					ps = ps[n:]
@@ -115,7 +115,7 @@ func BenchmarkRingSPSC(b *testing.B) {
 					}
 				}
 			},
-			func(r *Ring, out []trace.Packet) int {
+			func(r *RingOf[trace.Packet], out []trace.Packet) int {
 				return r.TryPopN(out)
 			})
 	})
@@ -124,7 +124,7 @@ func BenchmarkRingSPSC(b *testing.B) {
 // TestRingBatchFIFO checks TryPushN/TryPopN ordering and partial-push
 // accounting on a full ring, single-threaded.
 func TestRingBatchFIFO(t *testing.T) {
-	r := NewRing(8)
+	r := NewRingOf[trace.Packet](8)
 	ps := make([]trace.Packet, 5)
 	for i := range ps {
 		ps[i] = pkt(uint32(i))
@@ -159,7 +159,7 @@ func TestRingBatchFIFO(t *testing.T) {
 // TestRingBatchMixedSingle interleaves single and batch operations on
 // both sides to check the two APIs share one index pair coherently.
 func TestRingBatchMixedSingle(t *testing.T) {
-	r := NewRing(16)
+	r := NewRingOf[trace.Packet](16)
 	next := uint32(0)
 	want := uint32(0)
 	out := make([]trace.Packet, 4)
@@ -206,9 +206,9 @@ func TestRingBatchMixedSingle(t *testing.T) {
 
 // TestRingBatchConcurrentStress pushes a large stream through the ring
 // with batched producers/consumers across two goroutines and verifies
-// strict FIFO order and zero loss (the DropOnFull=false contract).
+// strict FIFO order and zero loss.
 func TestRingBatchConcurrentStress(t *testing.T) {
-	r := NewRing(64)
+	r := NewRingOf[trace.Packet](64)
 	const total = 300000
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -78,10 +78,10 @@ func (r *blockReader) Read(p []byte) (int, error) {
 // PartitionRSS splits an Ethernet pcap stream into queues receive
 // queues, the way a NIC's receive-side scaling spreads flows across
 // hardware queues: every record is steered by flowkey.RSSIndex over
-// its decoded 5-tuple — the same function the shard dispatcher uses,
-// so queue i holds exactly the packets a shard.Engine with Workers ==
-// queues and the same seed would route to worker i, in the same
-// order. Frames the decoder rejects (non-IP, truncated) steer to
+// its decoded 5-tuple — the same function the shard replay steers
+// with, so queue i holds exactly the packets a shard replay with
+// Queues == queues and the same seed would steer to its queue i, in
+// the same order. Frames the decoder rejects (non-IP, truncated) steer to
 // queue 0, mirroring how FromPCAP-based replay skips them at the
 // consumer. Timestamps are re-encoded at microsecond resolution (the
 // classic-writer format); key extraction and replay order are

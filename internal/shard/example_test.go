@@ -11,51 +11,25 @@ import (
 	"cocosketch/internal/trace"
 )
 
-// Example runs the full engine lifecycle: construct, ingest a trace,
-// close, and decode the merged full-key table. The merged counter mass
-// equals the packet count — dispatch, rings and decode-time merging
-// are lossless.
+// Example runs the multi-core pipeline on an in-memory trace: one
+// feed RSS-steers the packets to four receive queues, each queue's
+// worker inserts into its own sketch, and the run ends by merging them.
+// The merged counter mass equals the packet count — steering, rings and
+// merging are lossless.
 func Example() {
 	tr := trace.CAIDALike(100_000, 1)
 
 	sketchCfg := core.ConfigForMemory[flowkey.FiveTuple](core.DefaultArrays, 500<<10, 1)
-	eng := shard.NewBasic(shard.Config{Workers: 4, Seed: 1}, sketchCfg)
-
-	eng.Ingest(tr.Packets)
-	eng.Close()
-
-	merged, err := eng.Snapshot()
+	merged, st, err := shard.ReplayPackets(shard.ReplayConfig{Queues: 4, Seed: 1},
+		shard.NewBasicFactory(sketchCfg, nil), tr.Packets)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("workers:", eng.Workers())
+	fmt.Println("workers:", st.Queues)
 	fmt.Println("mass equals packets:", merged.SumValues() == uint64(len(tr.Packets)))
 	// Output:
 	// workers: 4
 	// mass equals packets: true
-}
-
-// ExampleEngine_Snapshot reads a consistent point-in-time view while
-// the engine stays open for further ingest.
-func ExampleEngine_Snapshot() {
-	tr := trace.CAIDALike(50_000, 2)
-	eng := shard.NewBasic(shard.Config{Workers: 2, Seed: 2},
-		core.ConfigForMemory[flowkey.FiveTuple](core.DefaultArrays, 500<<10, 2))
-
-	eng.Ingest(tr.Packets[:25_000])
-	if _, err := eng.Snapshot(); err != nil { // live read; ingest continues after
-		panic(err)
-	}
-	eng.Ingest(tr.Packets[25_000:])
-	eng.Close()
-
-	final, err := eng.Snapshot()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("final mass:", final.SumValues())
-	// Output:
-	// final mass: 50000
 }
 
 // ExampleReplayQueues replays a capture the way the paper's OVS

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -12,31 +13,31 @@ import (
 	"cocosketch/internal/packet"
 	"cocosketch/internal/pcap"
 	"cocosketch/internal/telemetry"
+	"cocosketch/internal/trace"
 )
 
-// This file is the zero-allocation replay source. Each simulated
-// receive queue runs a reader goroutine, the datapath (pcap record →
-// ReadFrame's header-sized view of the pcap reader's block buffer →
-// 5-tuple via packet.ExtractFiveTuple), and a worker (keys →
-// InsertBatch → release) joined by a ring of 20-byte keyed records;
-// a single capture
-// replayed on several queues has one reader, which steers each record
-// to its queue (split). At most PoolSlots records are in flight per
-// queue; when that many are, the reader parks until the worker has
-// inserted a quarter of them, instead of allocating or dropping — the
-// protocol of DESIGN.md §13.
+// This file is the zero-allocation ingest pipeline. Each simulated
+// receive queue is a ring of 20-byte keyed records and a worker (keys →
+// InsertBatch → release) that drains it. A feed fills the queues: a
+// pcap reader per queue (pcap record → ReadFrame's header-sized view of
+// the reader's block buffer → 5-tuple via packet.ExtractFiveTuple), or
+// one pcap reader or one in-memory packet slice whose records steer
+// sends to the queue the RSS hash picks. At most PoolSlots records are
+// in flight per queue; when that many are, the feed parks until the
+// worker has inserted a quarter of them, instead of allocating or
+// dropping — the protocol of DESIGN.md §13.
 
 // ReplayConfig parameterizes a pooled replay run.
 type ReplayConfig struct {
 	// Queues is the number of simulated NIC receive queues, each with a
-	// worker goroutine (default 1). ReplayPCAP feeds them all from one
-	// reader; ReplayQueues, which takes its queue count from its
-	// queues, gives each its own.
+	// worker goroutine (default 1). ReplayPCAP and ReplayPackets feed
+	// them all from one goroutine; ReplayQueues, which takes its queue
+	// count from its queues, gives each its own reader.
 	Queues int
-	// PoolSlots bounds the frames in flight per queue: records the
-	// reader has pushed whose keys the worker has not yet inserted
+	// PoolSlots bounds the records in flight per queue: records the
+	// feed has pushed whose keys the worker has not yet inserted
 	// (default DefaultPoolSlots). When that many are in flight the
-	// reader waits, it never allocates or drops. The queue's ring holds
+	// feed waits, it never allocates or drops. The queue's ring holds
 	// at least as many records, so it can never fill, leaving the
 	// in-flight bound as the single backpressure signal.
 	PoolSlots int
@@ -48,12 +49,12 @@ type ReplayConfig struct {
 	// so only a SlotCap below packet.MaxKeyHeaderLen can change what is
 	// measured.
 	SlotCap int
-	// Seed drives the RSS split when a stream is partitioned into
-	// queues; it must match the shard Engine seed being compared
-	// against for bit-identical replays.
+	// Seed drives the RSS split when a stream is steered into queues;
+	// runs that agree on Seed and Queues split a stream identically,
+	// as pcap.PartitionRSS does with the same seed.
 	Seed uint64
-	// Bytes weights each packet by its original wire length instead of
-	// counting packets, mirroring Config.Bytes.
+	// Bytes weights each packet by its original wire length (a
+	// trace.Packet's Size) instead of counting packets.
 	Bytes bool
 	// Telemetry, when non-nil, receives the pipeline's burst-level
 	// metrics (the "ingest." names in DESIGN.md §11).
@@ -76,7 +77,7 @@ const DefaultSlotCap = 192
 type ReplayStats struct {
 	// Queues is the number of receive queues replayed.
 	Queues int
-	// Packets counts frames decoded and inserted into the sketches.
+	// Packets counts records inserted into the sketches.
 	Packets uint64
 	// Skipped counts frames the extractor rejected (non-IP, truncated
 	// headers) — steered to queue 0, as PartitionRSS does, and dropped
@@ -87,8 +88,8 @@ type ReplayStats struct {
 	// whose payload was dropped, not a loss: keys and byte weights are
 	// unchanged.
 	Truncated uint64
-	// Starved counts reader parks: each time the reader found PoolSlots
-	// frames in flight and blocked until the worker had inserted a
+	// Starved counts feed parks: each time the feed found PoolSlots
+	// records in flight and blocked until the worker had inserted a
 	// quarter of them. One stall counts once, however long it lasts
 	// (backpressure events, not lost packets).
 	Starved uint64
@@ -102,23 +103,23 @@ type record struct {
 	orig uint32
 }
 
-// frames is one receive queue's source. The reader side (readBurst,
-// readAll, park) belongs to the reader goroutine; fill and release run
-// on the queue's worker goroutine. Reading and draining are plain
-// steps so a single goroutine can alternate them — that is how the
+// frames is one receive queue. The feed side (readBurst, readAll,
+// steer, park) belongs to the feed goroutine; release runs on the
+// queue's worker goroutine. Feeding and draining are plain steps so a
+// single goroutine can alternate them — that is how the
 // zero-allocation property is pinned by testing.AllocsPerRun.
 type frames struct {
 	limit  int // SlotCap, the bound on a frame view
 	slots  int // PoolSlots, the in-flight bound
 	ring   *ovs.RingOf[record]
-	reader *pcap.Reader
+	reader *pcap.Reader // nil unless a capture is read on this queue
 
-	// read counts records the reader has pushed, released those whose
+	// read counts records the feed has pushed, released those whose
 	// keys the worker has inserted (the oldest, as the ring is FIFO).
 	// Each is written by its side once per burst.
 	read, released atomic.Uint64
 
-	// The park handshake. A starved reader sets waiting, re-checks
+	// The park handshake. A starved feed sets waiting, re-checks
 	// the in-flight count and blocks on wake; the worker, after
 	// releasing a burst, claims waiting and sends once at most
 	// resumeAt frames are in flight (at least a quarter of the bound
@@ -127,7 +128,7 @@ type frames struct {
 	wake     chan struct{}
 	resumeAt int
 
-	// Reader-side state, read by others only after the join.
+	// Feed-side state, read by others only after the join.
 	recs                        []record
 	done                        bool
 	starved, truncated, skipped uint64
@@ -138,9 +139,9 @@ type frames struct {
 	telOcc                               *telemetry.Gauge
 }
 
-// newQueue builds receive queue i over a positioned pcap reader: its
-// frame source and the worker that drains it into sketch.
-func newQueue[S Sketch[S]](cfg ReplayConfig, i int, r *pcap.Reader, sketch S) (*frames, *worker[S, record]) {
+// newQueue builds receive queue i, reading r (nil when no capture is
+// read on this queue), and the worker that drains it into sketch.
+func newQueue[S Sketch[S]](cfg ReplayConfig, i int, r *pcap.Reader, sketch S) (*frames, *worker[S]) {
 	reg := cfg.Telemetry
 	q := &frames{
 		limit:        cfg.SlotCap,
@@ -155,7 +156,7 @@ func newQueue[S Sketch[S]](cfg ReplayConfig, i int, r *pcap.Reader, sketch S) (*
 		telSkipped:   reg.Counter("ingest.skipped"),
 		telOcc:       reg.Gauge(fmt.Sprintf("ingest.pool_occupancy.q%d", i)),
 	}
-	return q, newWorker(q.ring, sketch, q, cfg.Bytes, reg.Histogram("ingest.batch_size"), nil)
+	return q, newWorker(q, sketch, cfg.Bytes, reg.Histogram("ingest.batch_size"), reg.Counter("ingest.consumed"))
 }
 
 // inFlight returns the number of records pushed and not yet released.
@@ -201,10 +202,16 @@ func (q *frames) readBurst() (int, error) {
 }
 
 // send pushes the gathered records into the ring, where they count as
-// in flight, and empties the gather buffer.
+// in flight, and empties the gather buffer. The ring holds PoolSlots
+// records and a feed sends only what its bound allows, so the push
+// never finds the ring full; it would yield until the ring had room.
 func (q *frames) send() {
 	q.read.Add(uint64(len(q.recs)))
-	push(q.ring, q.recs, false, nil)
+	for sent := 0; sent < len(q.recs); {
+		if sent += q.ring.TryPushN(q.recs[sent:]); sent < len(q.recs) {
+			runtime.Gosched()
+		}
+	}
 	q.recs = q.recs[:0]
 	q.telOcc.Set(int64(q.inFlight()))
 }
@@ -226,28 +233,55 @@ func (q *frames) readAll() error {
 	return nil
 }
 
+// steer gathers the record of key and its original length orig on
+// the queue flowkey.RSSIndex picks, the steering pcap.PartitionRSS
+// applies, so queue i's worker inserts exactly the keys it would after
+// a partition pass, in input order. A queue sends its records a burst
+// at a time, or sooner when they would fill its in-flight bound. steer
+// returns the queue whose bound is then full, for the feed to park on,
+// and nil otherwise.
+func steer(qs []*frames, seed uint64, key flowkey.FiveTuple, orig uint32) *frames {
+	q := qs[flowkey.RSSIndex(key, seed, len(qs))]
+	// The record is written in place: built as a value and copied in,
+	// it cost a store-forwarding stall per packet. A queue never
+	// gathers more than a burst, its buffer's capacity.
+	n := len(q.recs)
+	q.recs = q.recs[:n+1]
+	q.recs[n].key, q.recs[n].orig = key, orig
+	if len(q.recs) < DefaultBurst && q.inFlight()+len(q.recs) < q.slots {
+		return nil
+	}
+	q.send()
+	if q.inFlight() < q.slots {
+		return nil
+	}
+	return q
+}
+
+// finish sends what every queue has gathered and closes its ring, so
+// its worker drains what was steered and exits.
+func finish(qs []*frames) {
+	for _, q := range qs {
+		q.send()
+		q.ring.Close()
+	}
+}
+
 // split feeds every queue from the one capture qs[0] reads: each frame
-// is keyed once and its record goes to the queue flowkey.RSSIndex
-// picks, the steering pcap.PartitionRSS applies, so queue i's worker
-// inserts exactly the keys it would after a partition pass, in capture
-// order, and the capture is never held in memory. A queue sends its
-// records a burst at a time, or sooner when they would fill its
-// in-flight bound, and the reader parks on a queue whose bound is
-// full. Frames the extractor rejects count on queue 0. split closes
-// every ring on every path.
+// is keyed once and steered, so the capture is never held in memory.
+// Frames the extractor rejects count on queue 0. split closes every
+// ring on every path.
 func split(qs []*frames, seed uint64) error {
 	src := qs[0]
 	defer func() {
 		src.telTruncated.Add(src.truncated)
 		src.telSkipped.Add(src.skipped)
-		for _, q := range qs {
-			q.ring.Close()
-		}
+		finish(qs)
 	}()
 	for {
 		frame, capLen, origLen, err := src.reader.ReadFrame(src.limit)
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
 			return err
@@ -260,27 +294,28 @@ func split(qs []*frames, seed uint64) error {
 			src.skipped++
 			continue
 		}
-		q := qs[flowkey.RSSIndex(key, seed, len(qs))]
-		q.recs = append(q.recs, record{key: key, orig: uint32(origLen)})
-		if len(q.recs) < DefaultBurst && q.inFlight()+len(q.recs) < q.slots {
-			continue
-		}
-		q.send()
-		if q.inFlight() >= q.slots {
+		if q := steer(qs, seed, key, uint32(origLen)); q != nil {
 			q.park()
 		}
 	}
-	for _, q := range qs {
-		q.send()
-	}
-	return nil
 }
 
-// park blocks the reader, with PoolSlots records in flight, until the
+// feedPackets steers in-memory packets, each weighted by its Size,
+// into the queues, then closes every ring.
+func feedPackets(qs []*frames, seed uint64, ps []trace.Packet) {
+	defer finish(qs)
+	for i := range ps {
+		if q := steer(qs, seed, ps[i].Key, ps[i].Size); q != nil {
+			q.park()
+		}
+	}
+}
+
+// park blocks the feed, with PoolSlots records in flight, until the
 // worker has inserted a quarter of them. Blocking, not yielding: a
-// reader that loops on runtime.Gosched keeps its P's run queue busy,
+// feed that loops on runtime.Gosched keeps its P's run queue busy,
 // so the scheduler skips its network poll (DESIGN.md §13). Both sides
-// write before they check — the reader sets waiting then reads
+// write before they check — the feed sets waiting then reads
 // released, the worker advances released then reads waiting — so one
 // of them always sees the other and no wake-up is lost.
 func (q *frames) park() {
@@ -298,23 +333,10 @@ func (q *frames) park() {
 	}
 }
 
-// fill copies the burst's keys, and their original lengths as byte
-// weights, out of the popped records.
-func (q *frames) fill(recs []record, keys []flowkey.FiveTuple, ws []uint64) {
-	for j := range recs {
-		keys[j] = recs[j].key
-	}
-	if ws != nil {
-		for j := range recs {
-			ws[j] = uint64(recs[j].orig)
-		}
-	}
-}
-
-// release counts the burst's keys as inserted and wakes a parked
-// reader once a quarter of the in-flight bound is free.
-func (q *frames) release(recs []record) {
-	released := q.released.Add(uint64(len(recs)))
+// release counts n more records as inserted and wakes a parked feed
+// once a quarter of the in-flight bound is free.
+func (q *frames) release(n int) {
+	released := q.released.Add(uint64(n))
 	if q.waiting.Load() && int(q.read.Load()-released) <= q.resumeAt && q.waiting.CompareAndSwap(true, false) {
 		q.wake <- struct{}{}
 	}
@@ -331,14 +353,11 @@ func normalizeReplay(cfg ReplayConfig) ReplayConfig {
 	return cfg
 }
 
-// replay runs queues worker goroutines to completion, fed by one
-// reader goroutine per queue when readers holds one per queue, or by
-// one that splits readers[0] across the queues. One queue's sketch is
-// the result; more are merged (newSketch follows the New contract).
-// cfg must be normalized.
-func replay[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, readers []*pcap.Reader, queues int) (S, ReplayStats, error) {
-	qs := make([]*frames, queues)
-	workers := make([]*worker[S, record], queues)
+// newQueues builds n receive queues with their workers; queue i reads
+// readers[i] when there is one. cfg must be normalized.
+func newQueues[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, n int, readers ...*pcap.Reader) ([]*frames, []*worker[S]) {
+	qs := make([]*frames, n)
+	workers := make([]*worker[S], n)
 	for i := range qs {
 		var r *pcap.Reader
 		if i < len(readers) {
@@ -346,13 +365,13 @@ func replay[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, readers []*p
 		}
 		qs[i], workers[i] = newQueue(cfg, i, r, newSketch(i))
 	}
-	feeds := make([]func() error, len(readers))
-	for i := range feeds {
-		feeds[i] = qs[i].readAll
-	}
-	if len(readers) < queues {
-		feeds[0] = func() error { return split(qs, cfg.Seed) }
-	}
+	return qs, workers
+}
+
+// replay runs the feeds, one goroutine each, and one worker goroutine
+// per queue to completion. One queue's sketch is the result; more are
+// merged (newSketch follows the ReplayQueues contract).
+func replay[S Sketch[S]](newSketch func(i int) S, qs []*frames, workers []*worker[S], feeds ...func() error) (S, ReplayStats, error) {
 	var wg sync.WaitGroup
 	errs := make([]error, len(feeds))
 	wg.Add(len(feeds) + len(workers))
@@ -371,8 +390,8 @@ func replay[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, readers []*p
 	wg.Wait()
 
 	st := ReplayStats{Queues: len(qs)}
-	for i, q := range qs {
-		st.Packets += workers[i].consumed.Load()
+	for _, q := range qs {
+		st.Packets += q.released.Load()
 		st.Skipped += q.skipped
 		st.Truncated += q.truncated
 		st.Starved += q.starved
@@ -392,12 +411,16 @@ func replay[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, readers []*p
 
 // ReplayQueues replays pre-partitioned receive queues through the
 // pooled pipeline, one reader/worker pair per queue, and returns one
-// sketch (newSketch follows the New contract: indices
-// 0..len(queues)-1 build queue sketches, and with more than one queue
-// index len(queues) builds the target they merge into; one queue's
-// sketch is returned as it is). Use pcap.PartitionRSS with the same
-// seed and queue count as a comparison Engine to get bit-identical
-// sketch state — queue i's packets are exactly worker i's packets.
+// sketch. newSketch is called with indices 0..len(queues)-1 to build
+// the queue sketches and, with more than one queue, once more with
+// index len(queues) to build the target they merge into, in queue
+// order; one queue's sketch is returned as it is. All its sketches
+// must be merge-compatible (in core terms, built from one Config), and
+// index 0 must start in the state of a sequential sketch for one queue
+// to reproduce sequential inserts (NewBasicFactory arranges both).
+// Use pcap.PartitionRSS with the same seed and queue count as another
+// run to get bit-identical sketch state — queue i's packets are
+// exactly that run's queue i packets.
 func ReplayQueues[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, queues []*pcap.Queue) (S, ReplayStats, error) {
 	var zero S
 	if len(queues) == 0 {
@@ -411,14 +434,20 @@ func ReplayQueues[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, queues
 		}
 		readers[i] = r
 	}
-	return replay(normalizeReplay(cfg), newSketch, readers, len(readers))
+	qs, workers := newQueues(normalizeReplay(cfg), newSketch, len(readers), readers...)
+	feeds := make([]func() error, len(qs))
+	for i, q := range qs {
+		feeds[i] = q.readAll
+	}
+	return replay(newSketch, qs, workers, feeds...)
 }
 
 // ReplayPCAP replays one raw pcap stream through the pooled pipeline.
 // One reader reads the stream once; with Queues > 1 it steers each
 // keyed frame to the queue pcap.PartitionRSS would put it in, so the
 // queues' workers insert what they would after a partition pass, while
-// memory stays bounded by the queues, not the capture.
+// memory stays bounded by the queues, not the capture. newSketch
+// follows the ReplayQueues contract.
 func ReplayPCAP[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, r io.Reader) (S, ReplayStats, error) {
 	cfg = normalizeReplay(cfg)
 	var zero S
@@ -429,15 +458,35 @@ func ReplayPCAP[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, r io.Rea
 	if lt := pr.LinkType(); lt != pcap.LinkTypeEthernet {
 		return zero, ReplayStats{}, fmt.Errorf("shard: replay supports only Ethernet captures, got link type %d", lt)
 	}
-	return replay(cfg, newSketch, []*pcap.Reader{pr}, max(cfg.Queues, 1))
+	qs, workers := newQueues(cfg, newSketch, max(cfg.Queues, 1), pr)
+	if len(qs) == 1 {
+		return replay(newSketch, qs, workers, qs[0].readAll)
+	}
+	return replay(newSketch, qs, workers, func() error { return split(qs, cfg.Seed) })
 }
 
 // ReplayPCAPBasic is ReplayPCAP specialized to basic CocoSketch
-// workers, with the same per-queue seeding and shared telemetry scheme
-// as NewBasic — so an N-queue replay reproduces an N-worker Engine's
-// merged sketch bit for bit when seeds match, and a one-queue replay
-// returns the state, RNG included, of one sequential sketch fed the
-// capture's keys.
+// workers built by NewBasicFactory, so an N-queue replay reproduces
+// any other N-queue run's merged sketch bit for bit when seeds match,
+// and a one-queue replay returns the state, RNG included, of one
+// sequential sketch fed the capture's keys.
 func ReplayPCAPBasic(cfg ReplayConfig, sketchCfg core.Config, r io.Reader) (*core.Basic[flowkey.FiveTuple], ReplayStats, error) {
 	return ReplayPCAP(cfg, NewBasicFactory(sketchCfg, cfg.Telemetry), r)
+}
+
+// ReplayPackets replays an in-memory packet stream through the pooled
+// pipeline: one feed goroutine steers each packet's key, weighted by
+// its Size in byte mode, to the queue ReplayPCAP's reader would steer
+// its frame to, under the same in-flight bound. So the packets
+// trace.FromPCAP decodes from a capture build the sketch ReplayPCAP
+// builds from it at the same Seed and Queues, and one queue builds the
+// sketch sequential inserts do. newSketch follows the ReplayQueues
+// contract; the only error is a failed merge.
+func ReplayPackets[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, ps []trace.Packet) (S, ReplayStats, error) {
+	cfg = normalizeReplay(cfg)
+	qs, workers := newQueues(cfg, newSketch, max(cfg.Queues, 1))
+	return replay(newSketch, qs, workers, func() error {
+		feedPackets(qs, cfg.Seed, ps)
+		return nil
+	})
 }

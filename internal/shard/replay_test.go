@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -115,42 +116,82 @@ func TestReplayOneQueueMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestReplayQueuesMatchesEngine pins the multi-queue half: an N-queue
-// pooled replay of an RSS-partitioned capture reproduces an N-worker
-// Engine's merged sketch bit for bit — same seed, same split, same
-// per-worker insert order — in packet-count and byte-weight modes. The
-// Engine is fed the capture as trace.FromPCAP decodes it, so each
-// packet's Size is the pcap original length replay weights by.
-func TestReplayQueuesMatchesEngine(t *testing.T) {
-	const queues = 4
+// referenceSketch builds the N-queue sketch with no pipeline code:
+// it partitions the packets by flowkey.RSSIndex, inserts each part in
+// order into its own sketch of NewBasicFactory, and merges parts
+// 0..N-1 in order into the factory's sketch N.
+func referenceSketch(t *testing.T, cfg core.Config, seed uint64, queues int, bytesMode bool, ps []trace.Packet) *core.Basic[flowkey.FiveTuple] {
+	t.Helper()
+	newSketch := NewBasicFactory(cfg, nil)
+	parts := make([]*core.Basic[flowkey.FiveTuple], queues)
+	for i := range parts {
+		parts[i] = newSketch(i)
+	}
+	for _, p := range ps {
+		w := uint64(1)
+		if bytesMode {
+			w = uint64(p.Size)
+		}
+		parts[flowkey.RSSIndex(p.Key, seed, queues)].Insert(p.Key, w)
+	}
+	merged := newSketch(queues)
+	for i, part := range parts {
+		if err := merged.Merge(part); err != nil {
+			t.Fatalf("merging part %d: %v", i, err)
+		}
+	}
+	return merged
+}
+
+// TestReplayFeedsMatchReference pins the multi-queue half for every
+// feed: an N-queue ReplayPCAP of a capture, ReplayQueues over its
+// pcap.PartitionRSS split, and ReplayPackets over the packets
+// trace.FromPCAP decodes from it all leave the buckets and RNG state
+// of referenceSketch — same seed, same split, same per-queue insert
+// order — in packet-count and byte-weight modes. Each packet's Size is
+// the pcap original length the pcap feeds weight by.
+func TestReplayFeedsMatchReference(t *testing.T) {
+	const seed = 7
 	_, data := replayCapture(t, 20000, 256)
 	tr, err := trace.FromPCAP(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sketchCfg := replaySketchCfg()
-	for _, bytesMode := range []bool{false, true} {
-		eng := NewBasic(Config{Workers: queues, Seed: 7, Bytes: bytesMode}, sketchCfg)
-		eng.Ingest(tr.Packets)
-		eng.Close()
-		want, err := eng.Decode()
+	for _, queues := range []int{2, 4} {
+		parts, err := pcap.PartitionRSS(bytes.NewReader(data), queues, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		merged, st, err := ReplayPCAPBasic(
-			ReplayConfig{Queues: queues, Seed: 7, Bytes: bytesMode},
-			sketchCfg, bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
+		for _, bytesMode := range []bool{false, true} {
+			want := referenceSketch(t, sketchCfg, seed, queues, bytesMode, tr.Packets)
+			cfg := ReplayConfig{Queues: queues, Seed: seed, Bytes: bytesMode}
+			feeds := []struct {
+				name string
+				run  func() (*core.Basic[flowkey.FiveTuple], ReplayStats, error)
+			}{
+				{"ReplayPCAP", func() (*core.Basic[flowkey.FiveTuple], ReplayStats, error) {
+					return ReplayPCAPBasic(cfg, sketchCfg, bytes.NewReader(data))
+				}},
+				{"ReplayQueues", func() (*core.Basic[flowkey.FiveTuple], ReplayStats, error) {
+					return ReplayQueues(cfg, NewBasicFactory(sketchCfg, nil), parts)
+				}},
+				{"ReplayPackets", func() (*core.Basic[flowkey.FiveTuple], ReplayStats, error) {
+					return ReplayPackets(cfg, NewBasicFactory(sketchCfg, nil), tr.Packets)
+				}},
+			}
+			for _, f := range feeds {
+				got, st, err := f.run()
+				if err != nil {
+					t.Fatalf("%s: %v", f.name, err)
+				}
+				if st.Queues != queues || st.Packets != uint64(len(tr.Packets)) {
+					t.Fatalf("%s queues=%d: stats %+v, want %d queues and %d packets",
+						f.name, queues, st, queues, len(tr.Packets))
+				}
+				sameState(t, fmt.Sprintf("%s queues=%d bytes=%v", f.name, queues, bytesMode), got, want)
+			}
 		}
-		if st.Queues != queues {
-			t.Fatalf("stats queues %d, want %d", st.Queues, queues)
-		}
-		if st.Packets != uint64(len(tr.Packets)) {
-			t.Fatalf("replayed %d packets, trace has %d", st.Packets, len(tr.Packets))
-		}
-		diffTables(t, merged.Decode(), want)
 	}
 }
 
@@ -418,41 +459,53 @@ func (s slowSketch) InsertBatchUnit(keys []flowkey.FiveTuple) {
 
 func (s slowSketch) Merge(other slowSketch) error { return s.Basic.Merge(other.Basic) }
 
-// TestReplayReaderParksWhenStarved checks that a starved reader parks
-// instead of spinning: each park lasts until the worker has inserted a
-// quarter of the bound, so a 64-frame bound allows at most one park
-// per 16 packets — a reader that polled the bound would count a stall
-// on every poll. Parking must not change what the sketch sees.
+// TestReplayReaderParksWhenStarved checks that a starved feed — the
+// pcap reader or the in-memory feed — parks instead of spinning: each
+// park lasts until the worker has inserted a quarter of the bound, so
+// a 64-frame bound allows at most one park per 16 packets — a feed
+// that polled the bound would count a stall on every poll. Parking
+// must not change what the sketch sees.
 func TestReplayReaderParksWhenStarved(t *testing.T) {
 	const n = 4000
 	_, data := replayCapture(t, n, 256)
-	newSketch := func(int) slowSketch {
-		return slowSketch{core.NewBasic[flowkey.FiveTuple](replaySketchCfg())}
-	}
-	merged, st, err := ReplayPCAP(ReplayConfig{Queues: 1, PoolSlots: 64}, newSketch, bytes.NewReader(data))
+	tr, err := trace.FromPCAP(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Starved == 0 {
-		t.Fatal("a reader feeding a slow worker never parked")
+	newSketch := func(int) slowSketch {
+		return slowSketch{core.NewBasic[flowkey.FiveTuple](replaySketchCfg())}
 	}
-	if limit := st.Packets/16 + 1; st.Starved > limit {
-		t.Fatalf("reader stalled %d times for %d packets, want at most %d (one park per quarter bound)",
-			st.Starved, st.Packets, limit)
+	cfg := ReplayConfig{Queues: 1, PoolSlots: 64}
+	feeds := map[string]func() (slowSketch, ReplayStats, error){
+		"pcap":   func() (slowSketch, ReplayStats, error) { return ReplayPCAP(cfg, newSketch, bytes.NewReader(data)) },
+		"memory": func() (slowSketch, ReplayStats, error) { return ReplayPackets(cfg, newSketch, tr.Packets) },
 	}
-	if st.Packets != n {
-		t.Fatalf("stats %+v: want all %d frames inserted", st, n)
+	for name, run := range feeds {
+		merged, st, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Starved == 0 {
+			t.Fatalf("%s: a feed outrunning a slow worker never parked", name)
+		}
+		if limit := st.Packets/16 + 1; st.Starved > limit {
+			t.Fatalf("%s: feed stalled %d times for %d packets, want at most %d (one park per quarter bound)",
+				name, st.Starved, st.Packets, limit)
+		}
+		if st.Packets != n {
+			t.Fatalf("%s: stats %+v: want all %d frames inserted", name, st, n)
+		}
+		diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
 	}
-	diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
 }
 
-// TestReplaySteadyStateNoAllocs is the tentpole's gate: driving the
-// full replay→decode→InsertBatch loop — ReadFrame's view of the pcap
-// reader's block buffer, key extraction, ring handoff, batch insert,
-// release —
-// allocates nothing per burst in steady state. The queue's steppable
-// readBurst and the worker's drain let one goroutine alternate the two
-// sides deterministically.
+// TestReplaySteadyStateNoAllocs is the zero-allocation gate: driving
+// the full replay→decode→InsertBatch loop — ReadFrame's view of the
+// pcap reader's block buffer, key extraction, ring handoff, batch
+// insert, release — allocates nothing per burst in steady state, and
+// neither does steering in-memory packets into the same queues. The
+// steppable readBurst and steer and the worker's drain let one
+// goroutine alternate the two sides deterministically.
 func TestReplaySteadyStateNoAllocs(t *testing.T) {
 	_, data := replayCapture(t, 30000, 256)
 	pr, err := pcap.NewReader(bytes.NewReader(data))
@@ -478,9 +531,33 @@ func TestReplaySteadyStateNoAllocs(t *testing.T) {
 	if q.done {
 		t.Fatal("trace exhausted during the alloc gate; enlarge the capture")
 	}
+
+	// The in-memory feed: steering a burst of packets across two
+	// queues, then draining both, allocates nothing either.
+	tr := testTrace(30000, 5)
+	memCfg := normalizeReplay(ReplayConfig{Queues: 2, Seed: 42})
+	qs, workers := newQueues(memCfg, NewBasicFactory(replaySketchCfg(), nil), memCfg.Queues)
+	next := 0
+	steerBurst := func() {
+		for _, p := range tr.Packets[next : next+DefaultBurst] {
+			if steer(qs, memCfg.Seed, p.Key, p.Size) != nil {
+				t.Fatal("in-flight bound reached though every burst is drained")
+			}
+		}
+		next += DefaultBurst
+		for _, w := range workers {
+			for w.drain() > 0 {
+			}
+		}
+	}
+	steerBurst()
+	if n := testing.AllocsPerRun(200, steerBurst); n != 0 {
+		t.Fatalf("steady-state in-memory burst allocates %.1f times, want 0", n)
+	}
 }
 
-// TestReplayBoundsFramesInFlight pins what PoolSlots means: a reader
+// TestReplayBoundsFramesInFlight pins what PoolSlots means: a feed —
+// a pcap reader, or in-memory packets steered to several queues —
 // whose worker does not drain pushes exactly PoolSlots records, though
 // the ring rounds its capacity up to 128, and each drained burst lets
 // exactly one more burst in.
@@ -511,6 +588,49 @@ func TestReplayBoundsFramesInFlight(t *testing.T) {
 	}
 	if n, err := q.readBurst(); err != nil || n != DefaultBurst {
 		t.Fatalf("after one drained burst the reader pushed %d (err %v), want %d", n, err, DefaultBurst)
+	}
+
+	// The in-memory feed over three queues whose workers drain only a
+	// full queue: no queue ever holds more than PoolSlots records in
+	// flight, steer reports a queue full exactly when it holds that
+	// many, and after one drained burst it takes exactly one burst more.
+	tr := testTrace(20000, 3)
+	memCfg := normalizeReplay(ReplayConfig{Queues: 3, Seed: 3, PoolSlots: 100})
+	qs, workers := newQueues(memCfg, NewBasicFactory(replaySketchCfg(), nil), memCfg.Queues)
+	since := make([]int, len(qs))
+	fulls := make([]int, len(qs))
+	for _, p := range tr.Packets {
+		i := flowkey.RSSIndex(p.Key, memCfg.Seed, len(qs))
+		since[i]++
+		full := steer(qs, memCfg.Seed, p.Key, p.Size)
+		for j, qj := range qs {
+			if n := qj.inFlight(); n > 100 || qj.ring.Len() != n {
+				t.Fatalf("queue %d: %d records in flight, ring holds %d, bound 100", j, n, qj.ring.Len())
+			}
+		}
+		if full == nil {
+			continue
+		}
+		if full != qs[i] || full.inFlight() != 100 {
+			t.Fatalf("steer reported a full queue with %d in flight after steering to queue %d", full.inFlight(), i)
+		}
+		want := DefaultBurst // one drained burst frees one burst of room
+		if fulls[i] == 0 {
+			want = 100
+		}
+		if since[i] != want {
+			t.Fatalf("queue %d took %d records before its bound was full, want %d", i, since[i], want)
+		}
+		fulls[i]++
+		since[i] = 0
+		if got := workers[i].drain(); got != DefaultBurst {
+			t.Fatalf("drained %d records, want one burst of %d", got, DefaultBurst)
+		}
+	}
+	for i, f := range fulls {
+		if f < 2 {
+			t.Fatalf("queue %d reached its bound %d times; the trace should fill it repeatedly", i, f)
+		}
 	}
 }
 

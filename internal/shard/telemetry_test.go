@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"sync"
 	"testing"
 
 	"cocosketch/internal/core"
@@ -14,28 +13,26 @@ func telSketchCfg() core.Config {
 	return core.Config{Arrays: 2, BucketsPerArray: 128, Seed: 11}
 }
 
-// TestEngineTelemetryCountersMatchStats checks the live telemetry
-// counters agree with the engine's own Stats accounting after a clean
-// (lossless) run, and that the burst-size histogram saw every packet.
-func TestEngineTelemetryCountersMatchStats(t *testing.T) {
+// TestReplayTelemetryCountersMatchStats checks the live telemetry
+// counters of a multi-queue in-memory replay agree with its returned
+// stats, and that the burst-size histogram saw every packet.
+func TestReplayTelemetryCountersMatchStats(t *testing.T) {
 	tr := trace.CAIDALike(50_000, 3)
 	reg := telemetry.New()
-	eng := NewBasic(Config{Workers: 4, Seed: 3, Telemetry: reg}, telSketchCfg())
-	eng.Ingest(tr.Packets)
-	eng.Close()
+	_, st, err := ReplayPackets(ReplayConfig{Queues: 4, Seed: 3, Telemetry: reg},
+		NewBasicFactory(telSketchCfg(), reg), tr.Packets)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	st := eng.Stats()
 	snap := reg.Snapshot()
-	if got := snap.Counters["shard.dispatched"]; got != st.Dispatched {
-		t.Errorf("shard.dispatched = %d, Stats.Dispatched = %d", got, st.Dispatched)
+	if st.Packets != uint64(len(tr.Packets)) {
+		t.Errorf("stats count %d packets, want %d", st.Packets, len(tr.Packets))
 	}
-	if got := snap.Counters["shard.consumed"]; got != st.Consumed {
-		t.Errorf("shard.consumed = %d, Stats.Consumed = %d", got, st.Consumed)
+	if got := snap.Counters["ingest.consumed"]; got != st.Packets {
+		t.Errorf("ingest.consumed = %d, stats say %d", got, st.Packets)
 	}
-	if got := snap.Counters["shard.ring_drops"]; got != 0 {
-		t.Errorf("shard.ring_drops = %d on a lossless run", got)
-	}
-	h := snap.Histograms["shard.batch_size"]
+	h := snap.Histograms["ingest.batch_size"]
 	if h.Sum != uint64(len(tr.Packets)) {
 		t.Errorf("batch-size histogram sum = %d, want %d (every packet in some burst)",
 			h.Sum, len(tr.Packets))
@@ -43,117 +40,23 @@ func TestEngineTelemetryCountersMatchStats(t *testing.T) {
 	if h.Count() == 0 || h.Quantile(0.5) == 0 {
 		t.Errorf("batch-size histogram empty: count=%d p50=%d", h.Count(), h.Quantile(0.5))
 	}
-	// The worker sketches share a "core." counter group: outcomes must
-	// partition the consumed packets exactly.
+	// The queue sketches share a "core." counter group: outcomes must
+	// partition the inserted packets exactly.
 	outcomes := snap.Counters["core.matched"] + snap.Counters["core.replaced"] + snap.Counters["core.kept"]
-	if outcomes != st.Consumed {
-		t.Errorf("sketch outcomes sum to %d, want %d consumed", outcomes, st.Consumed)
-	}
-	// Decode after Close must record merge and decode latency.
-	if _, err := eng.Decode(); err != nil {
-		t.Fatal(err)
-	}
-	snap = reg.Snapshot()
-	if snap.Histograms["shard.merge_ns"].Count() == 0 {
-		t.Error("merge latency histogram empty after Decode")
-	}
-	if snap.Histograms["shard.decode_ns"].Count() == 0 {
-		t.Error("decode latency histogram empty after Decode")
+	if outcomes != st.Packets {
+		t.Errorf("sketch outcomes sum to %d, want %d inserted", outcomes, st.Packets)
 	}
 	if snap.Counters["core.merges"] == 0 {
-		t.Error("core.merges = 0 after a merged decode")
+		t.Error("core.merges = 0 after a four-queue replay")
 	}
 }
 
-// TestEngineTelemetryDrops checks DropOnFull overload charges both the
-// aggregate and the per-shard drop counters, consistently with Stats.
-func TestEngineTelemetryDrops(t *testing.T) {
-	tr := trace.CAIDALike(200_000, 5)
-	reg := telemetry.New()
-	// One worker, tiny ring, huge bursts of traffic: drops guaranteed
-	// because the dispatcher outruns the drain.
-	eng := NewBasic(Config{
-		Workers: 1, RingCapacity: 64, Seed: 5, DropOnFull: true, Telemetry: reg,
-	}, telSketchCfg())
-	eng.Ingest(tr.Packets)
-	eng.Close()
-
-	st := eng.Stats()
-	snap := reg.Snapshot()
-	if st.Dropped == 0 {
-		t.Skip("no drops produced on this host; overload depends on scheduling")
-	}
-	if got := snap.Counters["shard.ring_drops"]; got != st.Dropped {
-		t.Errorf("shard.ring_drops = %d, Stats.Dropped = %d", got, st.Dropped)
-	}
-	if got := snap.Counters["shard.ring_drops.w0"]; got != st.Dropped {
-		t.Errorf("per-shard drops = %d, want %d (single worker takes all)", got, st.Dropped)
-	}
-	if snap.Counters["shard.ring_push_fail"] == 0 {
-		t.Error("push-fail counter is zero despite drops")
-	}
-	if st.Consumed+st.Dropped != st.Dispatched {
-		t.Errorf("conservation violated: consumed %d + dropped %d != dispatched %d",
-			st.Consumed, st.Dropped, st.Dispatched)
-	}
-}
-
-// TestEngineTelemetrySnapshotRace hammers live Snapshot calls (each
-// recording barrier latency) against ingest with telemetry enabled —
-// the cross-goroutine surface the race detector must clear.
-func TestEngineTelemetrySnapshotRace(t *testing.T) {
-	tr := trace.CAIDALike(80_000, 7)
-	reg := telemetry.New()
-	eng := NewBasic(Config{Workers: 2, Seed: 7, Telemetry: reg}, telSketchCfg())
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := eng.Snapshot(); err != nil {
-				t.Errorf("snapshot: %v", err)
-				return
-			}
-			reg.Snapshot()
-		}
-	}()
-
-	const chunk = 4096
-	for off := 0; off < len(tr.Packets); off += chunk {
-		end := off + chunk
-		if end > len(tr.Packets) {
-			end = len(tr.Packets)
-		}
-		eng.Ingest(tr.Packets[off:end])
-	}
-	eng.Close()
-	close(stop)
-	wg.Wait()
-
-	snap := reg.Snapshot()
-	if snap.Histograms["shard.snapshot_wait_ns"].Count() == 0 {
-		t.Error("no snapshot barrier latencies recorded")
-	}
-	if got := snap.Counters["shard.consumed"]; got != uint64(len(tr.Packets)) {
-		t.Errorf("consumed %d of %d packets", got, len(tr.Packets))
-	}
-}
-
-// TestEngineTelemetryDisabledIsOff pins the disabled form: a nil
-// Config.Telemetry must register nothing anywhere.
-func TestEngineTelemetryDisabledIsOff(t *testing.T) {
+// TestReplayTelemetryDisabledIsOff pins the disabled form: a nil
+// ReplayConfig.Telemetry must register nothing anywhere.
+func TestReplayTelemetryDisabledIsOff(t *testing.T) {
 	tr := trace.CAIDALike(10_000, 9)
-	eng := NewBasic(Config{Workers: 2, Seed: 9}, telSketchCfg())
-	eng.Ingest(tr.Packets)
-	eng.Close()
-	if _, err := eng.Decode(); err != nil {
+	if _, _, err := ReplayPackets(ReplayConfig{Queues: 2, Seed: 9},
+		NewBasicFactory(telSketchCfg(), nil), tr.Packets); err != nil {
 		t.Fatal(err)
 	}
 	snap := telemetry.Disabled.Snapshot()
