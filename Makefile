@@ -79,9 +79,10 @@ bench-alloc:
 
 # Report compression gates (DESIGN.md §14): at the harness geometry a
 # shrink-8 report must undercut full snapshots by at least 5× on wire
-# bytes, and decoding it must not be slower than decoding the full
-# snapshot it replaces (measured ≈4× faster; min-of-counts rejects CI
-# host noise, see internal/tools/benchsmoke).
+# bytes, and decoding it must not be slower than rebuilding the fat
+# sketch from the full snapshot it replaces, raw key and counter
+# buckets parsed by the benchmark (measured ≈4× faster; min-of-counts
+# rejects CI host noise, see internal/tools/benchsmoke).
 bench-report:
 	$(GO) test -run 'TestCompressionRatioFloor' -count=1 -v ./internal/report/
 	$(GO) test -run '^$$' -bench 'BenchmarkReportDecode/' -count 4 ./internal/report/ \
@@ -100,27 +101,34 @@ bench-query:
 
 bench: bench-insert bench-ring bench-smoke bench-report bench-query
 
-# Short fuzz passes: every key type's field-built HashSeeds must equal
-# the wide hash of its byte encoding, the pcap reader's views and
+# Short fuzz passes, the same targets CI's fuzz steps run: every key
+# type's field-built HashSeeds must equal the wide hash of its byte
+# encoding, every mask the grammar accepts must re-parse from its
+# string form, the frame key extractors must never panic and must
+# agree with the error-reporting decoder, the pcap reader's views and
 # copies must match an io.ReadFull reference over short and
 # final-error reads, errors included, a one-queue replay of fuzzed
 # frames must build the sketch trace.FromPCAP plus sequential inserts
 # builds, the report decoder must reject garbage with ErrCorrupt and
-# re-encode whatever it accepts to the same bytes, and the window's
-# Top, SQL, GroupBy and Query over fuzzed epochs must equal an
+# re-encode whatever it accepts to the same bytes, every window range
+# the parser accepts must survive a String() round trip, and the
+# window's Top, SQL, GroupBy and Query over fuzzed epochs must equal an
 # independent sum of the epochs' tables (each of its inputs runs the
 # whole window API, so shrinking a new input one byte at a time is
 # capped at 100 runs; uncapped, it took the whole fuzz time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHashSeedsMatchesWide -fuzztime 30s ./internal/flowkey/
+	$(GO) test -run '^$$' -fuzz FuzzParseMask -fuzztime 15s ./internal/flowkey/
+	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime 15s ./internal/packet/
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 15s ./internal/pcap/
 	$(GO) test -run '^$$' -fuzz FuzzReplayMatchesSequential -fuzztime 15s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 15s ./internal/report/
+	$(GO) test -run '^$$' -fuzz FuzzParseRange -fuzztime 15s ./internal/window/
 	$(GO) test -run '^$$' -fuzz FuzzWindowTopMatchesSum -fuzztime 15s -fuzzminimizetime 100x ./internal/window/
 
 # Statistical verification: the differential matrix (every sketch
 # implementation against the exact oracle, variance-bound CIs), the
-# metamorphic invariants (batch/shard/serialize/merge/telemetry
+# metamorphic invariants (batch/shard/report round trip/merge/telemetry
 # equivalences) and the injected-bias negative control that proves the
 # matrix has power. The telemetry package is vetted and race-checked
 # here because the equivalence tests lean on its concurrent instruments.

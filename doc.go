@@ -14,7 +14,8 @@
 // Library entry points:
 //
 //   - internal/core — the CocoSketch algorithm (basic and
-//     hardware-friendly), plus merge, compress and serialize;
+//     hardware-friendly), plus merge, compress and the stage hooks
+//     that internal/report serializes epoch reports through;
 //   - internal/flowkey, internal/query — the partial-key model and the
 //     aggregation/SQL front-end;
 //   - internal/experiments — the evaluation runners behind

@@ -64,18 +64,3 @@ func ExampleBasic_Merge() {
 	fmt.Println(a.Query(k))
 	// Output: 100
 }
-
-// ExampleUnmarshalBasic ships a sketch across a process boundary.
-func ExampleUnmarshalBasic() {
-	sk := core.NewBasic[flowkey.FiveTuple](core.Config{Arrays: 2, BucketsPerArray: 64, Seed: 1})
-	k := flowkey.FiveTuple{SrcIP: [4]byte{9, 9, 9, 9}, Proto: 17}
-	sk.Insert(k, 12345)
-
-	blob, _ := sk.MarshalBinary()
-	restored, err := core.UnmarshalBasic(blob, flowkey.FiveTupleFromBytes)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(restored.Query(k))
-	// Output: 12345
-}

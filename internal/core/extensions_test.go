@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"cocosketch/internal/flowkey"
@@ -141,104 +140,5 @@ func TestCompressBadFactor(t *testing.T) {
 	odd := NewBasic[flowkey.FiveTuple](Config{Arrays: 1, BucketsPerArray: 7, Seed: 1})
 	if err := odd.Compress(2); err == nil {
 		t.Fatal("odd bucket count halved")
-	}
-}
-
-func TestSerializeRoundTripBasic(t *testing.T) {
-	s := NewBasic[flowkey.FiveTuple](Config{Arrays: 2, BucketsPerArray: 16, Seed: 3})
-	pkts := stream(50, 20000, 4)
-	for _, p := range pkts {
-		s.Insert(p, 1)
-	}
-	blob, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalBasic(blob, flowkey.FiveTupleFromBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, d2 := s.Decode(), back.Decode()
-	if len(d1) != len(d2) {
-		t.Fatalf("decode sizes differ: %d vs %d", len(d1), len(d2))
-	}
-	for k, v := range d1 {
-		if d2[k] != v {
-			t.Fatalf("restored decode differs at %v", k)
-		}
-	}
-	// Continued insertion is deterministic across the round trip.
-	more := stream(50, 5000, 5)
-	for _, p := range more {
-		s.Insert(p, 1)
-		back.Insert(p, 1)
-	}
-	if s.SumValues() != back.SumValues() {
-		t.Fatal("post-restore insertion diverged in total")
-	}
-	d1, d2 = s.Decode(), back.Decode()
-	for k, v := range d1 {
-		if d2[k] != v {
-			t.Fatalf("post-restore decode differs at %v", k)
-		}
-	}
-}
-
-func TestSerializeRoundTripHardware(t *testing.T) {
-	s := NewHardware[flowkey.IPv4](Config{Arrays: 3, BucketsPerArray: 8, Seed: 9})
-	rng := xrand.New(1)
-	for i := 0; i < 5000; i++ {
-		s.Insert(flowkey.IPv4FromUint32(uint32(rng.Uint64n(100))), 1)
-	}
-	blob, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalHardware(blob, flowkey.IPv4FromBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range s.Decode() {
-		if back.Query(k) != v {
-			t.Fatalf("restored hardware sketch differs at %v", k)
-		}
-	}
-}
-
-// TestSerializeRejectsVersion1 pins the version bump that came with the
-// wide hash: a version-1 sketch was placed by d Bob hashes, and the
-// stream names the seeds but not the hash function, so decoding must
-// refuse it instead of merging it into the wrong buckets.
-func TestSerializeRejectsVersion1(t *testing.T) {
-	s := NewBasic[flowkey.FiveTuple](Config{Arrays: 2, BucketsPerArray: 4, Seed: 1})
-	s.Insert(tuple(1, 2), 3)
-	blob, _ := s.MarshalBinary()
-	blob[4] = 1
-	_, err := UnmarshalBasic(blob, flowkey.FiveTupleFromBytes)
-	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("v1 sketch: got %v, want \"unsupported version 1\"", err)
-	}
-}
-
-func TestSerializeRejectsGarbage(t *testing.T) {
-	s := NewBasic[flowkey.FiveTuple](Config{Arrays: 2, BucketsPerArray: 4, Seed: 1})
-	blob, _ := s.MarshalBinary()
-
-	cases := map[string][]byte{
-		"empty":         {},
-		"short":         blob[:10],
-		"badmagic":      append([]byte("XXXX"), blob[4:]...),
-		"badversion":    append(append([]byte{}, blob[:4]...), append([]byte{99}, blob[5:]...)...),
-		"wrongvariant":  func() []byte { b := append([]byte{}, blob...); b[5] = variantHardware; return b }(),
-		"truncatedtail": blob[:len(blob)-1],
-	}
-	for name, data := range cases {
-		if _, err := UnmarshalBasic(data, flowkey.FiveTupleFromBytes); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	// Wrong key type (different key size).
-	if _, err := UnmarshalBasic(blob, flowkey.IPv4FromBytes); err == nil {
-		t.Error("wrong key size accepted")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/sketch"
@@ -14,8 +15,8 @@ import (
 // (§5) ships whole sketches; SF-sketch's two-stage split keeps the fat
 // stage local and ships a shrunken stage instead, and an invertible
 // decode places every reported key by re-hashing it — both need
-// positional access to bucket state, which the serialization code
-// keeps private. The hooks below are that access, deliberately
+// positional access to bucket state, which the table keeps private.
+// The hooks below are that access, deliberately
 // read-mostly: the only mutating ones (NewStage, SetRNGState, Buckets
 // on a fresh sketch) exist so a decoder can reconstruct a stage that
 // is bit-identical to the one the agent extracted.
@@ -81,6 +82,18 @@ func (s *Basic[K]) Clone() *Basic[K] {
 	return &Basic[K]{table: s.cloneTable()}
 }
 
+// Equal reports whether s and o hold the same state: geometry, hash
+// seeds, every bucket's key and counter, and the replacement-draw RNG
+// state. Two equal sketches fed the same packets stay equal, so Equal
+// is the bit-identity check for a clone, a decoded report stage or a
+// replay. Telemetry hooks are not state and are ignored.
+func (s *Basic[K]) Equal(o *Basic[K]) bool {
+	return s.d == o.d && s.l == o.l &&
+		slices.Equal(s.seeds, o.seeds) &&
+		slices.Equal(s.buckets, o.buckets) &&
+		s.rng.State() == o.rng.State()
+}
+
 // Clone returns a deep copy of the hardware-friendly sketch; the
 // divider (a stateless strategy) is shared.
 func (s *Hardware[K]) Clone() *Hardware[K] {
@@ -102,10 +115,15 @@ func (s *Basic[K]) ExtractStage(factor int) (*Basic[K], error) {
 	return stage, nil
 }
 
-// MarshaledSize returns len(MarshalBinary()) without serializing —
-// the byte cost a full-snapshot report of this sketch would put on the
-// wire, used by report telemetry to compute compression ratios.
+// MarshaledSize returns the raw size of a full snapshot of this
+// sketch: a 24-byte header, the d hash seeds, and the d×l buckets, each
+// its key bytes plus an 8-byte counter. It is the raw-bytes baseline
+// that report telemetry and the benchmarks divide wire bytes by;
+// reports themselves ship as CRPT v3 stages (internal/report).
 func (t *table[K]) MarshaledSize() int {
-	const header = 4 + 1 + 1 + 4 + 4 + 2 + 8 // magic, version, variant, d, l, keySize, rngState
+	// Magic, version, variant, d, l, key size and RNG state: the header
+	// of the snapshot format reports replaced, kept so that ratios
+	// against this baseline compare across versions.
+	const header = 4 + 1 + 1 + 4 + 4 + 2 + 8
 	return header + 4*t.d + t.d*t.l*(sketch.KeySize[K]()+8)
 }

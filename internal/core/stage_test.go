@@ -1,8 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cocosketch/internal/flowkey"
@@ -17,21 +17,12 @@ func stageStream(s *Basic[flowkey.FiveTuple], n int, seed int64) {
 	}
 }
 
-func mustMarshal(t *testing.T, s *Basic[flowkey.FiveTuple]) []byte {
-	t.Helper()
-	blob, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
-}
-
 func TestCloneIsDeepAndBitIdentical(t *testing.T) {
 	s := NewBasic[flowkey.FiveTuple](Config{Arrays: 2, BucketsPerArray: 32, Seed: 7})
 	stageStream(s, 5000, 1)
 
 	c := s.Clone()
-	if !bytes.Equal(mustMarshal(t, s), mustMarshal(t, c)) {
+	if !s.Equal(c) {
 		t.Fatal("clone is not bit-identical to the original")
 	}
 	if c.RNGState() != s.RNGState() {
@@ -39,23 +30,53 @@ func TestCloneIsDeepAndBitIdentical(t *testing.T) {
 	}
 
 	// Mutating either side must not leak into the other.
-	before := mustMarshal(t, c)
+	before := c.Clone()
 	stageStream(s, 1000, 2)
-	if !bytes.Equal(before, mustMarshal(t, c)) {
+	if !before.Equal(c) {
 		t.Fatal("mutating the original changed the clone")
 	}
 	stageStream(c, 1000, 3)
-	afterOriginal := mustMarshal(t, s)
+	afterOriginal := s.Clone()
 	stageStream(c, 1000, 4)
-	if !bytes.Equal(afterOriginal, mustMarshal(t, s)) {
+	if !afterOriginal.Equal(s) {
 		t.Fatal("mutating the clone changed the original")
+	}
+}
+
+// TestEqualCatchesOnePlantedDifference is Equal's negative control:
+// a clone that differs from the original in one counter, one key, one
+// hash seed or the RNG state alone must compare unequal, and an
+// untouched clone equal.
+func TestEqualCatchesOnePlantedDifference(t *testing.T) {
+	s := NewBasic[flowkey.FiveTuple](Config{Arrays: 2, BucketsPerArray: 32, Seed: 7})
+	stageStream(s, 5000, 1)
+	occupied := slices.IndexFunc(s.buckets, func(b Bucket[flowkey.FiveTuple]) bool { return b.Val != 0 })
+	if occupied < 0 {
+		t.Fatal("no occupied bucket")
+	}
+	for _, tc := range []struct {
+		name  string
+		plant func(c *Basic[flowkey.FiveTuple])
+		equal bool
+	}{
+		{"untouched", func(*Basic[flowkey.FiveTuple]) {}, true},
+		{"counter", func(c *Basic[flowkey.FiveTuple]) { c.buckets[occupied].Val++ }, false},
+		{"key", func(c *Basic[flowkey.FiveTuple]) { c.buckets[occupied].Key.SrcPort ^= 1 }, false},
+		{"seed", func(c *Basic[flowkey.FiveTuple]) { c.seeds[1] ^= 1 }, false},
+		{"rng", func(c *Basic[flowkey.FiveTuple]) { c.SetRNGState(c.RNGState() + 1) }, false},
+	} {
+		c := s.Clone()
+		tc.plant(c)
+		if got := s.Equal(c); got != tc.equal || c.Equal(s) != got {
+			t.Errorf("%s: Equal = %v, want %v", tc.name, got, tc.equal)
+		}
 	}
 }
 
 func TestExtractStageGeometryAndConservation(t *testing.T) {
 	s := NewBasic[flowkey.FiveTuple](Config{Arrays: 2, BucketsPerArray: 64, Seed: 11})
 	stageStream(s, 20000, 5)
-	fatBefore := mustMarshal(t, s)
+	fatBefore := s.Clone()
 
 	for _, factor := range []int{1, 2, 8} {
 		stage, err := s.ExtractStage(factor)
@@ -69,7 +90,7 @@ func TestExtractStageGeometryAndConservation(t *testing.T) {
 			t.Fatalf("ExtractStage(%d): mass %d, fat has %d", factor, stage.SumValues(), s.SumValues())
 		}
 	}
-	if !bytes.Equal(fatBefore, mustMarshal(t, s)) {
+	if !fatBefore.Equal(s) {
 		t.Fatal("ExtractStage mutated the fat sketch")
 	}
 
@@ -109,15 +130,23 @@ func TestOccupiedBucketsSelfAddressing(t *testing.T) {
 	}
 }
 
-func TestMarshaledSizeMatchesMarshalBinary(t *testing.T) {
-	for _, cfg := range []Config{
-		{Arrays: 2, BucketsPerArray: 64, Seed: 1},
-		{Arrays: 3, BucketsPerArray: 17, Seed: 2},
+// TestMarshaledSizePinned pins the raw-bytes baseline: a 24-byte
+// header, 4 bytes per seed and 21 bytes per five-tuple bucket. The
+// 500 KB geometry is the one whose size cocoperf's ingest workloads
+// report as wire_kb_per_epoch (512,012 B = 500.01171875 KB).
+func TestMarshaledSizePinned(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want int
+	}{
+		{Config{Arrays: 2, BucketsPerArray: 64, Seed: 1}, 2720},
+		{Config{Arrays: 3, BucketsPerArray: 17, Seed: 2}, 1107},
+		{ConfigForMemory[flowkey.FiveTuple](DefaultArrays, 500<<10, 3), 512012},
 	} {
-		s := NewBasic[flowkey.FiveTuple](cfg)
+		s := NewBasic[flowkey.FiveTuple](tc.cfg)
 		stageStream(s, 1000, 7)
-		if got, want := s.MarshaledSize(), len(mustMarshal(t, s)); got != want {
-			t.Fatalf("MarshaledSize() = %d, MarshalBinary is %d bytes", got, want)
+		if got := s.MarshaledSize(); got != tc.want {
+			t.Fatalf("%d×%d: MarshaledSize() = %d, want %d", tc.cfg.Arrays, tc.cfg.BucketsPerArray, got, tc.want)
 		}
 	}
 }
@@ -138,7 +167,7 @@ func TestSetRNGStateResumesSequence(t *testing.T) {
 
 	stageStream(s, 4000, 9)
 	stageStream(c, 4000, 9)
-	if !bytes.Equal(mustMarshal(t, s), mustMarshal(t, c)) {
+	if !s.Equal(c) {
 		t.Fatal("restored RNG state did not reproduce the insertion sequence")
 	}
 }

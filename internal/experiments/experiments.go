@@ -13,8 +13,7 @@ import (
 	"cocosketch/internal/telemetry"
 )
 
-// RunConfig scales a runner. The zero value is not usable; call
-// DefaultConfig.
+// RunConfig scales a runner.
 type RunConfig struct {
 	// Packets is the trace length replayed per measurement window.
 	// The paper uses the 27M-packet CAIDA and 13M-packet MAWI traces;
@@ -36,11 +35,6 @@ type RunConfig struct {
 	// (ring drops, burst sizes, sketch outcomes). Nil keeps the
 	// measurement loops un-instrumented.
 	Telemetry *telemetry.Registry
-}
-
-// DefaultConfig returns the standard scaled-down configuration.
-func DefaultConfig() RunConfig {
-	return RunConfig{Packets: 2_000_000, Seed: 1}
 }
 
 // packets returns the effective trace length.

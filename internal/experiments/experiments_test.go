@@ -208,8 +208,8 @@ func TestExtReportShape(t *testing.T) {
 	}
 	// The runner fails unless every decoded stage, the shrink-1 row's
 	// included, is the sealed stage bit for bit; the shrink-1 stage is
-	// the whole sketch, yet sending each key once undercuts its
-	// MarshalBinary snapshot.
+	// the whole sketch, yet sending each key once undercuts its full
+	// snapshot.
 	if r := ratio(res.Rows[0]); r <= 1 {
 		t.Errorf("shrink-1 byte ratio = %v, want > 1", r)
 	}

@@ -10,6 +10,7 @@ import (
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/query"
+	"cocosketch/internal/sketch"
 )
 
 // Instance is one configured measurement system processing a packet
@@ -26,13 +27,6 @@ type Instance interface {
 type System struct {
 	Name string
 	New  func(masks []flowkey.Mask, memoryBytes int, seed uint64) Instance
-}
-
-// fullKeyDecoder is satisfied by every sketch over 5-tuples that can
-// enumerate its recorded flows.
-type fullKeyDecoder interface {
-	Insert(flowkey.FiveTuple, uint64)
-	Decode() map[flowkey.FiveTuple]uint64
 }
 
 // batchSketch is satisfied by sketches with a batched unit-weight
@@ -52,7 +46,7 @@ type BatchInstance interface {
 // aggInstance runs ONE full-key sketch and answers every mask by
 // aggregation — CocoSketch's and USS's mode of operation.
 type aggInstance struct {
-	sketch fullKeyDecoder
+	sketch sketch.Decoder[flowkey.FiveTuple]
 	masks  []flowkey.Mask
 }
 
@@ -82,7 +76,7 @@ func (a *aggInstance) Tables() []map[flowkey.FiveTuple]uint64 {
 // perKeyInstance runs one sketch per mask, splitting the memory budget
 // evenly — how single-key sketches must support multiple keys.
 type perKeyInstance struct {
-	sketches []fullKeyDecoder
+	sketches []sketch.Decoder[flowkey.FiveTuple]
 	masks    []flowkey.Mask
 }
 
@@ -100,7 +94,7 @@ func (p *perKeyInstance) Tables() []map[flowkey.FiveTuple]uint64 {
 	return out
 }
 
-func newPerKey(masks []flowkey.Mask, memoryBytes int, build func(mem int, seed uint64) fullKeyDecoder, seed uint64) Instance {
+func newPerKey(masks []flowkey.Mask, memoryBytes int, build func(mem int, seed uint64) sketch.Decoder[flowkey.FiveTuple], seed uint64) Instance {
 	per := memoryBytes / len(masks)
 	inst := &perKeyInstance{masks: masks}
 	for i := range masks {
@@ -155,7 +149,7 @@ func SSSystem() System {
 	return System{
 		Name: "SS",
 		New: func(masks []flowkey.Mask, memoryBytes int, seed uint64) Instance {
-			return newPerKey(masks, memoryBytes, func(mem int, seed uint64) fullKeyDecoder {
+			return newPerKey(masks, memoryBytes, func(mem int, seed uint64) sketch.Decoder[flowkey.FiveTuple] {
 				return spacesaving.NewForMemory[flowkey.FiveTuple](mem, seed)
 			}, seed)
 		},
@@ -167,7 +161,7 @@ func CMHeapSystem() System {
 	return System{
 		Name: "CM-Heap",
 		New: func(masks []flowkey.Mask, memoryBytes int, seed uint64) Instance {
-			return newPerKey(masks, memoryBytes, func(mem int, seed uint64) fullKeyDecoder {
+			return newPerKey(masks, memoryBytes, func(mem int, seed uint64) sketch.Decoder[flowkey.FiveTuple] {
 				return countmin.NewForMemory[flowkey.FiveTuple](mem, seed)
 			}, seed)
 		},
@@ -179,7 +173,7 @@ func CHeapSystem() System {
 	return System{
 		Name: "C-Heap",
 		New: func(masks []flowkey.Mask, memoryBytes int, seed uint64) Instance {
-			return newPerKey(masks, memoryBytes, func(mem int, seed uint64) fullKeyDecoder {
+			return newPerKey(masks, memoryBytes, func(mem int, seed uint64) sketch.Decoder[flowkey.FiveTuple] {
 				return countsketch.NewForMemory[flowkey.FiveTuple](mem, seed)
 			}, seed)
 		},
@@ -191,7 +185,7 @@ func ElasticSystem() System {
 	return System{
 		Name: "Elastic",
 		New: func(masks []flowkey.Mask, memoryBytes int, seed uint64) Instance {
-			return newPerKey(masks, memoryBytes, func(mem int, seed uint64) fullKeyDecoder {
+			return newPerKey(masks, memoryBytes, func(mem int, seed uint64) sketch.Decoder[flowkey.FiveTuple] {
 				return elastic.NewForMemory[flowkey.FiveTuple](mem, seed)
 			}, seed)
 		},
@@ -203,7 +197,7 @@ func UnivMonSystem() System {
 	return System{
 		Name: "UnivMon",
 		New: func(masks []flowkey.Mask, memoryBytes int, seed uint64) Instance {
-			return newPerKey(masks, memoryBytes, func(mem int, seed uint64) fullKeyDecoder {
+			return newPerKey(masks, memoryBytes, func(mem int, seed uint64) sketch.Decoder[flowkey.FiveTuple] {
 				return univmon.NewForMemory[flowkey.FiveTuple](mem, seed)
 			}, seed)
 		},

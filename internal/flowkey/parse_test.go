@@ -93,3 +93,24 @@ func TestMaskApplyPortAndProtoBits(t *testing.T) {
 		t.Fatalf("Apply = %+v", got)
 	}
 }
+
+// FuzzParseMask hits the mask grammar with arbitrary strings.
+func FuzzParseMask(f *testing.F) {
+	for _, s := range []string{"SrcIP", "SrcIP/24+DstIP", "5-tuple", "", "a+b", "SrcIP/99"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseMask(s)
+		if err != nil {
+			return
+		}
+		// Accepted masks must round-trip through their string form.
+		back, err := ParseMask(m.String())
+		if err != nil {
+			t.Fatalf("mask %v string %q does not re-parse: %v", m, m.String(), err)
+		}
+		if back != m {
+			t.Fatalf("round trip changed mask: %v -> %v", m, back)
+		}
+	})
+}

@@ -97,10 +97,10 @@ type agentTel struct {
 	observed *telemetry.Counter
 	// reportsSent counts successfully acknowledged reports;
 	// reportBytes their on-the-wire payload bytes; reportRawBytes what
-	// the same reports would have cost as MarshalBinary snapshots of
-	// the fat sketch (the compression baseline); reportRatio the
-	// per-report raw/wire ratio ×100; deliveredWeight the sketch weight
-	// those reports carried.
+	// the same reports would have cost as full snapshots of the fat
+	// sketch (core's MarshaledSize, the compression baseline);
+	// reportRatio the per-report raw/wire ratio ×100; deliveredWeight
+	// the sketch weight those reports carried.
 	reportsSent     *telemetry.Counter
 	reportBytes     *telemetry.Counter
 	reportRawBytes  *telemetry.Counter
@@ -380,11 +380,25 @@ func (a *Agent) Flush(conn net.Conn) error {
 // attempt and keep retrying, so a collector restart longer than one
 // backoff step is survived. Each successful redial is counted in the
 // "netwide.reconnects" telemetry counter. It returns the connection to
-// use next (the last successfully dialed one) and the last error once
-// attempts are exhausted; undelivered epochs stay spooled, and the
-// collector's duplicate detection makes re-sending one idempotent.
+// use next (the last successfully dialed one, live when the error is
+// nil and closed or dead otherwise) and the last error once attempts
+// are exhausted; undelivered epochs stay spooled, and the collector's
+// duplicate detection makes re-sending one idempotent.
 func (a *Agent) FlushWithRedial(conn net.Conn, dial func() (net.Conn, error), attempts int) (net.Conn, error) {
-	return a.withRedial(conn, dial, attempts, a.Flush)
+	err := a.Flush(conn)
+	for try := 0; err != nil && try < attempts; try++ {
+		conn.Close()
+		a.clock.Sleep(a.backoff.Delay(try))
+		next, derr := dial()
+		if derr != nil {
+			err = fmt.Errorf("netwide: redial after %q: %w", err, derr)
+			continue
+		}
+		conn = next
+		a.tel.reconnects.Inc()
+		err = a.Flush(conn)
+	}
+	return conn, err
 }
 
 // exchange runs one report round trip under the write timeout: write
@@ -407,25 +421,4 @@ func (a *Agent) exchange(conn net.Conn, msg Message) error {
 		return fmt.Errorf("netwide: unexpected ack (type %d, epoch %d)", ack.Type, ack.Epoch)
 	}
 	return nil
-}
-
-// withRedial runs op over conn, and on failure loops close → backoff
-// sleep → redial → retry until op succeeds or attempts redials are
-// spent. The returned conn is the live connection when err is nil and
-// the last (closed or dead) one otherwise.
-func (a *Agent) withRedial(conn net.Conn, dial func() (net.Conn, error), attempts int, op func(net.Conn) error) (net.Conn, error) {
-	err := op(conn)
-	for try := 0; err != nil && try < attempts; try++ {
-		conn.Close()
-		a.clock.Sleep(a.backoff.Delay(try))
-		next, derr := dial()
-		if derr != nil {
-			err = fmt.Errorf("netwide: redial after %q: %w", err, derr)
-			continue
-		}
-		conn = next
-		a.tel.reconnects.Inc()
-		err = op(conn)
-	}
-	return conn, err
 }

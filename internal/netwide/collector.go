@@ -154,7 +154,7 @@ func NewCollector(cfg core.Config) *Collector {
 // seeds, so the collector decodes any of them and checks each against
 // its Config. Returns the collector for chaining.
 //
-// Deprecated: drop the call (ROADMAP item 10).
+// Deprecated: drop the call; ROADMAP item 1 (one perf harness) removes it.
 func (c *Collector) SetCodec(report.Codec[flowkey.FiveTuple]) *Collector { return c }
 
 // Serve accepts agent connections until the listener closes. Each

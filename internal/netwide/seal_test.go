@@ -7,7 +7,6 @@ package netwide
 // reports arrive in; and the collector holds only unsealed epochs.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -116,12 +115,8 @@ func TestSealEpochIntoHandsCanonicalFoldClone(t *testing.T) {
 	if err := ref.Merge(stages[2]); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := sink.sketches[0].MarshalBinary(); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("sealed sketch is not the canonical fold (err %v)", err)
+	if !sink.sketches[0].Equal(ref) {
+		t.Fatal("sealed sketch is not the canonical fold")
 	}
 
 	// The sink owns the epoch now: the collector holds none of it.
@@ -482,7 +477,7 @@ func TestEpochIndependentOfArrivalOrder(t *testing.T) {
 		{1, 2, 3}, {1, 3, 2}, {2, 1, 3}, {2, 3, 1}, {3, 1, 2}, {3, 2, 1},
 		{2, 3, 2, 1}, // agent 2 retries after a lost ack
 	}
-	var wantBytes []byte
+	var want *core.Basic[flowkey.FiveTuple]
 	var wantTable map[flowkey.FiveTuple]uint64
 	for _, order := range orders {
 		collector := NewCollector(cfg)
@@ -499,20 +494,17 @@ func TestEpochIndependentOfArrivalOrder(t *testing.T) {
 		if err := collector.SealEpochInto(sink, 0); err != nil {
 			t.Fatalf("order %v: %v", order, err)
 		}
-		got, err := sink.sketches[0].MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := sink.sketches[0]
 		table, ok := epochTable(t, ring, 0)
 		if !ok {
 			t.Fatalf("order %v: epoch 0 missing", order)
 		}
-		if wantBytes == nil {
-			wantBytes, wantTable = got, table
+		if want == nil {
+			want, wantTable = got.Clone(), table
 			continue
 		}
-		if !bytes.Equal(got, wantBytes) {
-			t.Errorf("order %v: sealed sketch bytes differ from order %v", order, orders[0])
+		if !got.Equal(want) {
+			t.Errorf("order %v: sealed sketch differs from order %v", order, orders[0])
 		}
 		if !reflect.DeepEqual(table, wantTable) {
 			t.Errorf("order %v: served table differs from order %v", order, orders[0])

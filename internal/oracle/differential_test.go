@@ -6,6 +6,7 @@ import (
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
+	"cocosketch/internal/report"
 	"cocosketch/internal/shard"
 	"cocosketch/internal/trace"
 )
@@ -158,25 +159,27 @@ func TestMetamorphicShardNDecode(t *testing.T) {
 }
 
 // TestMetamorphicSerializeRoundTrip pins serialize→deserialize ≡
-// identity in the strongest sense: a sketch restored mid-stream must
-// not only decode identically but *behave* identically on the rest of
-// the stream (bucket state and RNG state both survive).
+// identity in the strongest sense, through the format that ships (a
+// shrink-1 CRPT v3 report): a sketch restored mid-stream must not only
+// decode identically but *behave* identically on the rest of the
+// stream (bucket state and RNG state both survive).
 func TestMetamorphicSerializeRoundTrip(t *testing.T) {
+	cfg := harnessCoreCfg(4)
 	for _, reg := range Regimes() {
 		tr := reg.Generate(6000, 0x5E1A)
 		half := len(tr.Packets) / 2
 
-		orig := core.NewBasic[flowkey.FiveTuple](harnessCoreCfg(4))
+		orig := core.NewBasic[flowkey.FiveTuple](cfg)
 		for i := 0; i < half; i++ {
 			orig.Insert(tr.Packets[i].Key, 1)
 		}
-		blob, err := orig.MarshalBinary()
+		blob, err := report.Encode(0, orig, 1)
 		if err != nil {
-			t.Fatalf("%s: marshal: %v", reg.Name, err)
+			t.Fatalf("%s: encode: %v", reg.Name, err)
 		}
-		restored, err := core.UnmarshalBasic(blob, flowkey.FiveTupleFromBytes)
+		restored, _, err := report.Decode(0, blob, cfg.Arrays*cfg.BucketsPerArray, flowkey.FiveTupleFromBytes)
 		if err != nil {
-			t.Fatalf("%s: unmarshal: %v", reg.Name, err)
+			t.Fatalf("%s: decode: %v", reg.Name, err)
 		}
 		assertSameTable(t, reg.Name+"/at-checkpoint", orig.Decode(), restored.Decode())
 
@@ -185,6 +188,9 @@ func TestMetamorphicSerializeRoundTrip(t *testing.T) {
 			restored.Insert(tr.Packets[i].Key, 1)
 		}
 		assertSameTable(t, reg.Name+"/after-resume", orig.Decode(), restored.Decode())
+		if !restored.Equal(orig) {
+			t.Fatalf("%s: restored sketch diverged from the original after resuming", reg.Name)
+		}
 	}
 }
 

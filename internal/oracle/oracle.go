@@ -14,8 +14,6 @@
 package oracle
 
 import (
-	"sort"
-
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/query"
 	"cocosketch/internal/sketch"
@@ -217,21 +215,4 @@ func Masks() []flowkey.Mask {
 		flowkey.MaskFields(flowkey.FieldSrcIP, flowkey.FieldDstIP),
 		flowkey.MaskFields(flowkey.FieldDstIP, flowkey.FieldDstPort),
 	}
-}
-
-// SortedKeys returns the table's keys in deterministic (hash) order —
-// a helper for tests that need reproducible iteration.
-func SortedKeys(table map[flowkey.FiveTuple]uint64) []flowkey.FiveTuple {
-	out := make([]flowkey.FiveTuple, 0, len(table))
-	for k := range table {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		hi, hj := out[i].Hash(0), out[j].Hash(0)
-		if hi != hj {
-			return hi < hj
-		}
-		return out[i].String() < out[j].String()
-	})
-	return out
 }

@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"bytes"
 	"testing"
 
 	"cocosketch/internal/core"
@@ -133,15 +132,7 @@ func TestReportLosslessAcrossEpochs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
-		want, err := stage.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := decoded.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
+		if !decoded.Equal(stage) {
 			t.Fatalf("epoch %d: decoded stage differs from sealed stage", e)
 		}
 	}

@@ -158,6 +158,10 @@ func uvarint(b []byte) (uint64, int) {
 	return v, n
 }
 
+// KeyDecoder reconstructs a key from its canonical encoding
+// (flowkey.FiveTupleFromBytes, flowkey.IPv4FromBytes, …).
+type KeyDecoder[K flowkey.Key] func([]byte) (K, error)
+
 // Decode rebuilds the stage of a CRPT v3 payload framed as epoch and
 // returns it with the shrink factor its header declares. The header
 // names the stage's hash seeds, so decoding needs no Config: the
@@ -169,7 +173,7 @@ func uvarint(b []byte) (uint64, int) {
 // Every key is placed in the buckets it hashes to, so the stage is the
 // one the agent sealed, bit for bit; any payload that could not have
 // come from Encode fails with ErrCorrupt.
-func Decode[K flowkey.Key](epoch uint32, payload []byte, maxBuckets int, decode core.KeyDecoder[K]) (*core.Basic[K], int, error) {
+func Decode[K flowkey.Key](epoch uint32, payload []byte, maxBuckets int, decode KeyDecoder[K]) (*core.Basic[K], int, error) {
 	keySize := sketch.KeySize[K]()
 	if len(payload) < crptFixed {
 		return nil, 0, corruptf("truncated header (%d bytes)", len(payload))

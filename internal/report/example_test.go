@@ -1,7 +1,6 @@
 package report_test
 
 import (
-	"bytes"
 	"fmt"
 
 	"cocosketch/internal/core"
@@ -36,9 +35,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	want, _ := stage.MarshalBinary()
-	got, _ := decoded.MarshalBinary()
-	fmt.Printf("lossless=%v shrink=%d mass=%d\n", bytes.Equal(got, want), shrink, decoded.SumValues())
+	fmt.Printf("lossless=%v shrink=%d mass=%d\n", decoded.Equal(stage), shrink, decoded.SumValues())
 	fmt.Println("5× smaller than a snapshot:", 5*len(blob) < fat.MarshaledSize())
 	// Output:
 	// lossless=true shrink=8 mass=20000

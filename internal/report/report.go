@@ -19,8 +19,8 @@
 // Encode and Decode are pure functions of (epoch, stage) and of the
 // payload: neither end keeps state between reports, so a retry, a lost
 // acknowledgement or a restarted collector needs no resynchronization.
-// The decoded stage is the sealed stage bit for bit (MarshalBinary of
-// both is identical, RNG state included).
+// The decoded stage is the sealed stage bit for bit (core.Basic.Equal
+// holds, RNG state included).
 package report
 
 import (
@@ -66,7 +66,7 @@ type Codec[K flowkey.Key] struct {
 	shrink int
 	// decode parses keys for the deprecated NewDecoder; only Full and
 	// Compressed set it.
-	decode core.KeyDecoder[K]
+	decode KeyDecoder[K]
 }
 
 // New returns the codec that ships stages of sketches of geometry cfg

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -49,15 +48,6 @@ func epochSketch(t testing.TB, cfg core.Config, epoch int, n int, seed int64) *c
 	return s
 }
 
-func marshal(t testing.TB, s *core.Basic[flowkey.FiveTuple]) []byte {
-	t.Helper()
-	blob, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
-}
-
 func codec(t testing.TB, cfg core.Config, shrink int) Codec[flowkey.FiveTuple] {
 	t.Helper()
 	c, err := New[flowkey.FiveTuple](cfg, shrink)
@@ -68,9 +58,9 @@ func codec(t testing.TB, cfg core.Config, shrink int) Codec[flowkey.FiveTuple] {
 }
 
 // roundTrip encodes stage at shrink as epoch, decodes the payload and
-// fails unless the decoded stage marshals to exactly the stage's bytes
-// (buckets, keys, counters, seeds and RNG state) and the header's
-// shrink is shrink. It returns the payload.
+// fails unless the decoded stage equals the stage (buckets, keys,
+// counters, seeds and RNG state) and the header's shrink is shrink. It
+// returns the payload.
 func roundTrip(t testing.TB, epoch uint32, stage *core.Basic[flowkey.FiveTuple], shrink int) []byte {
 	t.Helper()
 	payload, err := Encode(epoch, stage, shrink)
@@ -84,17 +74,17 @@ func roundTrip(t testing.TB, epoch uint32, stage *core.Basic[flowkey.FiveTuple],
 	if gotShrink != shrink {
 		t.Fatalf("header shrink %d, encoded at %d", gotShrink, shrink)
 	}
-	if !bytes.Equal(marshal(t, stage), marshal(t, back)) {
-		t.Fatal("decoded stage does not marshal to the sealed stage's bytes")
+	if !back.Equal(stage) {
+		t.Fatal("decoded stage is not the sealed stage")
 	}
 	return payload
 }
 
-// TestFullCodecIsBitIdenticalToMarshalBinary pins the shrink-1 codec,
+// TestFullCodecIsBitIdenticalToFatSketch pins the shrink-1 codec,
 // which replaced full snapshots: Seal is the identity and the decoded
-// stage marshals to exactly the fat sketch's MarshalBinary bytes, so a
-// collector of shrink-1 reports holds what a snapshot carried.
-func TestFullCodecIsBitIdenticalToMarshalBinary(t *testing.T) {
+// stage equals the fat sketch, RNG state included, so a collector of
+// shrink-1 reports holds what a snapshot carried.
+func TestFullCodecIsBitIdenticalToFatSketch(t *testing.T) {
 	c := codec(t, testCfg, 1)
 	fat := epochSketch(t, testCfg, 0, 20000, 1)
 	stage, err := c.Seal(fat)
@@ -115,13 +105,13 @@ func TestFullCodecIsBitIdenticalToMarshalBinary(t *testing.T) {
 	if shrink != 1 {
 		t.Fatalf("header shrink %d, encoded at 1", shrink)
 	}
-	if !bytes.Equal(marshal(t, back), marshal(t, fat)) {
-		t.Fatal("shrink-1 decode is not bit-identical to the sketch's MarshalBinary")
+	if !back.Equal(fat) {
+		t.Fatal("shrink-1 decode is not bit-identical to the fat sketch")
 	}
 }
 
 // TestCompressedRoundTripLossless is the codec's core property: the
-// decoded stage marshals to exactly the sealed stage's bytes — seeds
+// decoded stage equals the sealed stage — seeds
 // and RNG state included, so the decoder needs no Config — at every
 // shrink of an aligned geometry (Seal is the identity at shrink 1 and
 // core.ExtractStage above it), with three arrays, after a Merge of two
@@ -217,13 +207,13 @@ func TestCompressedRoundTripLossless(t *testing.T) {
 			for i := range tr.Packets {
 				fat.Insert(tr.Packets[i].Key, 1)
 			}
-			want := marshal(t, fat)
+			want := fat.Clone()
 			stage, err := c.Seal(fat)
 			if err != nil {
 				t.Fatal(err)
 			}
 			roundTrip(t, 0, stage, 1)
-			if !bytes.Equal(marshal(t, fat), want) {
+			if !fat.Equal(want) {
 				t.Errorf("%s: sealing or encoding changed the fat sketch", reg.Name)
 			}
 		}

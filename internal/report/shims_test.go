@@ -41,7 +41,7 @@ func TestDeprecatedShimsWrapTheOneCodec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(marshal(t, back), marshal(t, stage)) {
+		if !back.Equal(stage) {
 			t.Errorf("%s: Decoder did not rebuild the stage", tc.name)
 		}
 	}

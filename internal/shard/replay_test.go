@@ -61,16 +61,6 @@ func sequentialDecode(t testing.TB, data []byte, bytesMode bool) map[flowkey.Fiv
 	return sequentialSketch(t, data, bytesMode).Decode()
 }
 
-// marshal serializes s, RNG state included, failing the test on error.
-func marshal(t *testing.T, s *core.Basic[flowkey.FiveTuple]) []byte {
-	t.Helper()
-	blob, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
-}
-
 // diffTables fails the test unless the two decode tables are identical.
 func diffTables(t *testing.T, got, want map[flowkey.FiveTuple]uint64) {
 	t.Helper()
@@ -90,11 +80,10 @@ func diffTables(t *testing.T, got, want map[flowkey.FiveTuple]uint64) {
 // reader, and the ring has spare capacity.
 var replaySlotCounts = []int{0, 100}
 
-// TestReplayOneQueueMatchesSequential pins the tentpole's correctness
-// anchor: a 1-queue pooled replay returns a sketch that marshals byte
-// for byte, RNG state included, like the legacy FromPCAP +
-// sequential-sketch path's, in both packet-count and byte-weight
-// modes.
+// TestReplayOneQueueMatchesSequential pins the replay's correctness
+// anchor: a 1-queue pooled replay returns a sketch equal, RNG state
+// included, to the legacy FromPCAP + sequential-sketch path's, in both
+// packet-count and byte-weight modes.
 func TestReplayOneQueueMatchesSequential(t *testing.T) {
 	const n = 20000
 	_, data := replayCapture(t, n, 256)
@@ -106,7 +95,7 @@ func TestReplayOneQueueMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(marshal(t, merged), marshal(t, sequentialSketch(t, data, bytesMode))) {
+			if !merged.Equal(sequentialSketch(t, data, bytesMode)) {
 				t.Fatalf("slots=%d bytes=%v: replayed sketch differs from the sequential sketch", slots, bytesMode)
 			}
 			if st.Packets != n || st.Skipped != 0 {
@@ -196,7 +185,7 @@ func TestReplayFeedsMatchReference(t *testing.T) {
 }
 
 // TestReplayPCAPSplitMatchesPartition pins the one-reader split: an
-// N-queue ReplayPCAP of one stream marshals byte for byte like
+// N-queue ReplayPCAP of one stream equals, buckets and RNG state,
 // ReplayQueues over the pcap.PartitionRSS split of the same capture,
 // with the same frame accounting. The stream holds undecodable (ARP)
 // frames and frames longer than the reader's buffer, and the in-flight
@@ -243,7 +232,7 @@ func TestReplayPCAPSplitMatchesPartition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(marshal(t, got), marshal(t, want)) {
+			if !got.Equal(want) {
 				t.Fatalf("queues=%d slots=%d: split replay differs from the partitioned replay", queues, slots)
 			}
 			gotSt.Starved, wantSt.Starved = 0, 0 // scheduling, not content

@@ -34,10 +34,6 @@ type Decoder[K flowkey.Key] interface {
 	Decode() map[K]uint64
 }
 
-// Builder constructs a sketch for a given total memory budget in bytes.
-// Experiment runners sweep memory by invoking builders.
-type Builder[K flowkey.Key] func(memoryBytes int) Sketch[K]
-
 // KeySize returns the canonical encoding length in bytes of key type K.
 func KeySize[K flowkey.Key]() int {
 	var zero K
