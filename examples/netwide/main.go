@@ -33,8 +33,10 @@ func main() {
 	defer l.Close()
 	go func() { _ = collector.Serve(l) }()
 
-	// Four edge switches, each seeing its own site's traffic.
+	// Four edge switches, each seeing its own site's traffic. Each
+	// reports concurrently; the lines print in site order afterwards.
 	const sites = 4
+	reported := make([]int, sites)
 	var wg sync.WaitGroup
 	wg.Add(sites)
 	for site := 0; site < sites; site++ {
@@ -54,10 +56,13 @@ func main() {
 			if err := agent.Flush(conn); err != nil {
 				panic(err)
 			}
-			fmt.Printf("site %d reported epoch 0 (%d packets)\n", site, len(tr.Packets))
+			reported[site] = len(tr.Packets)
 		}(site)
 	}
 	wg.Wait()
+	for site, packets := range reported {
+		fmt.Printf("site %d reported epoch 0 (%d packets)\n", site, packets)
+	}
 
 	// Seal the epoch into a one-epoch ring: the ring owns it from now
 	// on, and the collector drops its shards.

@@ -79,6 +79,9 @@ func TestRingConcurrentSPSC(t *testing.T) {
 	var p trace.Packet
 	var got uint32
 	for {
+		// Close follows the last push, so a pop that finds the ring
+		// empty after Close was seen has drained it.
+		closed := r.Closed()
 		if r.TryPop(&p) {
 			if p.Key.SrcIP != flowkey.IPv4FromUint32(got) {
 				t.Fatalf("out-of-order delivery at %d: %v", got, p.Key)
@@ -86,7 +89,7 @@ func TestRingConcurrentSPSC(t *testing.T) {
 			got++
 			continue
 		}
-		if r.Closed() && !r.TryPop(&p) {
+		if closed {
 			break
 		}
 		runtime.Gosched()

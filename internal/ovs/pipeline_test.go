@@ -1,12 +1,12 @@
 package ovs_test
 
-// End-to-end checks of the datapath these rings carry, in the shape of
-// the paper's OVS integration: one ring per dataplane thread, a
-// measurement worker draining each into a private sketch, and the
-// sketches merged at decode. Package shard builds that datapath on
-// this ring and feeds it decoded packets (this file) or pcap frames
-// (frames_test.go), so these tests drive it through shard's public
-// API.
+// End-to-end checks of the datapath in the shape of the paper's OVS
+// integration: one ring per dataplane thread, a measurement worker
+// draining each into a private sketch, and the sketches merged at
+// decode. Package shard builds that datapath, with a ring of key
+// slots per queue, and feeds it decoded packets (this file) or pcap
+// frames (frames_test.go), so these tests drive it through shard's
+// public API.
 
 import (
 	"testing"

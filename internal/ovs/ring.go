@@ -1,8 +1,10 @@
 // Package ovs provides the single-producer single-consumer ring of the
 // paper's Open vSwitch integration (§B), where the datapath writes
 // packet headers into shared ring buffers and measurement threads poll
-// them. Package shard builds its ingest pipeline on this ring: every
-// feed hands keyed records to each receive queue's worker through one.
+// them. It is a general ring that copies elements in and out; package
+// shard's replay queues do not use it, since each keeps its own ring
+// of key slots that its worker inserts from in place. The cocoperf
+// benchmark's ledger times this ring as its ovs.ring probe.
 package ovs
 
 import "sync/atomic"
@@ -10,8 +12,7 @@ import "sync/atomic"
 // RingOf is a single-producer single-consumer lock-free ring buffer,
 // mirroring the DPDK rings between the OVS datapath and the
 // measurement process. The element type is anything small enough to
-// copy by value; package shard's receive queues carry 20-byte keyed
-// records (key plus wire length).
+// copy by value.
 //
 // Each side keeps a private snapshot of the opposite index (headCache
 // for the producer, tailCache for the consumer) and refreshes it only

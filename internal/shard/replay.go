@@ -3,13 +3,12 @@ package shard
 import (
 	"fmt"
 	"io"
-	"runtime"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
-	"cocosketch/internal/ovs"
 	"cocosketch/internal/packet"
 	"cocosketch/internal/pcap"
 	"cocosketch/internal/telemetry"
@@ -17,13 +16,14 @@ import (
 )
 
 // This file is the zero-allocation ingest pipeline. Each simulated
-// receive queue is a ring of 20-byte keyed records and a worker (keys →
-// InsertBatch → release) that drains it. A feed fills the queues: a
-// pcap reader per queue (pcap record → ReadFrame's header-sized view of
-// the reader's block buffer → 5-tuple via packet.ExtractFiveTuple), or
-// one pcap reader or one in-memory packet slice whose records steer
-// sends to the queue the RSS hash picks. At most PoolSlots records are
-// in flight per queue; when that many are, the feed parks until the
+// receive queue is a ring of key and wire-length slots and a worker
+// that inserts the keys straight from the slots (InsertBatch →
+// release). A feed fills the queues: a pcap reader per queue (pcap
+// record → ReadFrame's header-sized view of the reader's block buffer →
+// 5-tuple via packet.ExtractFiveTuple), or one pcap reader or one
+// in-memory packet slice whose records steer writes into the slots of
+// the queue the RSS hash picks. At most PoolSlots records are in
+// flight per queue; when that many are, the feed parks until the
 // worker has inserted a quarter of them, instead of allocating or
 // dropping — the protocol of DESIGN.md §13.
 
@@ -35,11 +35,12 @@ type ReplayConfig struct {
 	// count from its queues, gives each its own reader.
 	Queues int
 	// PoolSlots bounds the records in flight per queue: records the
-	// feed has pushed whose keys the worker has not yet inserted
-	// (default DefaultPoolSlots). When that many are in flight the
-	// feed waits, it never allocates or drops. The queue's ring holds
-	// at least as many records, so it can never fill, leaving the
-	// in-flight bound as the single backpressure signal.
+	// feed has written into the queue's slots whose keys the worker has
+	// not yet inserted (default DefaultPoolSlots). When that many are in
+	// flight the feed waits, it never allocates or drops. The queue's
+	// ring has at least as many slots, so the bound is the single
+	// backpressure signal, and a slot the feed filled is the worker's
+	// until it has inserted the key.
 	PoolSlots int
 	// SlotCap bounds the bytes of each record the reader hands to the
 	// key extractor (default DefaultSlotCap): a view of at most SlotCap
@@ -62,8 +63,11 @@ type ReplayConfig struct {
 }
 
 // DefaultPoolSlots is the per-queue in-flight bound when ReplayConfig
-// leaves PoolSlots zero.
-const DefaultPoolSlots = 1024
+// leaves PoolSlots zero: 80 KB of slots per queue. A parked feed resumes
+// with three quarters of the bound still queued, and that slack must
+// outlast the tens of microseconds a woken feed takes to run again, or
+// the worker runs dry after every park (DESIGN.md §13).
+const DefaultPoolSlots = 4096
 
 // DefaultSlotCap is the reader's frame view bound when ReplayConfig
 // leaves SlotCap zero: the headers, not the payload. The replay reads
@@ -95,29 +99,27 @@ type ReplayStats struct {
 	Starved uint64
 }
 
-// record is one keyed frame on a replay queue's ring: the key the
-// reader extracted and the record's original wire length, the frame's
-// byte weight.
-type record struct {
-	key  flowkey.FiveTuple
-	orig uint32
-}
-
-// frames is one receive queue. The feed side (readBurst, readAll,
-// steer, park) belongs to the feed goroutine; release runs on the
-// queue's worker goroutine. Feeding and draining are plain steps so a
-// single goroutine can alternate them — that is how the
-// zero-allocation property is pinned by testing.AllocsPerRun.
+// frames is one receive queue: a ring of slots that the queue owns,
+// one key and one original wire length (the frame's byte weight) per
+// slot. The feed side (readBurst, readAll, steer, park) belongs to the
+// feed goroutine; release runs on the queue's worker goroutine. Feeding
+// and draining are plain steps so a single goroutine can alternate them
+// — that is how the zero-allocation property is pinned by
+// testing.AllocsPerRun.
 type frames struct {
-	limit  int // SlotCap, the bound on a frame view
-	slots  int // PoolSlots, the in-flight bound
-	ring   *ovs.RingOf[record]
+	keys   []flowkey.FiveTuple // the slots: power-of-two length ≥ slots
+	orig   []uint32
+	mask   uint64       // len(keys) - 1
+	limit  int          // SlotCap, the bound on a frame view
+	slots  int          // PoolSlots, the in-flight bound
 	reader *pcap.Reader // nil unless a capture is read on this queue
 
-	// read counts records the feed has pushed, released those whose
-	// keys the worker has inserted (the oldest, as the ring is FIFO).
-	// Each is written by its side once per burst.
+	// The ring's tail and head: read counts records the feed has
+	// published, released those whose keys the worker has inserted.
+	// Slot i&mask for released ≤ i < read is the worker's; every other
+	// slot is the feed's. Each side advances its index once per burst.
 	read, released atomic.Uint64
+	closed         atomic.Bool // the feed has published its last record
 
 	// The park handshake. A starved feed sets waiting, re-checks
 	// the in-flight count and blocks on wake; the worker, after
@@ -128,8 +130,11 @@ type frames struct {
 	wake     chan struct{}
 	resumeAt int
 
-	// Feed-side state, read by others only after the join.
-	recs                        []record
+	// Feed-side state, read by others only after the join. It sits a
+	// cache line past the indices the worker polls, because steer
+	// writes gathered once per record.
+	_                           [64]byte
+	gathered                    int // records written past read, not yet published
 	done                        bool
 	starved, truncated, skipped uint64
 
@@ -143,12 +148,14 @@ type frames struct {
 // read on this queue), and the worker that drains it into sketch.
 func newQueue[S Sketch[S]](cfg ReplayConfig, i int, r *pcap.Reader, sketch S) (*frames, *worker[S]) {
 	reg := cfg.Telemetry
+	n := 1 << bits.Len(uint(cfg.PoolSlots-1)) // the least power of two ≥ PoolSlots
 	q := &frames{
+		keys:         make([]flowkey.FiveTuple, n),
+		orig:         make([]uint32, n),
+		mask:         uint64(n - 1),
 		limit:        cfg.SlotCap,
 		slots:        cfg.PoolSlots,
-		ring:         ovs.NewRingOf[record](cfg.PoolSlots),
 		reader:       r,
-		recs:         make([]record, 0, DefaultBurst),
 		wake:         make(chan struct{}, 1),
 		resumeAt:     cfg.PoolSlots - max(1, cfg.PoolSlots/4),
 		telStarved:   reg.Counter("ingest.pool_starved"),
@@ -159,21 +166,23 @@ func newQueue[S Sketch[S]](cfg ReplayConfig, i int, r *pcap.Reader, sketch S) (*
 	return q, newWorker(q, sketch, cfg.Bytes, reg.Histogram("ingest.batch_size"), reg.Counter("ingest.consumed"))
 }
 
-// inFlight returns the number of records pushed and not yet released.
+// inFlight returns the number of records published and not yet
+// released.
 func (q *frames) inFlight() int { return int(q.read.Load() - q.released.Load()) }
 
-// readBurst reads and keys frames until it holds as many records as
-// the in-flight bound allows, one burst at most, and pushes them into
-// the ring (spinning on a full ring, which a PoolSlots-sized ring
-// makes unreachable). Frames the extractor rejects are counted and
-// read past. It returns the number of records pushed; zero with
-// q.done still false means PoolSlots records are in flight and the
-// caller should park and retry.
+// readBurst reads and keys frames until it has written as many records
+// into the slots as the in-flight bound allows, one burst at most, and
+// publishes them. Frames the extractor rejects are counted and read
+// past. It returns the number of records published; zero with q.done
+// still false means PoolSlots records are in flight and the caller
+// should park and retry.
 func (q *frames) readBurst() (int, error) {
-	want := min(DefaultBurst, q.slots-q.inFlight())
-	recs := q.recs[:0]
+	tail := q.read.Load()
+	want := min(DefaultBurst, q.slots-int(tail-q.released.Load()))
+	keys, orig, mask := q.keys, q.orig, q.mask
+	n := 0
 	var truncated, skipped uint64
-	for len(recs) < want {
+	for n < want {
 		frame, capLen, origLen, err := q.reader.ReadFrame(q.limit)
 		if err == io.EOF {
 			q.done = true
@@ -190,37 +199,38 @@ func (q *frames) readBurst() (int, error) {
 			skipped++
 			continue
 		}
-		recs = append(recs, record{key: key, orig: uint32(origLen)})
+		i := (tail + uint64(n)) & mask
+		keys[i], orig[i] = key, uint32(origLen)
+		n++
 	}
 	q.truncated += truncated
 	q.telTruncated.Add(truncated)
 	q.skipped += skipped
 	q.telSkipped.Add(skipped)
-	q.recs = recs
+	q.gathered = n
 	q.send()
-	return len(recs), nil
+	return n, nil
 }
 
-// send pushes the gathered records into the ring, where they count as
-// in flight, and empties the gather buffer. The ring holds PoolSlots
-// records and a feed sends only what its bound allows, so the push
-// never finds the ring full; it would yield until the ring had room.
+// send publishes the gathered records: from now on their slots are the
+// worker's, and they count as in flight.
 func (q *frames) send() {
-	q.read.Add(uint64(len(q.recs)))
-	for sent := 0; sent < len(q.recs); {
-		if sent += q.ring.TryPushN(q.recs[sent:]); sent < len(q.recs) {
-			runtime.Gosched()
-		}
-	}
-	q.recs = q.recs[:0]
+	q.read.Add(uint64(q.gathered))
+	q.gathered = 0
 	q.telOcc.Set(int64(q.inFlight()))
 }
 
-// readAll feeds the ring until the capture is exhausted, parking while
-// PoolSlots records are in flight. It closes the ring on every path,
-// so the worker drains what was pushed and exits.
+// close publishes what is gathered and marks the feed done, so the
+// worker drains what was published and exits.
+func (q *frames) close() {
+	q.send()
+	q.closed.Store(true)
+}
+
+// readAll feeds the queue until the capture is exhausted, parking while
+// PoolSlots records are in flight. It closes the queue on every path.
 func (q *frames) readAll() error {
-	defer q.ring.Close()
+	defer q.close()
 	for !q.done {
 		n, err := q.readBurst()
 		if err != nil {
@@ -233,22 +243,22 @@ func (q *frames) readAll() error {
 	return nil
 }
 
-// steer gathers the record of key and its original length orig on
+// steer writes key and its original length orig into the next slot of
 // the queue flowkey.RSSIndex picks, the steering pcap.PartitionRSS
 // applies, so queue i's worker inserts exactly the keys it would after
-// a partition pass, in input order. A queue sends its records a burst
-// at a time, or sooner when they would fill its in-flight bound. steer
-// returns the queue whose bound is then full, for the feed to park on,
-// and nil otherwise.
+// a partition pass, in input order. A queue publishes its records a
+// burst at a time, or sooner when they would fill its in-flight bound.
+// steer returns the queue whose bound is then full, for the feed to
+// park on, and nil otherwise.
 func steer(qs []*frames, seed uint64, key flowkey.FiveTuple, orig uint32) *frames {
 	q := qs[flowkey.RSSIndex(key, seed, len(qs))]
-	// The record is written in place: built as a value and copied in,
-	// it cost a store-forwarding stall per packet. A queue never
-	// gathers more than a burst, its buffer's capacity.
-	n := len(q.recs)
-	q.recs = q.recs[:n+1]
-	q.recs[n].key, q.recs[n].orig = key, orig
-	if len(q.recs) < DefaultBurst && q.inFlight()+len(q.recs) < q.slots {
+	// The slot is free: the bound kept in-flight plus gathered records
+	// below PoolSlots, which the ring's length is at least.
+	tail := q.read.Load()
+	i := (tail + uint64(q.gathered)) & q.mask
+	q.keys[i], q.orig[i] = key, orig
+	q.gathered++
+	if q.gathered < DefaultBurst && int(tail-q.released.Load())+q.gathered < q.slots {
 		return nil
 	}
 	q.send()
@@ -258,19 +268,18 @@ func steer(qs []*frames, seed uint64, key flowkey.FiveTuple, orig uint32) *frame
 	return q
 }
 
-// finish sends what every queue has gathered and closes its ring, so
-// its worker drains what was steered and exits.
+// finish publishes what every queue has gathered and closes it, so its
+// worker drains what was steered and exits.
 func finish(qs []*frames) {
 	for _, q := range qs {
-		q.send()
-		q.ring.Close()
+		q.close()
 	}
 }
 
 // split feeds every queue from the one capture qs[0] reads: each frame
 // is keyed once and steered, so the capture is never held in memory.
 // Frames the extractor rejects count on queue 0. split closes every
-// ring on every path.
+// queue on every path.
 func split(qs []*frames, seed uint64) error {
 	src := qs[0]
 	defer func() {
@@ -301,7 +310,7 @@ func split(qs []*frames, seed uint64) error {
 }
 
 // feedPackets steers in-memory packets, each weighted by its Size,
-// into the queues, then closes every ring.
+// into the queues, then closes every queue.
 func feedPackets(qs []*frames, seed uint64, ps []trace.Packet) {
 	defer finish(qs)
 	for i := range ps {
@@ -333,8 +342,9 @@ func (q *frames) park() {
 	}
 }
 
-// release counts n more records as inserted and wakes a parked feed
-// once a quarter of the in-flight bound is free.
+// release hands n more slots back to the feed once their keys are
+// inserted, and wakes a parked feed once a quarter of the in-flight
+// bound is free.
 func (q *frames) release(n int) {
 	released := q.released.Add(uint64(n))
 	if q.waiting.Load() && int(q.read.Load()-released) <= q.resumeAt && q.waiting.CompareAndSwap(true, false) {

@@ -446,14 +446,26 @@ func (s slowSketch) InsertBatchUnit(keys []flowkey.FiveTuple) {
 	s.Basic.InsertBatchUnit(keys)
 }
 
+func (s slowSketch) InsertBatch(keys []flowkey.FiveTuple, ws []uint64) {
+	for start := time.Now(); time.Since(start) < slowInsert; {
+	}
+	s.Basic.InsertBatch(keys, ws)
+}
+
 func (s slowSketch) Merge(other slowSketch) error { return s.Basic.Merge(other.Basic) }
 
 // TestReplayReaderParksWhenStarved checks that a starved feed — the
 // pcap reader or the in-memory feed — parks instead of spinning: each
 // park lasts until the worker has inserted a quarter of the bound, so
 // a 64-frame bound allows at most one park per 16 packets — a feed
-// that polled the bound would count a stall on every poll. Parking
-// must not change what the sketch sees.
+// that polled the bound would count a stall on every poll. It also
+// pins slot ownership where it is tightest: the bound of 64 is the
+// ring's whole length, so bursts wrap and a slot is refilled as soon
+// as the worker releases it, and a feed that wrote one slot past the
+// bound, or a worker that released its slots before its insert
+// returned, would overwrite keys not yet inserted. Parking and
+// wrapping must not change what the sketch sees: both feeds build the
+// sequential sketch, buckets and RNG state, in both weight modes.
 func TestReplayReaderParksWhenStarved(t *testing.T) {
 	const n = 4000
 	_, data := replayCapture(t, n, 256)
@@ -464,27 +476,35 @@ func TestReplayReaderParksWhenStarved(t *testing.T) {
 	newSketch := func(int) slowSketch {
 		return slowSketch{core.NewBasic[flowkey.FiveTuple](replaySketchCfg())}
 	}
-	cfg := ReplayConfig{Queues: 1, PoolSlots: 64}
-	feeds := map[string]func() (slowSketch, ReplayStats, error){
-		"pcap":   func() (slowSketch, ReplayStats, error) { return ReplayPCAP(cfg, newSketch, bytes.NewReader(data)) },
-		"memory": func() (slowSketch, ReplayStats, error) { return ReplayPackets(cfg, newSketch, tr.Packets) },
-	}
-	for name, run := range feeds {
-		merged, st, err := run()
-		if err != nil {
-			t.Fatal(err)
+	for _, bytesMode := range []bool{false, true} {
+		cfg := ReplayConfig{Queues: 1, PoolSlots: 64, Bytes: bytesMode}
+		if q, _ := newQueue(normalizeReplay(cfg), 0, nil, newSketch(0)); len(q.keys) != cfg.PoolSlots {
+			t.Fatalf("a bound of %d has %d slots, want the bound itself", cfg.PoolSlots, len(q.keys))
 		}
-		if st.Starved == 0 {
-			t.Fatalf("%s: a feed outrunning a slow worker never parked", name)
+		want := sequentialSketch(t, data, bytesMode)
+		feeds := map[string]func() (slowSketch, ReplayStats, error){
+			"pcap":   func() (slowSketch, ReplayStats, error) { return ReplayPCAP(cfg, newSketch, bytes.NewReader(data)) },
+			"memory": func() (slowSketch, ReplayStats, error) { return ReplayPackets(cfg, newSketch, tr.Packets) },
 		}
-		if limit := st.Packets/16 + 1; st.Starved > limit {
-			t.Fatalf("%s: feed stalled %d times for %d packets, want at most %d (one park per quarter bound)",
-				name, st.Starved, st.Packets, limit)
+		for name, run := range feeds {
+			merged, st, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Starved == 0 {
+				t.Fatalf("%s bytes=%v: a feed outrunning a slow worker never parked", name, bytesMode)
+			}
+			if limit := st.Packets/16 + 1; st.Starved > limit {
+				t.Fatalf("%s bytes=%v: feed stalled %d times for %d packets, want at most %d (one park per quarter bound)",
+					name, bytesMode, st.Starved, st.Packets, limit)
+			}
+			if st.Packets != n {
+				t.Fatalf("%s bytes=%v: stats %+v: want all %d frames inserted", name, bytesMode, st, n)
+			}
+			if !merged.Basic.Equal(want) {
+				t.Fatalf("%s bytes=%v: replayed sketch differs from the sequential sketch", name, bytesMode)
+			}
 		}
-		if st.Packets != n {
-			t.Fatalf("%s: stats %+v: want all %d frames inserted", name, st, n)
-		}
-		diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
 	}
 }
 
@@ -547,9 +567,9 @@ func TestReplaySteadyStateNoAllocs(t *testing.T) {
 
 // TestReplayBoundsFramesInFlight pins what PoolSlots means: a feed —
 // a pcap reader, or in-memory packets steered to several queues —
-// whose worker does not drain pushes exactly PoolSlots records, though
-// the ring rounds its capacity up to 128, and each drained burst lets
-// exactly one more burst in.
+// whose worker does not drain publishes exactly PoolSlots records,
+// though the ring rounds its slots up to 128, and each drained burst
+// lets exactly one more burst in.
 func TestReplayBoundsFramesInFlight(t *testing.T) {
 	_, data := replayCapture(t, 1000, 256)
 	pr, err := pcap.NewReader(bytes.NewReader(data))
@@ -569,8 +589,9 @@ func TestReplayBoundsFramesInFlight(t *testing.T) {
 		}
 		pushed += n
 	}
-	if pushed != 100 || q.ring.Len() != 100 || q.done {
-		t.Fatalf("pushed %d records (ring holds %d, done=%v), want the bound of 100", pushed, q.ring.Len(), q.done)
+	if pushed != 100 || q.inFlight() != 100 || len(q.keys) != 128 || q.done {
+		t.Fatalf("published %d records (%d in flight, %d slots, done=%v), want the bound of 100 over 128 slots",
+			pushed, q.inFlight(), len(q.keys), q.done)
 	}
 	if got := w.drain(); got != DefaultBurst {
 		t.Fatalf("drained %d records, want one burst of %d", got, DefaultBurst)
@@ -580,9 +601,10 @@ func TestReplayBoundsFramesInFlight(t *testing.T) {
 	}
 
 	// The in-memory feed over three queues whose workers drain only a
-	// full queue: no queue ever holds more than PoolSlots records in
-	// flight, steer reports a queue full exactly when it holds that
-	// many, and after one drained burst it takes exactly one burst more.
+	// full queue: no queue ever has more than PoolSlots slots filled and
+	// not released — in flight or gathered — steer reports a queue full
+	// exactly when that many are in flight, and after one drained burst
+	// it takes exactly one burst more.
 	tr := testTrace(20000, 3)
 	memCfg := normalizeReplay(ReplayConfig{Queues: 3, Seed: 3, PoolSlots: 100})
 	qs, workers := newQueues(memCfg, NewBasicFactory(replaySketchCfg(), nil), memCfg.Queues)
@@ -593,8 +615,8 @@ func TestReplayBoundsFramesInFlight(t *testing.T) {
 		since[i]++
 		full := steer(qs, memCfg.Seed, p.Key, p.Size)
 		for j, qj := range qs {
-			if n := qj.inFlight(); n > 100 || qj.ring.Len() != n {
-				t.Fatalf("queue %d: %d records in flight, ring holds %d, bound 100", j, n, qj.ring.Len())
+			if n := qj.inFlight(); n+qj.gathered > 100 {
+				t.Fatalf("queue %d: %d records in flight and %d gathered, bound 100", j, n, qj.gathered)
 			}
 		}
 		if full == nil {

@@ -1,18 +1,19 @@
 // Package shard provides the multi-core ingest pipeline: N receive
 // queues, each a worker owning a private CocoSketch behind a
-// single-producer single-consumer ring, whose sketches are merged
-// (core.Merge) when the run ends — the paper's OVS scaling architecture
-// (§6.1: one sketch per dataplane thread, merged at decode).
+// single-producer single-consumer ring of key slots, whose sketches are
+// merged (core.Merge) when the run ends — the paper's OVS scaling
+// architecture (§6.1: one sketch per dataplane thread, merged at
+// decode).
 //
 // One pipeline takes three feeds, which differ only in where the keyed
 // records come from (replay.go):
 //
-//	feed (1 goroutine per reader)            worker q (1 per queue)
-//	┌──────────────────────────────┐         ┌──────────────────────────┐
-//	│ ReplayQueues: one pcap       │ ring q  │ TryPopN (64-record burst)│
-//	│   reader per queue           │ ──────▶ │ keys → InsertBatch into  │
-//	│ ReplayPCAP: one pcap reader  │  SPSC   │ private sketch → release │
-//	│   steering N queues          │         └──────────────────────────┘
+//	feed (1 goroutine per reader)             worker q (1 per queue)
+//	┌──────────────────────────────┐          ┌──────────────────────────┐
+//	│ ReplayQueues: one pcap       │ slots q  │ InsertBatch on ≤ 64 keys │
+//	│   reader per queue           │ ───────▶ │ as they lie in the slots │
+//	│ ReplayPCAP: one pcap reader  │  SPSC    │ → release the slots      │
+//	│   steering N queues          │          └──────────────────────────┘
 //	│ ReplayPackets: in-memory     │
 //	│   packets steering N queues  │
 //	└──────────────────────────────┘

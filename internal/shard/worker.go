@@ -4,17 +4,14 @@ import (
 	"fmt"
 	"runtime"
 
-	"cocosketch/internal/flowkey"
 	"cocosketch/internal/telemetry"
 )
 
-// worker is one consumer: the receive queue whose ring it drains and
+// worker is one consumer: the receive queue whose slots it drains and
 // the private sketch it feeds.
 type worker[S Sketch[S]] struct {
 	q      *frames
 	sketch S
-	buf    []record
-	keys   []flowkey.FiveTuple
 	ws     []uint64 // nil unless byte-weighted
 
 	telBatch    *telemetry.Histogram
@@ -28,8 +25,6 @@ func newWorker[S Sketch[S]](q *frames, sketch S, bytes bool,
 	w := &worker[S]{
 		q:           q,
 		sketch:      sketch,
-		buf:         make([]record, DefaultBurst),
-		keys:        make([]flowkey.FiveTuple, DefaultBurst),
 		telBatch:    batch,
 		telConsumed: consumed,
 	}
@@ -39,49 +34,52 @@ func newWorker[S Sketch[S]](q *frames, sketch S, bytes bool,
 	return w
 }
 
-// drain pops one burst, inserts its keys with one batched call —
-// weighted by the records' original lengths in byte mode — and
-// releases it once the insert has returned. It returns the number of
-// records popped, zero when the ring is empty.
+// drain inserts the keys of at most one burst of published records
+// with one batched call, straight from the queue's slots — weighted by
+// the records' original lengths in byte mode — and releases the slots
+// once the insert has returned. A burst stops at the ring's end, so the
+// keys are one slice. It returns the number of records inserted, zero
+// when none are published.
 func (w *worker[S]) drain() int {
-	n := w.q.ring.TryPopN(w.buf)
+	q := w.q
+	head := q.released.Load()
+	n := int(min(q.read.Load()-head, DefaultBurst))
 	if n == 0 {
 		return 0
 	}
-	// Copying through local slices keeps the loops from reloading the
-	// worker's slice headers on every record.
-	recs, keys := w.buf[:n], w.keys[:n]
-	for j := range recs {
-		keys[j] = recs[j].key
-	}
+	i := int(head & q.mask)
+	n = min(n, len(q.keys)-i)
+	keys := q.keys[i : i+n]
 	if w.ws != nil {
-		ws := w.ws[:n]
-		for j := range recs {
-			ws[j] = uint64(recs[j].orig)
+		// Local slices keep the loop from reloading the slice headers
+		// on every record.
+		ws, orig := w.ws[:n], q.orig[i:i+n]
+		for j := range ws {
+			ws[j] = uint64(orig[j])
 		}
 		w.sketch.InsertBatch(keys, ws)
 	} else {
 		w.sketch.InsertBatchUnit(keys)
 	}
-	w.q.release(n)
+	q.release(n)
 	w.telConsumed.Add(uint64(n))
 	w.telBatch.Observe(uint64(n))
 	return n
 }
 
-// run drains the ring until the feed has closed it and it is empty,
-// yielding while it is momentarily empty.
+// run drains the queue until the feed has closed it and every record
+// is inserted, yielding while none is published.
 func (w *worker[S]) run() {
 	for {
 		if w.drain() > 0 {
 			continue
 		}
-		if !w.q.ring.Closed() {
+		if !w.q.closed.Load() {
 			runtime.Gosched()
 			continue
 		}
-		// Close is published after the final push; one more poll
-		// drains a push that raced the empty check.
+		// Close is published after the final records; one more poll
+		// drains records published between the empty check and it.
 		if w.drain() == 0 {
 			return
 		}

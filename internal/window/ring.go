@@ -32,9 +32,11 @@
 package window
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -387,7 +389,9 @@ func (r *Ring) Seal(epoch uint64, sk *core.Basic[flowkey.FiveTuple]) error {
 	}
 
 	// Snapshot the subscribers under mu; grouping and evaluation run
-	// outside it so a slow subscription never blocks Unsubscribe.
+	// outside it so a slow subscription never blocks Unsubscribe. The
+	// snapshot is in Subscribe order, not map order, so one seal's
+	// events, and the masks they name into use, come in that order.
 	var prev *Sealed
 	if n := len(st.epochs); n > 0 {
 		prev = st.epochs[n-1]
@@ -395,6 +399,9 @@ func (r *Ring) Seal(epoch uint64, sk *core.Basic[flowkey.FiveTuple]) error {
 	subs := make([]*subscriber, 0, len(r.subs))
 	for _, s := range r.subs {
 		subs = append(subs, s)
+	}
+	slices.SortFunc(subs, func(a, b *subscriber) int { return cmp.Compare(a.id, b.id) })
+	for _, s := range subs {
 		r.name(s.sub.Mask)
 	}
 	r.mu.Unlock()

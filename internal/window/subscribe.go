@@ -96,8 +96,10 @@ type subscriber struct {
 }
 
 // Subscribe registers a standing subscription; events are pushed to ch
-// at each seal (non-blocking — a full channel drops the event). The
-// returned id unregisters it via Unsubscribe.
+// at each seal (non-blocking — a full channel drops the event). A seal
+// evaluates the subscriptions in Subscribe order, so the events of one
+// seal on one channel arrive in that order. The returned id
+// unregisters it via Unsubscribe.
 func (r *Ring) Subscribe(sub Subscription, ch chan<- Event) int {
 	if ch == nil {
 		panic("window: Subscribe needs a channel")

@@ -210,3 +210,38 @@ func TestSubscriptionLimitCapsFlows(t *testing.T) {
 		t.Fatal("event not delivered")
 	}
 }
+
+// TestSubscriptionEventsArriveInSubscribeOrder pins the order of one
+// seal's events: two subscriptions that both fire on one seal into one
+// channel deliver their events in Subscribe order, on every run and
+// whichever kind subscribed first. Evaluated in the order of a map
+// range, each run would pass with even odds.
+func TestSubscriptionEventsArriveInSubscribeOrder(t *testing.T) {
+	mask := flowkey.MaskFields(flowkey.FieldDstIP)
+	heavy := window.Subscription{Kind: window.HeavyHitter, Mask: mask, Fraction: 0.5}
+	collapse := window.Subscription{Kind: window.Entropy, Mask: mask, MaxEntropy: 0.3}
+	epoch := flowSketch(map[flowkey.FiveTuple]uint64{tuple(1): 100_000, tuple(2): 10, tuple(3): 10})
+	for run := 0; run < 32; run++ {
+		first, second := heavy, collapse
+		if run%2 == 1 {
+			first, second = collapse, heavy
+		}
+		r := window.NewRing(4, testConfig)
+		ch := make(chan window.Event, 2)
+		ids := []int{r.Subscribe(first, ch), r.Subscribe(second, ch)}
+		if err := r.Seal(0, epoch); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []window.Subscription{first, second} {
+			select {
+			case ev := <-ch:
+				if ev.SubID != ids[i] || ev.Kind != want.Kind {
+					t.Fatalf("run %d: event %d is subscription %d (%s), want %d (%s)",
+						run, i, ev.SubID, ev.Kind, ids[i], want.Kind)
+				}
+			default:
+				t.Fatalf("run %d: %d of 2 events delivered", run, i)
+			}
+		}
+	}
+}
